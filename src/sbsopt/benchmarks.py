@@ -7,6 +7,7 @@ listed minimizer evaluates to f_star within 1e-9.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,68 +22,105 @@ Evaluator = Callable[[np.ndarray], float]
 _PI = math.pi
 
 
-def _sphere(x: np.ndarray) -> float:
-    return float(np.dot(x, x))
+def _vectorized(fn: Callable[[np.ndarray], np.ndarray]) -> Evaluator:
+    """Mark an evaluator written over the last axis of its input.
+
+    An (M, d) block gives M values, so :func:`~sbsopt.objective.evaluate`
+    can score a whole block in one call. A (d,) point is scored as a 1-row
+    block and gives a float: numpy scalars would round some powers through
+    libm's pow instead of a product, so one point and the same point inside
+    a block would not agree bit for bit.
+    """
+
+    @functools.wraps(fn)
+    def evaluator(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(fn(x[None, :])[0])
+        return fn(x)
+
+    evaluator.vectorized = True
+    return evaluator
 
 
-def _ackley(x: np.ndarray) -> float:
-    d = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.dot(x, x) / d))
-        - np.exp(np.mean(np.cos(2.0 * _PI * x)))
+def _sqnorm(x: np.ndarray) -> np.ndarray:
+    # a stacked 1 x d by d x 1 product rounds like np.dot(x, x) on each row,
+    # which np.sum(x * x, -1) and einsum do not
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+@_vectorized
+def _sphere(x):
+    return _sqnorm(x)
+
+
+@_vectorized
+def _ackley(x):
+    d = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(_sqnorm(x) / d))
+        - np.exp(np.sum(np.cos(2.0 * _PI * x), axis=-1) / d)
         + 20.0
         + math.e
     )
 
 
-def _rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * _PI * x)))
+@_vectorized
+def _rastrigin(x):
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * _PI * x), axis=-1)
 
 
-def _rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+@_vectorized
+def _rosenbrock(x):
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
-def _levy(x: np.ndarray) -> float:
+@_vectorized
+def _levy(x):
     w = 1.0 + (x - 1.0) / 4.0
-    head = math.sin(_PI * w[0]) ** 2
-    mid = np.sum((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * w[:-1] + 1.0) ** 2))
-    tail = (w[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * _PI * w[-1]) ** 2)
-    return float(head + mid + tail)
+    first, rest, last = w[..., 0], w[..., :-1], w[..., -1]
+    head = np.sin(_PI * first) ** 2
+    mid = np.sum((rest - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * rest + 1.0) ** 2), axis=-1)
+    tail = (last - 1.0) ** 2 * (1.0 + np.sin(2.0 * _PI * last) ** 2)
+    return head + mid + tail
 
 
-def _michalewicz(x: np.ndarray) -> float:
+@_vectorized
+def _michalewicz(x):
     # steepness m=10, so the sine factor is raised to 2m=20
-    i = np.arange(1, x.size + 1)
-    return float(-np.sum(np.sin(x) * np.sin(i * x * x / _PI) ** 20))
+    i = np.arange(1, x.shape[-1] + 1)
+    return -np.sum(np.sin(x) * np.sin(i * x * x / _PI) ** 20, axis=-1)
 
 
-def _branin(x: np.ndarray) -> float:
+@_vectorized
+def _branin(x):
+    x1, x2 = x[..., 0], x[..., 1]
     b = 5.1 / (4.0 * _PI**2)
     c = 5.0 / _PI
     t = 1.0 / (8.0 * _PI)
-    return float(
-        (x[1] - b * x[0] ** 2 + c * x[0] - 6.0) ** 2
-        + 10.0 * (1.0 - t) * math.cos(x[0])
-        + 10.0
+    return (x2 - b * x1**2 + c * x1 - 6.0) ** 2 + 10.0 * (1.0 - t) * np.cos(x1) + 10.0
+
+
+@_vectorized
+def _dropwave(x):
+    q = _sqnorm(x)
+    return -(1.0 + np.cos(12.0 * np.sqrt(q))) / (0.5 * q + 2.0)
+
+
+@_vectorized
+def _eggholder(x):
+    x1 = x[..., 0]
+    a = x[..., 1] + 47.0
+    return (
+        -a * np.sin(np.sqrt(np.abs(x1 / 2.0 + a)))
+        - x1 * np.sin(np.sqrt(np.abs(x1 - a)))
     )
 
 
-def _dropwave(x: np.ndarray) -> float:
-    q = float(np.dot(x, x))
-    return -(1.0 + math.cos(12.0 * math.sqrt(q))) / (0.5 * q + 2.0)
-
-
-def _eggholder(x: np.ndarray) -> float:
-    a = x[1] + 47.0
-    return float(
-        -a * math.sin(math.sqrt(abs(x[0] / 2.0 + a)))
-        - x[0] * math.sin(math.sqrt(abs(x[0] - a)))
-    )
-
-
-def _goldstein_price(x: np.ndarray) -> float:
-    x1, x2 = float(x[0]), float(x[1])
+@_vectorized
+def _goldstein_price(x):
+    x1, x2 = x[..., 0], x[..., 1]
     part1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (
         19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
     )
@@ -92,19 +130,21 @@ def _goldstein_price(x: np.ndarray) -> float:
     return part1 * part2
 
 
-def _himmelblau(x: np.ndarray) -> float:
-    return float((x[0] ** 2 + x[1] - 11.0) ** 2 + (x[0] + x[1] ** 2 - 7.0) ** 2)
+@_vectorized
+def _himmelblau(x):
+    x1, x2 = x[..., 0], x[..., 1]
+    return (x1**2 + x2 - 11.0) ** 2 + (x1 + x2**2 - 7.0) ** 2
 
 
-def _holder_table(x: np.ndarray) -> float:
-    r = math.sqrt(float(np.dot(x, x)))
-    return -abs(
-        math.sin(float(x[0])) * math.cos(float(x[1])) * math.exp(abs(1.0 - r / _PI))
-    )
+@_vectorized
+def _holder_table(x):
+    r = np.sqrt(_sqnorm(x))
+    return -np.abs(np.sin(x[..., 0]) * np.cos(x[..., 1]) * np.exp(np.abs(1.0 - r / _PI)))
 
 
-def _camel(x: np.ndarray) -> float:
-    x1, x2 = float(x[0]), float(x[1])
+@_vectorized
+def _camel(x):
+    x1, x2 = x[..., 0], x[..., 1]
     return (
         (4.0 - 2.1 * x1**2 + x1**4 / 3.0) * x1**2
         + x1 * x2

@@ -34,7 +34,10 @@ class BoltzmannTarget:
 
 
 def score(target: BoltzmannTarget, x: np.ndarray, counter: EvalCounter) -> np.ndarray:
-    """grad log m(x) = -kappa * fd_gradient(f, x); costs 2d evaluations."""
+    """grad log m(x) = -kappa * fd_gradient(f, x); costs 2d evaluations per point.
+
+    x is one point (d,) or one point per row (N, d), scored in one block.
+    """
     grad = fd_gradient(target.objective, x, counter, h=target.fd_step)
     return -target.kappa * grad
 
@@ -132,6 +135,6 @@ def ksd(
     up to floating-point rounding because the Stein kernel is PSD.
     """
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
-    scores = np.stack([score(target, x, counter) for x in positions])
+    scores = score(target, positions, counter)
     kmat, diff, sqdist = pairwise_kernel(kernel.sigma, positions)
     return ksd_from_parts(scores, kmat, diff, sqdist, kernel.sigma)

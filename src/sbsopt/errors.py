@@ -35,6 +35,10 @@ class BudgetTooSmall(SbsError):
     """The evaluation budget cannot cover the minimum required work."""
 
 
+class BudgetExceeded(SbsError):
+    """A finished run used more evaluations than its budget allows."""
+
+
 class NotTwoDimensional(SbsError):
     """Trajectory plotting is only defined for 2-d runs."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import BenchmarkEntry, distance_to_minimum, lookup, make_benchmark
-from .errors import ConfigError
+from .errors import BudgetExceeded, ConfigError
 from .optimizers import RunResult, available_methods, derive_seed, run_method
 from .trajectory import plot_trajectories
 
@@ -297,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
 
     for rec in records:
         if rec.result.evals_used > cfg.budget:
-            raise AssertionError(
+            raise BudgetExceeded(
                 f"budget audit failed: {rec.method} on {rec.function}-{rec.dim}d "
                 f"used {rec.result.evals_used} > {cfg.budget}"
             )

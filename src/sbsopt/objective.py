@@ -3,6 +3,11 @@
 Every optimizer in this package spends its budget through :func:`evaluate`
 and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the single
 source of truth for how many scalar function evaluations a run consumed.
+
+Both take one point or a block of points, one per row, and count one
+evaluation per point either way. An evaluator whose ``vectorized``
+attribute is true (the registry benchmarks) scores a whole block in one
+call; any other callable is called once per row, in row order.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ class BoxDomain:
         return self.lower.size
 
     def contains(self, x: np.ndarray) -> bool:
+        """True when x is one point (d,) or a block (M, d) of points, all in the box."""
         x = np.asarray(x, dtype=float)
-        return x.shape == self.lower.shape and bool(
+        return x.ndim in (1, 2) and x.shape[-1:] == self.lower.shape and bool(
             (x >= self.lower).all() and (x <= self.upper).all()
         )
 
@@ -104,17 +110,31 @@ class Objective:
         return self.domain.d
 
 
-def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float:
-    """Evaluate f(x), counting exactly one evaluation.
+def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarray:
+    """Evaluate f at a point (d,) -> float, or at each row of a block
+    (M, d) -> (M,), counting one evaluation per point.
 
-    Raises OutOfDomain if any coordinate violates the (closed) bounds;
-    callers are expected to project first.
+    Raises OutOfDomain, before counting anything, if any coordinate
+    violates the (closed) bounds; callers are expected to project first.
     """
     x = np.asarray(x, dtype=float)
     if not obj.domain.contains(x):
-        raise OutOfDomain(f"{obj.name}: point {x} outside {obj.domain.lower}..{obj.domain.upper}")
-    counter.tick()
-    return float(obj.evaluator(x))
+        raise OutOfDomain(f"{obj.name}: point {_first_outside(obj.domain, x)} "
+                          f"outside {obj.domain.lower}..{obj.domain.upper}")
+    if x.ndim == 1:
+        counter.tick()
+        return float(obj.evaluator(x))
+    counter.tick(len(x))
+    if getattr(obj.evaluator, "vectorized", False):
+        return obj.evaluator(x)
+    return np.array([float(obj.evaluator(row)) for row in x], dtype=float)
+
+
+def _first_outside(domain: BoxDomain, x: np.ndarray) -> np.ndarray:
+    # the offending row of a block, for the error message
+    if x.ndim == 2:
+        return next((row for row in x if not domain.contains(row)), x)
+    return x
 
 
 def project_to_box(domain: BoxDomain, x: Point) -> Point:
@@ -128,28 +148,33 @@ def fd_gradient(
     counter: EvalCounter,
     h: float | None = None,
 ) -> np.ndarray:
-    """Central-difference gradient estimate, 2d evaluations.
+    """Central-difference gradient estimate, 2d evaluations per point.
+
+    x is one point (d,) or N points (N, d); the gradient has the same shape.
+    All 2dN probes go to :func:`evaluate` as one block, ordered by point,
+    then coordinate, then + before -.
 
     With h=None the step is 1e-6 * max(1, |x_i|) per coordinate. Probe points
     are clamped to the box; the difference is divided by the actual probe
     separation, so the estimate is one-sided (bias O(h)) only on the boundary.
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    lo, hi = obj.domain.lower, obj.domain.upper
-    grad = np.empty(d)
-    for i in range(d):
-        hi_step = h if h is not None else 1e-6 * max(1.0, abs(x[i]))
-        x_plus = x.copy()
-        x_minus = x.copy()
-        x_plus[i] = min(x[i] + hi_step, hi[i])
-        x_minus[i] = max(x[i] - hi_step, lo[i])
-        f_plus = evaluate(obj, x_plus, counter)
-        f_minus = evaluate(obj, x_minus, counter)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteValue(f"{obj.name}: non-finite probe near {x}")
-        grad[i] = (f_plus - f_minus) / (x_plus[i] - x_minus[i])
-    return grad
+    points = np.atleast_2d(x)
+    n, d = points.shape
+    step = h if h is not None else 1e-6 * np.maximum(1.0, np.abs(points))
+    up = np.minimum(points + step, obj.domain.upper)
+    down = np.maximum(points - step, obj.domain.lower)
+    coord = np.arange(d)
+    # probes[k, i, 0] is point k with coordinate i moved up, probes[k, i, 1] down
+    probes = np.repeat(points[:, None, None, :], d, axis=1).repeat(2, axis=2)
+    probes[:, coord, 0, coord] = up
+    probes[:, coord, 1, coord] = down
+    f = evaluate(obj, probes.reshape(-1, d), counter).reshape(n, d, 2)
+    if not np.isfinite(f).all():
+        k = np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0]
+        raise NonFiniteValue(f"{obj.name}: non-finite probe near {points[k]}")
+    grad = (f[:, :, 0] - f[:, :, 1]) / (up - down)
+    return grad.reshape(x.shape)
 
 
 def uniform_sample(domain: BoxDomain, n: int, rng: np.random.Generator) -> np.ndarray:

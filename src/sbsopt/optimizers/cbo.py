@@ -61,7 +61,7 @@ def cbo_run(
 
     rng_init, rng_noise = split_streams(seed, 2)
     positions = uniform_sample(domain, n_particles, rng_init)
-    fitness = np.array([evaluate(obj, x, counter) for x in positions])
+    fitness = evaluate(obj, positions, counter)
     best_idx = int(np.argmin(fitness))
     best_x = positions[best_idx].copy()
     best_f = float(fitness[best_idx])
@@ -78,7 +78,7 @@ def cbo_run(
         scale = np.linalg.norm(gaps, axis=1, keepdims=True)
         positions = positions - lam_drift * gaps * dt + sigma_noise * scale * sqrt_dt * noise
         positions = project_to_box(domain, positions)
-        fitness = np.array([evaluate(obj, x, counter) for x in positions])
+        fitness = evaluate(obj, positions, counter)
         done = t
 
         step_best = int(np.argmin(fitness))

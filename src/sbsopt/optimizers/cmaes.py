@@ -115,7 +115,7 @@ def cmaes_run(
             if x is None:
                 x = np.clip(candidate, domain.lower, domain.upper)
             offspring[k] = x
-        fitness = np.array([evaluate(obj, x, counter) for x in offspring])
+        fitness = evaluate(obj, offspring, counter)
         generation += 1
 
         gen_best = int(np.argmin(fitness))

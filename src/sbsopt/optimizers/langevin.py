@@ -2,8 +2,10 @@
 
 Each chain follows x <- project(x - eta kappa grad f(x) + sqrt(2 eta) xi)
 with finite-difference gradients, so one chain step costs 2d probe
-evaluations plus 1 to score the new state. Chains are swept round-robin
-and the best evaluated point across all chains is returned.
+evaluations plus 1 to score the new state. Each sweep steps every chain
+once, all in one block; the last sweep steps only as many chains, in chain
+order, as the budget still covers. The best evaluated point across all
+chains is returned.
 
 Random streams: 0 initializes the chains, 1 drives the noise.
 """
@@ -24,6 +26,16 @@ from ..objective import (
     uniform_sample,
 )
 from .base import IterationRecord, RunResult, split_streams
+
+
+def _improve(points: np.ndarray, f: np.ndarray, best_x: np.ndarray, best_f: float):
+    """The incumbent after scoring points in row order: the first row with the
+    lowest value replaces it when strictly better. NaN values never win."""
+    if f.size:
+        i = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
+        if f[i] < best_f:
+            return points[i].copy(), float(f[i])
+    return best_x, best_f
 
 
 def langevin_run(
@@ -50,15 +62,8 @@ def langevin_run(
 
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
-    best_x = chains[0].copy()
-    best_f = np.inf
-    for x in chains:
-        if counter.count + 1 > budget:
-            break
-        f = evaluate(obj, x, counter)
-        if f < best_f:
-            best_f = f
-            best_x = x.copy()
+    scored = chains[: budget - counter.count]
+    best_x, best_f = _improve(scored, evaluate(obj, scored, counter), chains[0].copy(), np.inf)
 
     noise_scale = math.sqrt(2.0 * eta)
     step_cost = 2 * d + 1
@@ -66,22 +71,20 @@ def langevin_run(
     sweeps = 0
     exhausted = False
     while not exhausted:
-        sweep_min = np.inf
-        for i in range(n_chains):
-            if counter.count + step_cost > budget:
-                exhausted = True
-                break
-            grad = fd_gradient(obj, chains[i], counter)
-            proposal = (
-                chains[i] - eta * kappa * grad
-                + noise_scale * rng_noise.standard_normal(d)
-            )
-            chains[i] = project_to_box(domain, proposal)
-            f = evaluate(obj, chains[i], counter)
-            sweep_min = min(sweep_min, f)
-            if f < best_f:
-                best_f = f
-                best_x = chains[i].copy()
+        # the chains the budget can still step this sweep, as one block
+        k = min(n_chains, (budget - counter.count) // step_cost)
+        exhausted = k < n_chains
+        if k == 0:
+            break
+        grad = fd_gradient(obj, chains[:k], counter)
+        proposal = (
+            chains[:k] - eta * kappa * grad
+            + noise_scale * rng_noise.standard_normal((k, d))
+        )
+        chains[:k] = project_to_box(domain, proposal)
+        f = evaluate(obj, chains[:k], counter)
+        best_x, best_f = _improve(chains[:k], f, best_x, best_f)
+        sweep_min = np.fmin.reduce(f, initial=np.inf)
         if np.isfinite(sweep_min):
             sweeps += 1
             if records is not None:

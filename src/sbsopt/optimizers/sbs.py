@@ -12,12 +12,13 @@ meter so instrumentation never changes what the algorithm does or spends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd_from_parts
-from ..errors import BudgetTooSmall, ConfigError, ShapeMismatch
+from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
 from ..kernel import BandwidthPolicy, RbfKernel, resolve_bandwidth
 from ..objective import EvalCounter, Objective, evaluate, uniform_sample
 from ..svgd import (
@@ -68,6 +69,28 @@ class FilterConfig:
             raise ConfigError("min_particles must be positive", field="min_particles")
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile(values, q) with its default "linear" method, bit for
+    bit, from one sort and scalar arithmetic; NaN if any value is NaN."""
+    ordered = np.sort(values)
+    n = ordered.size
+    if np.isnan(ordered[-1]):
+        return float("nan")
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        # numpy takes the last value on both sides and counts from index -1
+        below = above = n - 1
+        t = virtual + 1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        t = virtual - below
+    a, b = float(ordered[below]), float(ordered[above])
+    diff = b - a
+    # numpy's _lerp: interpolate from the nearer end
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def pf_filter(
     positions: np.ndarray,
     prev_positions: np.ndarray,
@@ -90,8 +113,8 @@ def pf_filter(
                           field="min_particles")
 
     moves = np.linalg.norm(positions - prev_positions, axis=1)
-    f_threshold = np.percentile(f_values, cfg.q_value_percentile)
-    move_threshold = np.percentile(moves, cfg.p_move_percentile)
+    f_threshold = _percentile(f_values, cfg.q_value_percentile)
+    move_threshold = _percentile(moves, cfg.p_move_percentile)
     removed = (f_values > f_threshold) & (moves < move_threshold)
     keep = np.flatnonzero(~removed)
     if keep.size < cfg.min_particles:
@@ -166,7 +189,7 @@ def _run_engine(
 
     def current_f_values() -> np.ndarray:
         # instrumentation only: does not touch the run budget
-        return np.array([evaluate(obj, x, instrument) for x in particles.positions])
+        return evaluate(obj, particles.positions, instrument)
 
     log: TrajectoryLog | None = None
     if log_every > 0:
@@ -219,7 +242,7 @@ def _run_engine(
         iteration += 1
 
         if will_filter:
-            f_vals = np.array([evaluate(obj, x, counter) for x in moved.positions])
+            f_vals = evaluate(obj, moved.positions, counter)
             keep = pf_filter(moved.positions, prev_positions, f_vals, fcfg)
             if keep.size < moved.n:
                 moved = ParticleSet(moved.positions[keep])
@@ -247,10 +270,11 @@ def _run_engine(
         snapshot(iteration, final_sigma, last_f)
 
     if last_f is None:
-        last_f = np.array([evaluate(obj, x, counter) for x in particles.positions])
+        last_f = evaluate(obj, particles.positions, counter)
     best_idx = int(np.argmin(last_f))
     if counter.count > budget:
-        raise AssertionError("internal accounting error: budget exceeded")
+        raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
+                             f"exceed the budget of {budget}")
     return RunResult(
         best_x=particles.positions[best_idx].copy(),
         best_f=float(last_f[best_idx]),

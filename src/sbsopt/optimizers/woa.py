@@ -51,7 +51,7 @@ def woa_run(
 
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(domain, n_agents, rng_init)
-    fitness = np.array([evaluate(obj, x, counter) for x in positions])
+    fitness = evaluate(obj, positions, counter)
     best_idx = int(np.argmin(fitness))
     best_x = positions[best_idx].copy()
     best_f = float(fitness[best_idx])
@@ -86,7 +86,7 @@ def woa_run(
                     + best_x
                 )
         positions = project_to_box(domain, moved)
-        fitness = np.array([evaluate(obj, x, counter) for x in positions])
+        fitness = evaluate(obj, positions, counter)
         done = t
 
         gen_best = int(np.argmin(fitness))

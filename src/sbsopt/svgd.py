@@ -83,7 +83,7 @@ def _forces(
     repulsion_i  = (1/N) sum_j k(x_i, x_j) (x_i - x_j) / sigma^2
     """
     n = positions.shape[0]
-    scores = np.stack([score(target, x, counter) for x in positions])
+    scores = score(target, positions, counter)
     kmat, diff, sqdist = pairwise_kernel(kernel.sigma, positions)
     attraction = kmat @ scores / n
     repulsion = np.einsum("ij,ijd->id", kmat, diff) / kernel.sigma**2 / n

@@ -1,12 +1,17 @@
 """Benchmark registry tests.
 
-Each function is checked against an independently coded vectorized oracle on
-a dense grid (the registry evaluators are scalar, so a transcription error
-in either copy would show up as a mismatch), plus the published minimizers.
+Each function is checked against an independently coded meshgrid oracle on
+a dense grid, against its earlier one-point form, and against the published
+minimizers. The registry evaluators are written over the last axis of a
+block, so a transcription error in any copy would show up as a mismatch.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsopt import (
     UnsupportedDimension,
@@ -117,6 +122,131 @@ GRID_ORACLES = {
 }
 
 
+# One-point forms of each function, as the registry had them before it was
+# written over blocks. numpy scalars and math.* make them round differently
+# from the block forms in a few places, so only some must agree bit for bit.
+
+def sphere_point(x):
+    return float(np.dot(x, x))
+
+
+def ackley_point(x):
+    d = x.size
+    return float(
+        -20.0 * np.exp(-0.2 * np.sqrt(np.dot(x, x) / d))
+        - np.exp(np.mean(np.cos(2.0 * math.pi * x)))
+        + 20.0
+        + math.e
+    )
+
+
+def rastrigin_point(x):
+    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x)))
+
+
+def rosenbrock_point(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+
+
+def levy_point(x):
+    w = 1.0 + (x - 1.0) / 4.0
+    head = math.sin(math.pi * w[0]) ** 2
+    mid = np.sum((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * w[:-1] + 1.0) ** 2))
+    tail = (w[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * w[-1]) ** 2)
+    return float(head + mid + tail)
+
+
+def michalewicz_point(x):
+    i = np.arange(1, x.size + 1)
+    return float(-np.sum(np.sin(x) * np.sin(i * x * x / math.pi) ** 20))
+
+
+def branin_point(x):
+    b = 5.1 / (4.0 * math.pi**2)
+    c = 5.0 / math.pi
+    t = 1.0 / (8.0 * math.pi)
+    return float(
+        (x[1] - b * x[0] ** 2 + c * x[0] - 6.0) ** 2
+        + 10.0 * (1.0 - t) * math.cos(x[0])
+        + 10.0
+    )
+
+
+def dropwave_point(x):
+    q = float(np.dot(x, x))
+    return -(1.0 + math.cos(12.0 * math.sqrt(q))) / (0.5 * q + 2.0)
+
+
+def eggholder_point(x):
+    a = x[1] + 47.0
+    return float(
+        -a * math.sin(math.sqrt(abs(x[0] / 2.0 + a)))
+        - x[0] * math.sin(math.sqrt(abs(x[0] - a)))
+    )
+
+
+def goldstein_price_point(x):
+    x1, x2 = float(x[0]), float(x[1])
+    part1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (
+        19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
+    )
+    part2 = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
+        18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
+    )
+    return part1 * part2
+
+
+def himmelblau_point(x):
+    return float((x[0] ** 2 + x[1] - 11.0) ** 2 + (x[0] + x[1] ** 2 - 7.0) ** 2)
+
+
+def holder_table_point(x):
+    r = math.sqrt(float(np.dot(x, x)))
+    return -abs(
+        math.sin(float(x[0])) * math.cos(float(x[1])) * math.exp(abs(1.0 - r / math.pi))
+    )
+
+
+def camel_point(x):
+    x1, x2 = float(x[0]), float(x[1])
+    return (
+        (4.0 - 2.1 * x1**2 + x1**4 / 3.0) * x1**2
+        + x1 * x2
+        + (-4.0 + 4.0 * x2**2) * x2**2
+    )
+
+
+POINT_ORACLES = {
+    "Ackley": ackley_point,
+    "Branin": branin_point,
+    "DropWave": dropwave_point,
+    "EggHolder": eggholder_point,
+    "GoldsteinPrice": goldstein_price_point,
+    "Himmelblau": himmelblau_point,
+    "HolderTable": holder_table_point,
+    "Michalewicz": michalewicz_point,
+    "Rastrigin": rastrigin_point,
+    "Rosenbrock": rosenbrock_point,
+    "Camel": camel_point,
+    "Levy": levy_point,
+    "Sphere": sphere_point,
+}
+
+# The forms that must not move at all: the particle flow's seeded results
+# on these functions depend on every bit.
+BITWISE_POINT_FORMS = ("Ackley", "Rastrigin", "Rosenbrock", "Sphere")
+# Elsewhere math.* gave way to np.*, and numpy-scalar powers (libm pow) to
+# array powers: the two forms differ by at most this many ulps of the
+# largest |f| on the sample (3 measured, on Goldstein-Price, at 300k points).
+POINT_FORM_ULPS = 4
+
+
+def _dims(entry):
+    if entry.dims_supported is not None:
+        return sorted(entry.dims_supported)
+    return [d for d in (1, 2, 5, 10) if entry.supports(d)]
+
+
 class TestRegistryShape:
     def test_names_and_order(self):
         assert benchmark_names() == EXPECTED_NAMES
@@ -173,6 +303,42 @@ class TestAgainstGridOracles:
         assert abs(branin_grid(X, Y).min() - entry.f_star_for(2)) < 1e-4
 
 
+class TestBlockEvaluation:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(EXPECTED_NAMES), m=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_one_row_calls(self, name, m, seed):
+        entry = lookup(name)
+        rng = np.random.default_rng(seed)
+        for d in _dims(entry):
+            dom = entry.domain_for(d)
+            block = rng.uniform(dom.lower, dom.upper, size=(m, d))
+            got = entry.evaluator(block)
+            rows = [entry.evaluator(x) for x in block]
+            assert got.shape == (m,) and got.dtype == np.float64
+            assert all(type(v) is float for v in rows)
+            assert got.tobytes() == np.array(rows).tobytes(), (name, d)
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_marked_vectorized(self, name):
+        assert lookup(name).evaluator.vectorized is True
+
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_matches_one_point_form(self, name):
+        entry = lookup(name)
+        rng = np.random.default_rng(17)
+        for d in _dims(entry):
+            dom = entry.domain_for(d)
+            block = rng.uniform(dom.lower, dom.upper, size=(20_000, d))
+            got = entry.evaluator(block)
+            want = np.array([POINT_ORACLES[name](x) for x in block])
+            if name in BITWISE_POINT_FORMS:
+                assert got.tobytes() == want.tobytes(), (name, d)
+            else:
+                bound = POINT_FORM_ULPS * np.spacing(np.abs(want).max())
+                assert np.abs(got - want).max() <= bound, (name, d)
+
+
 class TestReferenceMinima:
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_minimizers_evaluate_to_f_star(self, name):
@@ -197,7 +363,7 @@ class TestReferenceMinima:
         dom = entry.domain_for(2)
         rng = np.random.default_rng(5)
         pts = rng.uniform(dom.lower, dom.upper, size=(100_000, 2))
-        vals = np.array([entry.evaluator(p) for p in pts])
+        vals = entry.evaluator(pts)
         assert np.all(np.isfinite(vals))
         assert vals.min() >= entry.f_star_for(2) - 1e-9
 

@@ -1,5 +1,6 @@
 """Experiment harness: metrics, aggregation, result files, and the CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from sbsopt import (
+    BudgetExceeded,
     ConfigError,
     ExperimentConfig,
     FunctionSpec,
@@ -19,6 +21,7 @@ from sbsopt import (
     run_method,
     write_results,
 )
+from sbsopt import harness
 from sbsopt.cli import main
 from sbsopt.harness import ECR_CLIP, ECR_FLOOR, validate_config
 
@@ -256,6 +259,15 @@ class TestRunExperiment:
                 os.environ["SBSOPT_THREADS"] = old
         assert serial.cells == threaded.cells
         assert serial.ecr == threaded.ecr
+
+    def test_budget_audit_raises_typed_error(self, tmp_path, monkeypatch):
+        def over_budget(*args, **kwargs):
+            result = run_method(*args, **kwargs)
+            return dataclasses.replace(result, evals_used=result.evals_used + 600)
+
+        monkeypatch.setattr(harness, "run_method", over_budget)
+        with pytest.raises(BudgetExceeded, match="budget audit failed"):
+            run_experiment(tiny_config(tmp_path))
 
     def test_bad_worker_env_rejected(self, tmp_path):
         old = os.environ.get("SBSOPT_THREADS")

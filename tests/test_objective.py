@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsopt import (
     BoxDomain,
@@ -10,10 +12,28 @@ from sbsopt import (
     OutOfDomain,
     evaluate,
     fd_gradient,
+    make_benchmark,
     make_objective,
     project_to_box,
     uniform_sample,
 )
+
+
+def fd_gradient_loop(obj, x, counter, h=None):
+    """The single-point central-difference loop, kept as the oracle of the
+    block form: one coordinate at a time, + probe then - probe."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = obj.domain.lower, obj.domain.upper
+    grad = np.empty(x.size)
+    for i in range(x.size):
+        step = h if h is not None else 1e-6 * max(1.0, abs(x[i]))
+        x_plus, x_minus = x.copy(), x.copy()
+        x_plus[i] = min(x[i] + step, hi[i])
+        x_minus[i] = max(x[i] - step, lo[i])
+        f_plus = evaluate(obj, x_plus, counter)
+        f_minus = evaluate(obj, x_minus, counter)
+        grad[i] = (f_plus - f_minus) / (x_plus[i] - x_minus[i])
+    return grad
 
 
 def quad_objective(d=3, half_width=10.0):
@@ -35,6 +55,9 @@ class TestBoxDomain:
         assert dom.contains(np.array([0.3]))
         assert not dom.contains(np.array([1.0 + 1e-12]))
         assert not dom.contains(np.array([0.0, 0.0]))  # wrong shape
+        assert dom.contains(np.array([[-1.0], [0.3], [1.0]]))  # a block of points
+        assert not dom.contains(np.array([[0.3], [1.0 + 1e-12]]))
+        assert not dom.contains(np.zeros((2, 1, 1)))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -79,6 +102,111 @@ class TestEvaluate:
             f_star=0.0, minimizers=[[0.0]],
         )
         assert ok.reference.f_star == 0.0
+
+
+class TestBlockEvaluate:
+    def test_block_ticks_one_per_row(self):
+        obj = make_benchmark("rastrigin", 4)
+        counter = EvalCounter()
+        block = uniform_sample(obj.domain, 9, np.random.default_rng(0))
+        values = evaluate(obj, block, counter)
+        assert values.shape == (9,)
+        assert counter.count == 9
+        assert evaluate(obj, block[:0], counter).shape == (0,)
+        assert counter.count == 9
+
+    def test_out_of_box_row_raises_before_counting(self):
+        obj = make_benchmark("sphere", 3)
+        block = np.zeros((5, 3))
+        block[3, 1] = 5.2
+        counter = EvalCounter()
+        with pytest.raises(OutOfDomain, match=r"5\.2"):
+            evaluate(obj, block, counter)
+        assert counter.count == 0
+
+    def test_wrong_width_raises(self):
+        obj = make_benchmark("sphere", 3)
+        with pytest.raises(OutOfDomain):
+            evaluate(obj, np.zeros((2, 4)), EvalCounter())
+        with pytest.raises(OutOfDomain):
+            evaluate(obj, np.zeros((2, 2, 3)), EvalCounter())
+
+    def test_registry_block_matches_single_points(self):
+        obj = make_benchmark("ackley", 2)
+        block = uniform_sample(obj.domain, 50, np.random.default_rng(1))
+        values = evaluate(obj, block, EvalCounter())
+        single = [evaluate(obj, x, EvalCounter()) for x in block]
+        assert all(isinstance(v, float) for v in single)
+        assert values.tobytes() == np.array(single).tobytes()
+
+    def test_plain_callable_takes_the_row_loop(self):
+        calls = []
+
+        def spy(x):
+            calls.append(x.copy())
+            return float(x @ x)
+
+        obj = make_objective("spy", [-1.0, -1.0], [1.0, 1.0], spy)
+        assert not getattr(obj.evaluator, "vectorized", False)
+        block = uniform_sample(obj.domain, 6, np.random.default_rng(2))
+        counter = EvalCounter()
+        values = evaluate(obj, block, counter)
+        assert counter.count == 6
+        assert [c.shape for c in calls] == [(2,)] * 6
+        np.testing.assert_array_equal(np.array(calls), block)
+        np.testing.assert_array_equal(values, [float(x @ x) for x in block])
+
+
+class TestBlockFdGradient:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["ackley", "rastrigin", "rosenbrock", "levy", "michalewicz"]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        on_edge=st.booleans(),
+        h=st.sampled_from([None, 1e-3, 0.5]),
+    )
+    def test_block_equals_point_loop(self, name, n, seed, on_edge, h):
+        d = 5 if name == "michalewicz" else 3
+        obj = make_benchmark(name, d)
+        rng = np.random.default_rng(seed)
+        points = uniform_sample(obj.domain, n, rng)
+        if on_edge:
+            # put some coordinates on the bounds, so probes get clamped
+            mask = rng.random(points.shape) < 0.4
+            edge = np.where(rng.random(points.shape) < 0.5, obj.domain.lower, obj.domain.upper)
+            points = np.where(mask, edge, points)
+        block_counter, loop_counter = EvalCounter(), EvalCounter()
+        block = fd_gradient(obj, points, block_counter, h=h)
+        loop = np.array([fd_gradient_loop(obj, x, loop_counter, h=h) for x in points])
+        assert block.tobytes() == loop.tobytes()
+        assert block_counter.count == loop_counter.count == 2 * d * n
+        one = np.array([fd_gradient(obj, x, EvalCounter(), h=h) for x in points])
+        assert one.tobytes() == loop.tobytes()
+
+    def test_probe_order_matches_the_point_loop(self):
+        block_calls, loop_calls = [], []
+
+        def recorder(calls):
+            def f(x):
+                calls.append(x.copy())
+                return float(np.sin(x).sum())
+            return f
+
+        points = np.array([[0.2, -0.7, 1.0], [0.5, 0.0, -1.0]])
+        block_obj = make_objective("rec", [-1.0] * 3, [1.0] * 3, recorder(block_calls))
+        loop_obj = make_objective("rec", [-1.0] * 3, [1.0] * 3, recorder(loop_calls))
+        block = fd_gradient(block_obj, points, EvalCounter())
+        loop = np.array([fd_gradient_loop(loop_obj, x, EvalCounter()) for x in points])
+        np.testing.assert_array_equal(np.array(block_calls), np.array(loop_calls))
+        assert block.tobytes() == loop.tobytes()
+
+    def test_non_finite_probe_in_a_block_counts_every_probe(self):
+        obj = make_objective("hole", [-1.0], [1.0], lambda x: 1.0 / x[0] if x[0] < 0.5 else np.inf)
+        counter = EvalCounter()
+        with pytest.raises(NonFiniteValue, match=r"0\.9"):
+            fd_gradient(obj, np.array([[-0.5], [0.9], [0.1]]), counter)
+        assert counter.count == 6
 
 
 class TestProjection:

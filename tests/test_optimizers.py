@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbsopt import (
+    BudgetExceeded,
     BudgetTooSmall,
     ConfigError,
     FilterConfig,
@@ -13,6 +14,8 @@ from sbsopt import (
     sbs_pf_run,
     sbs_run,
 )
+from sbsopt.objective import EvalCounter
+from sbsopt.optimizers import sbs as sbs_module
 
 
 class TestFilterConfig:
@@ -106,6 +109,35 @@ class TestPfFilter:
         cfg = FilterConfig()  # min_particles=None is only legal pre-resolution
         with pytest.raises(ConfigError):
             pf_filter(np.ones((3, 1)), np.zeros((3, 1)), np.arange(3.0), cfg)
+
+
+class TestFilterPercentile:
+    @pytest.mark.parametrize("n", [*range(1, 61), 1000])
+    def test_equals_numpy_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for exponent in range(-8, 4):
+            values = 10.0**exponent * rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            tied = rng.choice(values[: max(1, n // 3)], n)  # every value repeated
+            for sample in (values, np.abs(values), tied):
+                for q in (0.0, 10.0, 25.0, 50.0, 80.0, 90.0, 100.0):
+                    want = np.float64(np.percentile(sample, q))
+                    got = np.float64(sbs_module._percentile(sample, q))
+                    assert got.tobytes() == want.tobytes(), (n, exponent, q)
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(sbs_module._percentile(np.array([1.0, np.nan, 2.0]), 50.0))
+
+
+class TestBudgetAudit:
+    def test_engine_raises_typed_error(self, monkeypatch):
+        class OverCounting(EvalCounter):
+            def tick(self, n=1):
+                super().tick(n + 1)
+
+        monkeypatch.setattr(sbs_module, "EvalCounter", OverCounting)
+        # d=2, N=5: three iterations reach 63 counted, the final argmin 69 > 68
+        with pytest.raises(BudgetExceeded):
+            sbs_run(make_benchmark("sphere", 2), n_particles=5, budget=68, seed=0)
 
 
 class TestSbsRun:
