@@ -32,7 +32,6 @@ from .errors import (
     BudgetTooSmall,
     ConfigError,
     DegenerateGrid,
-    DimensionMismatch,
     NonFiniteValue,
     NotTwoDimensional,
     OutOfDomain,
@@ -67,31 +66,19 @@ from .optimizers import (
     HybridConfig,
     IterationRecord,
     RunResult,
+    SbsConfig,
     available_methods,
     cbo_run,
     cmaes_run,
     derive_seed,
-    hybrid_init,
     langevin_run,
     pf_filter,
     run_method,
-    sbs_hybrid_run,
-    sbs_pf_hybrid_run,
-    sbs_pf_run,
     sbs_run,
     split_streams,
     woa_run,
 )
-from .svgd import (
-    DEFAULT_STEP_SIZE,
-    AdamState,
-    ParticleSet,
-    SvgdConfig,
-    adam_step,
-    force_decomposition,
-    phi_star,
-    svgd_iterate,
-)
+from .svgd import DEFAULT_STEP_SIZE, AdamState, ParticleSet, adam_step
 from .trajectory import TrajectoryLog, TrajectorySnapshot, plot_trajectories
 
 __all__ = [
@@ -106,7 +93,6 @@ __all__ = [
     "DEFAULT_KAPPA",
     "DEFAULT_STEP_SIZE",
     "DegenerateGrid",
-    "DimensionMismatch",
     "EvalCounter",
     "ExperimentConfig",
     "ExperimentTable",
@@ -124,9 +110,9 @@ __all__ = [
     "Reference",
     "RbfKernel",
     "RunResult",
+    "SbsConfig",
     "SbsError",
     "ShapeMismatch",
-    "SvgdConfig",
     "TrajectoryLog",
     "TrajectorySnapshot",
     "UnsupportedDimension",
@@ -144,28 +130,21 @@ __all__ = [
     "evaluate",
     "expectation_on_grid",
     "fd_gradient",
-    "force_decomposition",
-    "hybrid_init",
     "ksd",
     "langevin_run",
     "lookup",
     "make_benchmark",
     "make_objective",
     "pf_filter",
-    "phi_star",
     "plot_trajectories",
     "project_to_box",
     "registry",
     "resolve_bandwidth",
     "run_experiment",
     "run_method",
-    "sbs_hybrid_run",
-    "sbs_pf_hybrid_run",
-    "sbs_pf_run",
     "sbs_run",
     "score",
     "split_streams",
-    "svgd_iterate",
     "uniform_sample",
     "woa_run",
     "write_results",

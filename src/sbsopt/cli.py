@@ -17,7 +17,7 @@ from .errors import ConfigError, SbsError
 from .harness import ExperimentConfig, run_experiment, write_results
 from .kernel import RbfKernel
 from .objective import EvalCounter
-from .optimizers import available_methods, run_method
+from .optimizers import available_methods, logs_trajectories, run_method
 from .trajectory import TrajectoryLog, plot_trajectories
 
 
@@ -71,6 +71,9 @@ def _cmd_single(args) -> int:
         raise ConfigError(
             f"function {args.function!r} does not support dim {args.dim}", field="dim"
         )
+    if args.log_trajectory and not logs_trajectories(args.method):
+        raise ConfigError(f"method {args.method!r} records no trajectory",
+                          field="log_trajectory")
     params = _parse_params(args.param or [])
     obj = make_benchmark(args.function, args.dim)
     log_every = args.log_every if args.log_trajectory else 0

@@ -15,10 +15,6 @@ class NonFiniteValue(SbsError):
     """An evaluation returned NaN or infinity."""
 
 
-class DimensionMismatch(SbsError):
-    """Arrays disagree on the ambient dimension."""
-
-
 class ShapeMismatch(SbsError):
     """Arrays disagree on particle count or layout."""
 

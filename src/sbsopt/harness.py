@@ -3,16 +3,13 @@
 A config names functions, methods, a per-run evaluation budget, and the
 repetition count. Every cell (method x function x repetition) gets its own
 seed derived from the base seed and the cell coordinates, so cells can be
-rerun in isolation and results never depend on scheduling. Outputs are a
-CSV of aggregate distances, a JSON summary with the comparison metrics,
-and optional per-run trajectory logs.
+rerun in isolation. Outputs are a CSV of aggregate distances, a JSON
+summary with the comparison metrics, and optional per-run trajectory logs.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -192,21 +189,6 @@ class ExperimentTable:
     config: ExperimentConfig
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SBSOPT_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"SBSOPT_THREADS must be an integer, got {raw!r}",
-                              field="SBSOPT_THREADS")
-        if value < 1:
-            raise ConfigError("SBSOPT_THREADS must be at least 1",
-                              field="SBSOPT_THREADS")
-        return value
-    return min(8, os.cpu_count() or 1)
-
-
 def ecr(mean_distances: dict[str, dict[str, float]]) -> dict[str, float]:
     """Empirical competitive ratio per method.
 
@@ -262,37 +244,25 @@ def average_rank(
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
-    """Run every (method, function, repetition) cell and aggregate.
-
-    Cells execute in a thread pool capped by SBSOPT_THREADS; records are
-    sorted by cell coordinates before any aggregation, so the outputs are
-    identical for every worker count.
+    """Run every (method, function, repetition) cell, in config order, and
+    aggregate. The returned runs are sorted by cell coordinates.
     """
     entries = validate_config(cfg)
 
-    tasks = []
+    records = []
     for m in cfg.methods:
         for f in cfg.functions:
             for rep in range(cfg.repetitions):
-                tasks.append((m, f, rep))
-
-    def one(task) -> RunRecord:
-        m, f, rep = task
-        seed = derive_seed(cfg.base_seed, m.key, f.name, f.dim, rep)
-        obj = make_benchmark(f.name, f.dim)
-        result = run_method(
-            m.name, obj, cfg.budget, seed, m.params,
-            log_every=cfg.log_every, benchmark=f.name,
-        )
-        distance = distance_to_minimum(entries[f.name], result.best_f, f.dim)
-        return RunRecord(m.key, f.name, f.dim, rep, seed, result, distance)
-
-    workers = _worker_count()
-    if workers == 1:
-        records = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, tasks))
+                seed = derive_seed(cfg.base_seed, m.key, f.name, f.dim, rep)
+                obj = make_benchmark(f.name, f.dim)
+                result = run_method(
+                    m.name, obj, cfg.budget, seed, m.params,
+                    log_every=cfg.log_every, benchmark=f.name,
+                )
+                distance = distance_to_minimum(entries[f.name], result.best_f, f.dim)
+                records.append(
+                    RunRecord(m.key, f.name, f.dim, rep, seed, result, distance)
+                )
     records.sort(key=lambda r: (r.method, r.function, r.dim, r.repetition))
 
     for rec in records:

@@ -1,12 +1,10 @@
-"""RBF kernel, the derivatives SVGD needs, and bandwidth policies."""
+"""RBF kernel, its pairwise terms for SVGD, and bandwidth policies."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionMismatch
 
 HYBRID_SIGMA = 1e-10
 
@@ -20,25 +18,6 @@ class RbfKernel:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
-
-
-def k(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Kernel value in (0, 1]; 1 iff x == y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * kernel.sigma**2)))
-
-
-def grad_second_arg(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of k(x, y) in its second argument: k(x,y) (x - y) / sigma^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    return k(kernel, x, y) * (x - y) / kernel.sigma**2
 
 
 @dataclass(frozen=True)

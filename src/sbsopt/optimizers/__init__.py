@@ -2,23 +2,25 @@
 
 run_method dispatches on the names the experiment harness and CLI use:
 sbs, sbs-pf, sbs-hybrid, sbs-pf-hybrid, cma-es, woa, cbo, langevin.
-Method parameters arrive as a plain dict (typically parsed from a config
-file) and are validated against each method's known keys.
+The four sbs names are aliases of one SbsConfig with or without its filter
+and warm-start parts. Method parameters arrive as a plain dict (typically
+parsed from a config file); a method accepts exactly the fields of its
+parameter dataclasses, which also hold the defaults and check the values.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+
 from ..boltzmann import DEFAULT_KAPPA
 from ..errors import BudgetTooSmall, ConfigError
-from ..kernel import BandwidthPolicy
 from ..objective import Objective
-from ..svgd import DEFAULT_STEP_SIZE
-from .base import IterationRecord, RunResult, derive_seed, split_streams
+from .base import IterationRecord, RunResult, check_number, derive_seed, split_streams
 from .cbo import cbo_run, consensus_point
 from .cmaes import CmaGaussian, cmaes_run, default_popsize, sample_gaussian
-from .hybrid import HybridConfig, hybrid_init, sbs_hybrid_run, sbs_pf_hybrid_run
+from .hybrid import HybridConfig, sbs_run
 from .langevin import langevin_run
-from .sbs import FilterConfig, pf_filter, sbs_pf_run, sbs_run
+from .sbs import FilterConfig, SbsConfig, pf_filter
 from .woa import woa_run
 
 __all__ = [
@@ -27,73 +29,149 @@ __all__ = [
     "HybridConfig",
     "IterationRecord",
     "RunResult",
+    "SbsConfig",
     "available_methods",
     "cbo_run",
     "cmaes_run",
     "consensus_point",
     "default_popsize",
     "derive_seed",
-    "hybrid_init",
     "langevin_run",
+    "logs_trajectories",
     "pf_filter",
     "run_method",
     "sample_gaussian",
-    "sbs_hybrid_run",
-    "sbs_pf_hybrid_run",
-    "sbs_pf_run",
     "sbs_run",
     "split_streams",
     "woa_run",
 ]
 
-_FILTER_KEYS = ("q_value_percentile", "p_move_percentile", "start_iteration", "min_particles")
 
-_METHOD_KEYS = {
-    "sbs": {"n_particles", "kappa", "step_size", "sigma", "fd_step", "max_iterations"},
-    "sbs-pf": {"n_particles", "kappa", "step_size", "sigma", "fd_step", "max_iterations",
-               *_FILTER_KEYS},
-    "sbs-hybrid": {"n_particles", "kappa", "step_size", "sigma", "fd_step",
-                   "max_iterations", "cmaes_budget", "woa_iterations"},
-    "sbs-pf-hybrid": {"n_particles", "kappa", "step_size", "sigma", "fd_step",
-                      "max_iterations", "cmaes_budget", "woa_iterations", *_FILTER_KEYS},
-    "cma-es": {"popsize", "sigma0"},
-    "woa": {"n_agents", "iterations"},
-    "cbo": {"n_particles", "iterations", "alpha", "lam_drift", "sigma_noise", "dt"},
-    "langevin": {"n_chains", "kappa", "eta"},
-}
+@dataclass(frozen=True)
+class CmaesParams:
+    """popsize None: 4 + floor(3 ln d); sigma0 None: 0.3 x the widest box side."""
+
+    popsize: int | None = None
+    sigma0: float | None = None
+
+    def __post_init__(self):
+        check_number(self, "popsize", int, optional=True)
+        check_number(self, "sigma0", float, optional=True, positive=True)
 
 
-def available_methods() -> list[str]:
-    return list(_METHOD_KEYS)
+@dataclass(frozen=True)
+class WoaParams:
+    """iterations None: as many as the budget covers after the first population."""
+
+    n_agents: int = 30
+    iterations: int | None = None
+
+    def __post_init__(self):
+        check_number(self, "n_agents", int, positive=True)
+        check_number(self, "iterations", int, optional=True)
 
 
-def _check_keys(method: str, params: dict) -> None:
-    unknown = set(params) - _METHOD_KEYS[method]
-    if unknown:
-        offender = sorted(unknown)[0]
-        raise ConfigError(f"unknown parameter {offender!r} for method {method!r}",
-                          field=offender)
+@dataclass(frozen=True)
+class CboParams:
+    """iterations None: as many as the budget covers after the first population."""
+
+    n_particles: int = 100
+    iterations: int | None = None
+    alpha: float = 30.0
+    lam_drift: float = 1.0
+    sigma_noise: float = 0.7
+    dt: float = 0.1
+
+    def __post_init__(self):
+        check_number(self, "n_particles", int, positive=True)
+        check_number(self, "iterations", int, optional=True)
+        check_number(self, "alpha", float)
+        check_number(self, "lam_drift", float)
+        check_number(self, "sigma_noise", float)
+        if check_number(self, "dt", float) < 0:
+            raise ConfigError("dt must be nonnegative", field="dt")
 
 
-def _bandwidth(params: dict) -> BandwidthPolicy | None:
-    if "sigma" in params:
-        return BandwidthPolicy.fixed(float(params["sigma"]))
-    return None
+@dataclass(frozen=True)
+class LangevinParams:
+    n_chains: int = 10
+    kappa: float = DEFAULT_KAPPA
+    eta: float = 1e-5
+
+    def __post_init__(self):
+        check_number(self, "n_chains", int)
+        check_number(self, "kappa", float)
+        check_number(self, "eta", float)
 
 
-def _filter_config(params: dict) -> FilterConfig:
-    kwargs = {key: params[key] for key in _FILTER_KEYS if key in params}
-    return FilterConfig(**kwargs)
-
-
-def _population_iterations(budget: int, size: int, params: dict) -> int:
+def _population_iterations(budget: int, size: int, iterations: int | None) -> int:
     """Iterations for a fixed-population method: given, or fit to budget."""
-    if "iterations" in params:
-        return int(params["iterations"])
+    if iterations is not None:
+        return iterations
     iterations = budget // size - 1
     if iterations < 0:
         raise BudgetTooSmall(f"budget {budget} below one population of {size}")
     return iterations
+
+
+# The baseline adapters look the run functions up as module globals at call
+# time, so a caller that replaces one on this module (a tracer, a test) is
+# honoured.
+
+def _cmaes(obj, p: CmaesParams, budget, seed, *, collect_diagnostics, **_):
+    result, _ = cmaes_run(obj, budget, seed, popsize=p.popsize, sigma0=p.sigma0,
+                          collect_diagnostics=collect_diagnostics)
+    return result
+
+
+def _woa(obj, p: WoaParams, budget, seed, *, collect_diagnostics, **_):
+    iterations = _population_iterations(budget, p.n_agents, p.iterations)
+    result, _ = woa_run(obj, p.n_agents, iterations, seed, budget=budget,
+                        collect_diagnostics=collect_diagnostics)
+    return result
+
+
+def _cbo(obj, p: CboParams, budget, seed, *, collect_diagnostics, **_):
+    iterations = _population_iterations(budget, p.n_particles, p.iterations)
+    return cbo_run(obj, p.n_particles, iterations, seed, alpha=p.alpha,
+                   lam_drift=p.lam_drift, sigma_noise=p.sigma_noise, dt=p.dt,
+                   budget=budget, collect_diagnostics=collect_diagnostics)
+
+
+def _langevin(obj, p: LangevinParams, budget, seed, *, collect_diagnostics, **_):
+    return langevin_run(obj, n_chains=p.n_chains, kappa=p.kappa, eta=p.eta,
+                        budget=budget, seed=seed, collect_diagnostics=collect_diagnostics)
+
+
+# name -> (parameter dataclasses, run function). The first dataclass is the
+# method's parameter object; the others become its nested parts.
+_METHODS = {
+    "sbs": ((SbsConfig,), sbs_run),
+    "sbs-pf": ((SbsConfig, FilterConfig), sbs_run),
+    "sbs-hybrid": ((SbsConfig, HybridConfig), sbs_run),
+    "sbs-pf-hybrid": ((SbsConfig, FilterConfig, HybridConfig), sbs_run),
+    "cma-es": ((CmaesParams,), _cmaes),
+    "woa": ((WoaParams,), _woa),
+    "cbo": ((CboParams,), _cbo),
+    "langevin": ((LangevinParams,), _langevin),
+}
+
+# SbsConfig field that holds each nested part
+_NESTED = {FilterConfig: "filter", HybridConfig: "hybrid"}
+
+
+def _keys(cls: type) -> list[str]:
+    """The flat parameter keys of a dataclass: its fields, less nested parts."""
+    return [f.name for f in fields(cls) if f.name not in _NESTED.values()]
+
+
+def available_methods() -> list[str]:
+    return list(_METHODS)
+
+
+def logs_trajectories(name: str) -> bool:
+    """Whether runs of the named method can record a trajectory log."""
+    return _METHODS[name][0][0] is SbsConfig
 
 
 def run_method(
@@ -108,94 +186,23 @@ def run_method(
     log_every: int = 0,
     benchmark: str | None = None,
 ) -> RunResult:
-    """Run one optimizer by name under an evaluation budget."""
-    if name not in _METHOD_KEYS:
+    """Run one optimizer by name under an evaluation budget.
+
+    track_ksd, log_every and benchmark only affect the sbs names.
+    """
+    if name not in _METHODS:
         raise ConfigError(f"unknown method {name!r}", field="method")
+    (head, *nested), run = _METHODS[name]
     params = dict(params or {})
-    _check_keys(name, params)
-    common = dict(
-        collect_diagnostics=collect_diagnostics,
-        track_ksd=track_ksd,
-        log_every=log_every,
-        benchmark=benchmark,
-    )
+    accepted = {key for cls in (head, *nested) for key in _keys(cls)}
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ConfigError(f"unknown parameter {unknown[0]!r} for method {name!r}",
+                          field=unknown[0])
 
-    if name in ("sbs", "sbs-pf"):
-        kwargs = dict(
-            n_particles=int(params.get("n_particles", 100)),
-            kappa=float(params.get("kappa", DEFAULT_KAPPA)),
-            step_size=float(params.get("step_size", DEFAULT_STEP_SIZE)),
-            budget=budget,
-            seed=seed,
-            bandwidth_policy=_bandwidth(params),
-            max_iterations=params.get("max_iterations"),
-            fd_step=params.get("fd_step"),
-            **common,
-        )
-        if name == "sbs":
-            return sbs_run(obj, **kwargs)
-        return sbs_pf_run(obj, filter_config=_filter_config(params), **kwargs)
+    def take(cls: type) -> dict:
+        return {key: params[key] for key in _keys(cls) if key in params}
 
-    if name in ("sbs-hybrid", "sbs-pf-hybrid"):
-        hybrid = HybridConfig(
-            cmaes_budget=int(params.get("cmaes_budget", 1000)),
-            woa_iterations=int(params.get("woa_iterations", 1000)),
-            inner="pf" if name == "sbs-pf-hybrid" else "plain",
-        )
-        kwargs = dict(
-            n_particles=int(params.get("n_particles", 50)),
-            kappa=float(params.get("kappa", DEFAULT_KAPPA)),
-            step_size=float(params.get("step_size", DEFAULT_STEP_SIZE)),
-            budget=budget,
-            seed=seed,
-            hybrid=hybrid,
-            bandwidth_policy=_bandwidth(params),
-            max_iterations=params.get("max_iterations"),
-            fd_step=params.get("fd_step"),
-            **common,
-        )
-        if name == "sbs-hybrid":
-            return sbs_hybrid_run(obj, **kwargs)
-        return sbs_pf_hybrid_run(obj, filter_config=_filter_config(params), **kwargs)
-
-    if name == "cma-es":
-        result, _ = cmaes_run(
-            obj, budget, seed,
-            popsize=params.get("popsize"),
-            sigma0=params.get("sigma0"),
-            collect_diagnostics=collect_diagnostics,
-        )
-        return result
-
-    if name == "woa":
-        n_agents = int(params.get("n_agents", 30))
-        iterations = _population_iterations(budget, n_agents, params)
-        result, _ = woa_run(
-            obj, n_agents, iterations, seed,
-            budget=budget,
-            collect_diagnostics=collect_diagnostics,
-        )
-        return result
-
-    if name == "cbo":
-        n_particles = int(params.get("n_particles", 100))
-        iterations = _population_iterations(budget, n_particles, params)
-        return cbo_run(
-            obj, n_particles, iterations, seed,
-            alpha=float(params.get("alpha", 30.0)),
-            lam_drift=float(params.get("lam_drift", 1.0)),
-            sigma_noise=float(params.get("sigma_noise", 0.7)),
-            dt=float(params.get("dt", 0.1)),
-            budget=budget,
-            collect_diagnostics=collect_diagnostics,
-        )
-
-    return langevin_run(
-        obj,
-        n_chains=int(params.get("n_chains", 10)),
-        kappa=float(params.get("kappa", DEFAULT_KAPPA)),
-        eta=float(params.get("eta", 1e-5)),
-        budget=budget,
-        seed=seed,
-        collect_diagnostics=collect_diagnostics,
-    )
+    config = head(**take(head), **{_NESTED[cls]: cls(**take(cls)) for cls in nested})
+    return run(obj, config, budget, seed, collect_diagnostics=collect_diagnostics,
+               track_ksd=track_ksd, log_every=log_every, benchmark=benchmark)

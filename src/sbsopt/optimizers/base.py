@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..trajectory import TrajectoryLog
 
 _SEED_BITS = 64
@@ -32,6 +34,29 @@ def split_streams(seed: int, n_streams: int) -> list[np.random.Generator]:
     """
     root = np.random.SeedSequence(seed % (1 << _SEED_BITS))
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n_streams)]
+
+
+def check_number(config, name: str, kind: type, *, optional: bool = False,
+                 positive: bool = False) -> int | float | None:
+    """Convert field `name` of the frozen dataclass `config` with kind (int or
+    float) in place and return it.
+
+    A value kind cannot convert, or with positive set one that is not
+    positive and finite, raises ConfigError naming the field. None passes
+    unchanged when the field is optional.
+    """
+    value = getattr(config, name)
+    if value is None and optional:
+        return None
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}", field=name) from None
+    if positive and not (math.isfinite(converted) and converted > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}", field=name)
+    object.__setattr__(config, name, converted)
+    return converted
 
 
 @dataclass

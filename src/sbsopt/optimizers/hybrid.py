@@ -1,4 +1,4 @@
-"""Hybrid runs: warm-start the particle flow from CMA-ES or WOA.
+"""The SBS entry point, and the warm start of its hybrid runs from CMA-ES or WOA.
 
 The init phase spends a slice of the budget on CMA-ES and a fixed WOA
 schedule, then seeds the particles from whichever did better: N samples
@@ -18,32 +18,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..boltzmann import DEFAULT_KAPPA
-from ..errors import BudgetTooSmall, ConfigError
-from ..kernel import BandwidthPolicy
+from ..errors import BudgetTooSmall
 from ..objective import EvalCounter, Objective, project_to_box
-from ..svgd import DEFAULT_STEP_SIZE, ParticleSet
-from .base import RunResult, derive_seed, split_streams
+from .base import RunResult, check_number, derive_seed, split_streams
 from .cmaes import cmaes_run, sample_gaussian
-from .sbs import FilterConfig, _run_engine
+from .sbs import SbsConfig, _run_engine
 from .woa import woa_run
 
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Init-phase budget split and which particle variant continues."""
+    """Init-phase budget split of a warm-started run."""
 
     cmaes_budget: int = 1000
     woa_iterations: int = 1000
-    inner: str = "plain"
 
     def __post_init__(self):
-        if self.cmaes_budget < 1:
-            raise ConfigError("cmaes_budget must be positive", field="cmaes_budget")
-        if self.woa_iterations < 1:
-            raise ConfigError("woa_iterations must be positive", field="woa_iterations")
-        if self.inner not in ("plain", "pf"):
-            raise ConfigError("inner must be 'plain' or 'pf'", field="inner")
+        check_number(self, "cmaes_budget", int, positive=True)
+        check_number(self, "woa_iterations", int, positive=True)
 
 
 def _hybrid_init_full(
@@ -53,10 +45,11 @@ def _hybrid_init_full(
     woa_iterations: int,
     seed: int,
     counter: EvalCounter,
-) -> tuple[np.ndarray, np.ndarray, float, str]:
-    """Run both init methods; returns (positions, incumbent_x, incumbent_f, source)."""
-    if n_particles < 1:
-        raise ConfigError("need at least one particle", field="n_particles")
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run both init methods; returns (positions, incumbent_x, incumbent_f).
+
+    All evaluations are counted on counter.
+    """
     cma_result, gaussian = cmaes_run(
         obj, counter.count + cmaes_budget, derive_seed(seed, "hybrid-cma"), counter=counter
     )
@@ -69,54 +62,47 @@ def _hybrid_init_full(
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
         samples = sample_gaussian(gaussian, n_particles, rng)
         positions = project_to_box(obj.domain, samples)
-        return positions, cma_result.best_x, cma_result.best_f, "cma-es"
+        return positions, cma_result.best_x, cma_result.best_f
     return (
         woa_population[:n_particles],
         woa_result.best_x,
         woa_result.best_f,
-        "woa",
     )
 
 
-def hybrid_init(
+def sbs_run(
     obj: Objective,
-    n_particles: int,
-    cmaes_budget: int,
-    woa_iterations: int,
+    cfg: SbsConfig,
+    budget: int,
     seed: int,
-    counter: EvalCounter,
-) -> ParticleSet:
-    """Initial particles for a hybrid run; all evaluations are counted."""
-    positions, _, _, _ = _hybrid_init_full(
-        obj, n_particles, cmaes_budget, woa_iterations, seed, counter
-    )
-    return ParticleSet(positions)
-
-
-def sbs_hybrid_run(
-    obj: Objective,
-    n_particles: int = 50,
-    kappa: float = DEFAULT_KAPPA,
-    step_size: float = DEFAULT_STEP_SIZE,
-    budget: int = 100_000,
-    seed: int = 0,
-    hybrid: HybridConfig | None = None,
-    filter_config: FilterConfig | None = None,
     *,
-    bandwidth_policy: BandwidthPolicy | None = None,
-    max_iterations: int | None = None,
     collect_diagnostics: bool = False,
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
-    fd_step: float | None = None,
 ) -> RunResult:
-    """Warm-started run: init phase, then the SVGD continuation.
+    """Run SBS as cfg configures it, under an evaluation budget.
 
-    The continuation filters only when hybrid.inner is "pf". If the budget
-    is spent by the init phase itself, the init incumbent is the answer.
+    The particles descend the Boltzmann flow until the budget can no longer
+    cover the next iteration; the answer is the best final particle (ties
+    to the lowest index). cfg.filter permanently removes particles of high
+    f-value and low displacement from its start_iteration on. cfg.hybrid
+    first picks the starting particles by the init phase above, whose
+    incumbent stays the answer unless the continuation beats it.
+    Diagnostics, the KSD and a trajectory snapshot every log_every
+    iterations are off-budget instrumentation.
     """
-    hybrid = hybrid if hybrid is not None else HybridConfig()
+    instruments = dict(
+        collect_diagnostics=collect_diagnostics,
+        track_ksd=track_ksd,
+        log_every=log_every,
+        benchmark=benchmark,
+    )
+    if cfg.hybrid is None:
+        return _run_engine(obj, cfg, budget, seed, **instruments)
+
+    hybrid = cfg.hybrid
+    n_particles = cfg.n_particles
     counter = EvalCounter()
     woa_agents = max(2, n_particles)
     init_cost = hybrid.cmaes_budget + woa_agents * (hybrid.woa_iterations + 1)
@@ -124,66 +110,14 @@ def sbs_hybrid_run(
         raise BudgetTooSmall(
             f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
         )
-    positions, incumbent_x, incumbent_f, _ = _hybrid_init_full(
+    positions, incumbent_x, incumbent_f = _hybrid_init_full(
         obj, n_particles, hybrid.cmaes_budget, hybrid.woa_iterations, seed, counter
     )
 
-    inner_filter = filter_config if hybrid.inner == "pf" else None
-    policy = bandwidth_policy if bandwidth_policy is not None else BandwidthPolicy.hybrid_small()
-    method_name = "sbs-pf-hybrid" if hybrid.inner == "pf" else "sbs-hybrid"
-
-    if budget - counter.count < n_particles:
-        # nothing meaningful left: even scoring the init particles is unaffordable
-        return RunResult(
-            best_x=np.asarray(incumbent_x, dtype=float).copy(),
-            best_f=float(incumbent_f),
-            evals_used=counter.count,
-            iterations_done=0,
-        )
-
     continuation = _run_engine(
-        obj, n_particles, kappa, step_size, budget, seed,
-        bandwidth_policy=policy,
-        filter_config=inner_filter,
-        init=positions,
-        max_iterations=max_iterations,
-        counter=counter,
-        check_budget=False,
-        collect_diagnostics=collect_diagnostics,
-        track_ksd=track_ksd,
-        log_every=log_every,
-        benchmark=benchmark,
-        fd_step=fd_step,
-        method_name=method_name,
+        obj, cfg, budget, seed, init=positions, counter=counter, **instruments
     )
     if continuation.best_f < incumbent_f:
-        best_x, best_f = continuation.best_x, continuation.best_f
-    else:
-        best_x, best_f = np.asarray(incumbent_x, dtype=float).copy(), float(incumbent_f)
-    return RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=continuation.iterations_done,
-        diagnostics=continuation.diagnostics,
-        trajectory=continuation.trajectory,
-    )
-
-
-def sbs_pf_hybrid_run(
-    obj: Objective,
-    n_particles: int = 50,
-    kappa: float = DEFAULT_KAPPA,
-    step_size: float = DEFAULT_STEP_SIZE,
-    budget: int = 100_000,
-    seed: int = 0,
-    hybrid: HybridConfig | None = None,
-    filter_config: FilterConfig | None = None,
-    **kwargs,
-) -> RunResult:
-    """Hybrid run whose continuation filters particles (inner forced to "pf")."""
-    hybrid = replace(hybrid if hybrid is not None else HybridConfig(), inner="pf")
-    return sbs_hybrid_run(
-        obj, n_particles, kappa, step_size, budget, seed, hybrid, filter_config,
-        **kwargs,
-    )
+        return continuation
+    return replace(continuation, best_x=np.asarray(incumbent_x, dtype=float).copy(),
+                   best_f=float(incumbent_f))

@@ -1,4 +1,5 @@
-"""Particle runs: the budget-accounted SVGD loop, with optional filtering.
+"""Particle runs: the SBS configuration and its budget-accounted SVGD loop,
+with optional filtering.
 
 Budget convention: every objective evaluation counts, including the 2d
 finite-difference probes behind each particle's score. One iteration of N
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,15 +23,12 @@ from ..boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd_from_parts
 from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
 from ..kernel import BandwidthPolicy, RbfKernel, resolve_bandwidth
 from ..objective import EvalCounter, Objective, evaluate, uniform_sample
-from ..svgd import (
-    DEFAULT_STEP_SIZE,
-    AdamState,
-    ParticleSet,
-    SvgdConfig,
-    _iterate_with_parts,
-)
+from ..svgd import DEFAULT_STEP_SIZE, AdamState, ParticleSet, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import IterationRecord, RunResult, split_streams
+from .base import IterationRecord, RunResult, check_number, split_streams
+
+if TYPE_CHECKING:
+    from .hybrid import HybridConfig
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,10 @@ class FilterConfig:
     min_particles: int | None = None
 
     def __post_init__(self):
+        check_number(self, "q_value_percentile", float)
+        check_number(self, "p_move_percentile", float)
+        check_number(self, "start_iteration", int)
+        check_number(self, "min_particles", int, optional=True)
         if not 0.0 < self.q_value_percentile <= 100.0:
             raise ConfigError(
                 "q_value_percentile must be in (0, 100]", field="q_value_percentile"
@@ -67,6 +70,51 @@ class FilterConfig:
             )
         if self.min_particles is not None and self.min_particles < 1:
             raise ConfigError("min_particles must be positive", field="min_particles")
+
+
+@dataclass(frozen=True)
+class SbsConfig:
+    """One SBS run: the particle flow plus its two optional parts.
+
+    filter removes unpromising particles as the run goes (SBS-PF); hybrid
+    warm-starts the particles from CMA-ES or WOA (SBS-hybrid). n_particles
+    None resolves to 100, or to 50 with a warm start. sigma None picks the
+    bandwidth 1/N^2 of the live count N, or 1e-10 with a warm start. fd_step
+    None uses 1e-6 * max(1, |x_i|) per coordinate.
+    """
+
+    n_particles: int | None = None
+    kappa: float = DEFAULT_KAPPA
+    step_size: float = DEFAULT_STEP_SIZE
+    sigma: float | None = None
+    fd_step: float | None = None
+    max_iterations: int | None = None
+    filter: FilterConfig | None = None
+    hybrid: HybridConfig | None = None
+
+    def __post_init__(self):
+        if self.n_particles is None:
+            object.__setattr__(self, "n_particles", 100 if self.hybrid is None else 50)
+        check_number(self, "n_particles", int, positive=True)
+        check_number(self, "kappa", float, positive=True)
+        check_number(self, "step_size", float, positive=True)
+        check_number(self, "sigma", float, optional=True, positive=True)
+        check_number(self, "fd_step", float, optional=True, positive=True)
+        check_number(self, "max_iterations", int, optional=True)
+
+    @property
+    def method(self) -> str:
+        """The registry name of this configuration."""
+        return ("sbs" + ("-pf" if self.filter is not None else "")
+                + ("-hybrid" if self.hybrid is not None else ""))
+
+    @property
+    def bandwidth(self) -> BandwidthPolicy:
+        if self.sigma is not None:
+            return BandwidthPolicy.fixed(self.sigma)
+        if self.hybrid is not None:
+            return BandwidthPolicy.hybrid_small()
+        return BandwidthPolicy.inverse_n_squared()
 
 
 def _percentile(values: np.ndarray, q: float) -> float:
@@ -126,59 +174,50 @@ def pf_filter(
     return keep
 
 
-def _resolved_filter(cfg: FilterConfig | None, n_particles: int) -> FilterConfig | None:
-    if cfg is None:
-        return None
-    if cfg.min_particles is None:
-        return replace(cfg, min_particles=max(5, n_particles // 20))
-    return cfg
-
-
 def _run_engine(
     obj: Objective,
-    n_particles: int,
-    kappa: float,
-    step_size: float,
+    cfg: SbsConfig,
     budget: int,
     seed: int,
     *,
-    bandwidth_policy: BandwidthPolicy | None = None,
-    filter_config: FilterConfig | None = None,
     init: np.ndarray | None = None,
-    max_iterations: int | None = None,
     counter: EvalCounter | None = None,
-    check_budget: bool = True,
     collect_diagnostics: bool = False,
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
-    fd_step: float | None = None,
-    method_name: str = "sbs",
 ) -> RunResult:
-    """The particle run loop shared by all SBS variants."""
+    """The particle run loop of every SBS configuration.
+
+    init, when given, is the starting ensemble (its row count replaces
+    cfg.n_particles) and counter may already hold the evaluations spent to
+    find it. A warm-started run has paid for its init phase, so only a plain
+    start raises BudgetTooSmall when the budget cannot cover one iteration;
+    a warm start that leaves too little budget to score its particles runs
+    zero iterations and reports best_f = inf.
+    """
     counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
     d = domain.d
-    policy = bandwidth_policy if bandwidth_policy is not None else BandwidthPolicy.inverse_n_squared()
+    policy = cfg.bandwidth
 
     if init is not None:
         positions = np.atleast_2d(np.asarray(init, dtype=float)).copy()
-        n_particles = positions.shape[0]
     else:
         rng = split_streams(seed, 1)[0]
-        positions = uniform_sample(domain, n_particles, rng)
-    if n_particles < 1:
-        raise ConfigError("need at least one particle", field="n_particles")
-    if check_budget and budget - counter.count < 2 * d * n_particles:
+        positions = uniform_sample(domain, cfg.n_particles, rng)
+    n_particles = positions.shape[0]
+    if cfg.hybrid is None and budget - counter.count < 2 * d * n_particles:
         raise BudgetTooSmall(
             f"budget {budget} cannot cover one iteration "
             f"(2 * {d} * {n_particles} evaluations)"
         )
 
-    target = BoltzmannTarget(objective=obj, kappa=kappa, fd_step=fd_step)
-    config = SvgdConfig(step_size=step_size, bandwidth_policy=policy)
+    target = BoltzmannTarget(objective=obj, kappa=cfg.kappa, fd_step=cfg.fd_step)
     adam = AdamState.fresh(n_particles, d)
-    fcfg = _resolved_filter(filter_config, n_particles)
+    fcfg = cfg.filter
+    if fcfg is not None and fcfg.min_particles is None:
+        fcfg = replace(fcfg, min_particles=max(5, n_particles // 20))
     particles = ParticleSet(positions)
     original_ids = np.arange(n_particles)
     last_f: np.ndarray | None = None
@@ -194,12 +233,12 @@ def _run_engine(
     log: TrajectoryLog | None = None
     if log_every > 0:
         log = TrajectoryLog(
-            method=method_name,
+            method=cfg.method,
             objective_name=obj.name,
             dim=d,
             lower=[float(v) for v in domain.lower],
             upper=[float(v) for v in domain.upper],
-            kappa=kappa,
+            kappa=cfg.kappa,
             benchmark=benchmark,
         )
 
@@ -227,14 +266,14 @@ def _run_engine(
         reserve = 0 if will_filter else n_live
         if counter.count + iter_cost + reserve > budget:
             break
-        if max_iterations is not None and iteration >= max_iterations:
+        if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
             break
 
         sigma = resolve_bandwidth(policy, n_live)
         kernel = RbfKernel(sigma)
         prev_positions = particles.positions
         moved, scores, kmat, diff, sqdist = _iterate_with_parts(
-            particles, target, kernel, config, adam, counter
+            particles, target, kernel, cfg.step_size, adam, counter
         )
         ksd_value = (
             ksd_from_parts(scores, kmat, diff, sqdist, sigma) if track_ksd else None
@@ -270,7 +309,10 @@ def _run_engine(
         snapshot(iteration, final_sigma, last_f)
 
     if last_f is None:
-        last_f = evaluate(obj, particles.positions, counter)
+        if budget - counter.count >= particles.n:
+            last_f = evaluate(obj, particles.positions, counter)
+        else:
+            last_f = np.full(particles.n, np.inf)
     best_idx = int(np.argmin(last_f))
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
@@ -284,85 +326,3 @@ def _run_engine(
         trajectory=log,
     )
 
-
-def sbs_run(
-    obj: Objective,
-    n_particles: int = 100,
-    kappa: float = DEFAULT_KAPPA,
-    step_size: float = DEFAULT_STEP_SIZE,
-    budget: int = 200_000,
-    seed: int = 0,
-    init: np.ndarray | None = None,
-    *,
-    bandwidth_policy: BandwidthPolicy | None = None,
-    max_iterations: int | None = None,
-    collect_diagnostics: bool = False,
-    track_ksd: bool = False,
-    log_every: int = 0,
-    benchmark: str | None = None,
-    fd_step: float | None = None,
-) -> RunResult:
-    """Plain run: N particles descend the Boltzmann flow until the budget
-    can no longer cover the next iteration. Returns the argmin over the
-    final particles (ties broken by lowest index)."""
-    return _run_engine(
-        obj, n_particles, kappa, step_size, budget, seed,
-        bandwidth_policy=bandwidth_policy,
-        filter_config=None,
-        init=init,
-        max_iterations=max_iterations,
-        collect_diagnostics=collect_diagnostics,
-        track_ksd=track_ksd,
-        log_every=log_every,
-        benchmark=benchmark,
-        fd_step=fd_step,
-        method_name="sbs",
-    )
-
-
-def sbs_pf_run(
-    obj: Objective,
-    n_particles: int = 100,
-    kappa: float = DEFAULT_KAPPA,
-    step_size: float = DEFAULT_STEP_SIZE,
-    budget: int = 200_000,
-    seed: int = 0,
-    filter_config: FilterConfig | None = None,
-    init: np.ndarray | None = None,
-    *,
-    bandwidth_policy: BandwidthPolicy | None = None,
-    max_iterations: int | None = None,
-    collect_diagnostics: bool = False,
-    track_ksd: bool = False,
-    log_every: int = 0,
-    benchmark: str | None = None,
-    fd_step: float | None = None,
-) -> RunResult:
-    """Filtered run: from start_iteration onward, each iteration evaluates
-    the moved particles and permanently removes those with high f-value and
-    low displacement. Adam moments and the 1/N^2 bandwidth track the live
-    set. With filter_config=None this is exactly sbs_run."""
-    if filter_config is None:
-        return sbs_run(
-            obj, n_particles, kappa, step_size, budget, seed, init,
-            bandwidth_policy=bandwidth_policy,
-            max_iterations=max_iterations,
-            collect_diagnostics=collect_diagnostics,
-            track_ksd=track_ksd,
-            log_every=log_every,
-            benchmark=benchmark,
-            fd_step=fd_step,
-        )
-    return _run_engine(
-        obj, n_particles, kappa, step_size, budget, seed,
-        bandwidth_policy=bandwidth_policy,
-        filter_config=filter_config,
-        init=init,
-        max_iterations=max_iterations,
-        collect_diagnostics=collect_diagnostics,
-        track_ksd=track_ksd,
-        log_every=log_every,
-        benchmark=benchmark,
-        fd_step=fd_step,
-        method_name="sbs-pf",
-    )

@@ -1,14 +1,15 @@
-"""SVGD engine: update direction, Adam stepping, and force diagnostics."""
+"""SVGD engine: the update direction as attraction plus repulsion, and
+Adam stepping of the particles along it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boltzmann import BoltzmannTarget, score
 from .errors import NonFiniteValue, ShapeMismatch
-from .kernel import BandwidthPolicy, RbfKernel, pairwise_kernel
+from .kernel import RbfKernel, pairwise_kernel
 from .objective import EvalCounter, project_to_box
 
 DEFAULT_STEP_SIZE = 0.03
@@ -46,29 +47,13 @@ class AdamState:
     eps_adam: float = 1e-8
 
     @staticmethod
-    def fresh(n: int, d: int, beta1: float = 0.9, beta2: float = 0.999,
-              eps_adam: float = 1e-8) -> "AdamState":
-        return AdamState(m=np.zeros((n, d)), v=np.zeros((n, d)),
-                         beta1=beta1, beta2=beta2, eps_adam=eps_adam)
+    def fresh(n: int, d: int) -> "AdamState":
+        return AdamState(m=np.zeros((n, d)), v=np.zeros((n, d)))
 
     def keep(self, indices: np.ndarray) -> None:
         """Drop moment rows of filtered-out particles, in lockstep."""
         self.m = self.m[indices]
         self.v = self.v[indices]
-
-
-@dataclass(frozen=True)
-class SvgdConfig:
-    """Step size and bandwidth policy of one SVGD run."""
-
-    step_size: float = DEFAULT_STEP_SIZE
-    bandwidth_policy: BandwidthPolicy = field(
-        default_factory=BandwidthPolicy.inverse_n_squared
-    )
-
-    def __post_init__(self):
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError("step_size must be positive and finite")
 
 
 def _forces(
@@ -81,6 +66,9 @@ def _forces(
 
     attraction_i = (1/N) sum_j s(x_j) k(x_i, x_j)
     repulsion_i  = (1/N) sum_j k(x_i, x_j) (x_i - x_j) / sigma^2
+
+    Their sum is the empirical SVGD direction
+    phi*(x_i) = (1/N) sum_j [ s(x_j) k(x_i, x_j) + grad_{x_j} k(x_i, x_j) ].
     """
     n = positions.shape[0]
     scores = score(target, positions, counter)
@@ -88,39 +76,6 @@ def _forces(
     attraction = kmat @ scores / n
     repulsion = np.einsum("ij,ijd->id", kmat, diff) / kernel.sigma**2 / n
     return attraction, repulsion, scores, kmat, diff, sqdist
-
-
-def phi_star(
-    particles: ParticleSet,
-    target: BoltzmannTarget,
-    kernel: RbfKernel,
-    counter: EvalCounter,
-) -> np.ndarray:
-    """Empirical SVGD update direction, one row per particle.
-
-    phi*(x_i) = (1/N) sum_j [ s(x_j) k(x_i, x_j) + grad_{x_j} k(x_i, x_j) ],
-    computed as attraction + repulsion so the decomposition is exact.
-    """
-    attraction, repulsion, _, _, _, _ = _forces(
-        particles.positions, target, kernel, counter
-    )
-    phi = attraction + repulsion
-    if not np.isfinite(phi).all():
-        raise NonFiniteValue("phi_star produced non-finite entries")
-    return phi
-
-
-def force_decomposition(
-    particles: ParticleSet,
-    target: BoltzmannTarget,
-    kernel: RbfKernel,
-    counter: EvalCounter,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(attraction, repulsion) with attraction + repulsion = phi_star exactly."""
-    attraction, repulsion, _, _, _, _ = _forces(
-        particles.positions, target, kernel, counter
-    )
-    return attraction, repulsion
 
 
 def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
@@ -142,11 +97,12 @@ def _iterate_with_parts(
     particles: ParticleSet,
     target: BoltzmannTarget,
     kernel: RbfKernel,
-    config: SvgdConfig,
+    step_size: float,
     adam: AdamState,
     counter: EvalCounter,
 ):
-    """One SVGD iteration, also returning the kernel parts it computed.
+    """One SVGD iteration: move along the Adam-preconditioned phi*, then
+    project to the box. Also returns the kernel parts it computed.
 
     The run loop reuses scores and kernel matrices for discrepancy
     diagnostics, so the iteration exposes them instead of recomputing.
@@ -156,22 +112,7 @@ def _iterate_with_parts(
     )
     phi = attraction + repulsion
     if not np.isfinite(phi).all():
-        raise NonFiniteValue("phi_star produced non-finite entries")
-    displacement = adam_step(adam, phi, config.step_size)
+        raise NonFiniteValue("the SVGD direction phi* has non-finite entries")
+    displacement = adam_step(adam, phi, step_size)
     moved = project_to_box(target.objective.domain, particles.positions + displacement)
     return ParticleSet(moved), scores, kmat, diff, sqdist
-
-
-def svgd_iterate(
-    particles: ParticleSet,
-    target: BoltzmannTarget,
-    kernel: RbfKernel,
-    config: SvgdConfig,
-    adam: AdamState,
-    counter: EvalCounter,
-) -> ParticleSet:
-    """One SVGD iteration: move along Adam-preconditioned phi*, then project."""
-    moved, _, _, _, _ = _iterate_with_parts(
-        particles, target, kernel, config, adam, counter
-    )
-    return moved

@@ -13,7 +13,6 @@ import pytest
 
 from sbsopt import (
     AdamState,
-    BandwidthPolicy,
     BoltzmannTarget,
     EvalCounter,
     ExperimentConfig,
@@ -23,6 +22,7 @@ from sbsopt import (
     MethodSpec,
     ParticleSet,
     RbfKernel,
+    SbsConfig,
     adam_step,
     cbo_run,
     cmaes_run,
@@ -30,18 +30,14 @@ from sbsopt import (
     ecr,
     expectation_on_grid,
     fd_gradient,
-    force_decomposition,
     ksd,
     langevin_run,
     lookup,
     make_benchmark,
     make_objective,
     pf_filter,
-    phi_star,
     project_to_box,
     run_experiment,
-    sbs_hybrid_run,
-    sbs_pf_run,
     sbs_run,
     score,
     split_streams,
@@ -49,6 +45,7 @@ from sbsopt import (
     woa_run,
     write_results,
 )
+from sbsopt.svgd import _forces, _iterate_with_parts
 
 
 def distance(entry_name, best_f, d=2):
@@ -105,8 +102,9 @@ class TestDegenerateSvgdOracle:
             x = project_to_box(obj.domain, x + adam_step(adam, direction[None, :], lr))
 
         result = sbs_run(
-            obj, n_particles=1, kappa=kappa, step_size=lr,
-            budget=10**8, seed=seed, max_iterations=iterations,
+            obj, SbsConfig(n_particles=1, kappa=kappa, step_size=lr,
+                           max_iterations=iterations),
+            10**8, seed,
         )
         assert result.best_x.tobytes() == x[0].tobytes()
         assert result.iterations_done == iterations
@@ -121,20 +119,24 @@ class TestForceDecomposition:
         target = BoltzmannTarget(obj, kappa=float(1e3))
         for _ in range(100):
             n = int(rng.integers(1, 12))
-            pts = ParticleSet(rng.uniform(-5, 5, size=(n, 2)))
+            pts = rng.uniform(-5, 5, size=(n, 2))
             sigma = float(rng.uniform(0.05, 2.0))
-            att, rep = force_decomposition(pts, target, RbfKernel(sigma), EvalCounter())
-            phi = phi_star(pts, target, RbfKernel(sigma), EvalCounter())
-            assert (att + rep).tobytes() == phi.tobytes()
+            att, rep, *_ = _forces(pts, target, RbfKernel(sigma), EvalCounter())
+            # the iteration steps along exactly attraction + repulsion
+            moved, *_ = _iterate_with_parts(ParticleSet(pts), target, RbfKernel(sigma),
+                                            0.03, AdamState.fresh(n, 2), EvalCounter())
+            step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
+            want = project_to_box(obj.domain, pts + step)
+            assert moved.positions.tobytes() == want.tobytes()
 
     def test_pair_repulsion_antisymmetric_100_configs(self):
         rng = np.random.default_rng(1)
         obj = make_objective("const", [-10.0, -10.0], [10.0, 10.0], lambda x: 1.0)
         target = BoltzmannTarget(obj, kappa=1.0)
         for _ in range(100):
-            pts = ParticleSet(rng.uniform(-9, 9, size=(2, 2)))
+            pts = rng.uniform(-9, 9, size=(2, 2))
             sigma = float(rng.uniform(0.1, 3.0))
-            _, rep = force_decomposition(pts, target, RbfKernel(sigma), EvalCounter())
+            _, rep, *_ = _forces(pts, target, RbfKernel(sigma), EvalCounter())
             np.testing.assert_allclose(rep[0], -rep[1], rtol=0, atol=1e-14)
 
 
@@ -188,10 +190,9 @@ class TestKsdSanity:
         # discrepancy meaningful; it must drop by at least 10x in 500 steps
         obj = make_benchmark("sphere", 2)
         result = sbs_run(
-            obj, n_particles=50, kappa=1.0, step_size=0.03,
-            budget=10**9, seed=3,
-            bandwidth_policy=BandwidthPolicy.fixed(1.0),
-            max_iterations=500,
+            obj, SbsConfig(n_particles=50, kappa=1.0, step_size=0.03, sigma=1.0,
+                           max_iterations=500),
+            10**9, 3,
             collect_diagnostics=True, track_ksd=True,
         )
         first = result.diagnostics[0].ksd
@@ -216,7 +217,7 @@ class TestDeskScaleQuality:
         obj = make_benchmark(name, 2)
         distances = []
         for seed in range(10):
-            r = sbs_run(obj, n_particles=100, kappa=1e3, budget=200_000, seed=seed)
+            r = sbs_run(obj, SbsConfig(n_particles=100, kappa=1e3), 200_000, seed)
             assert r.evals_used <= 200_000
             distances.append(distance(name, r.best_f))
         assert float(np.median(distances)) < self.TOLERANCES[name]
@@ -230,10 +231,10 @@ class TestFilteredBudgetReduction:
         obj = make_benchmark("ackley", 2)
         ratios, d_plain, d_filtered = [], [], []
         for seed in range(10):
-            plain = sbs_run(obj, n_particles=100, budget=200_000, seed=seed,
-                            max_iterations=400)
-            filtered = sbs_pf_run(obj, n_particles=100, budget=200_000, seed=seed,
-                                  max_iterations=400, filter_config=FilterConfig())
+            plain = sbs_run(obj, SbsConfig(n_particles=100, max_iterations=400),
+                            200_000, seed)
+            filtered = sbs_run(obj, SbsConfig(n_particles=100, max_iterations=400,
+                                              filter=FilterConfig()), 200_000, seed)
             assert plain.iterations_done == filtered.iterations_done == 400
             ratios.append(filtered.evals_used / plain.evals_used)
             d_plain.append(distance("ackley", plain.best_f))
@@ -255,9 +256,8 @@ class TestHybridDominance:
             obj = make_benchmark(name, 2)
             d_hybrid, d_plain = [], []
             for seed in range(10):
-                h = sbs_hybrid_run(obj, n_particles=50, budget=100_000,
-                                   seed=seed, hybrid=cfg)
-                p = sbs_run(obj, n_particles=100, budget=100_000, seed=seed)
+                h = sbs_run(obj, SbsConfig(n_particles=50, hybrid=cfg), 100_000, seed)
+                p = sbs_run(obj, SbsConfig(n_particles=100), 100_000, seed)
                 assert h.evals_used <= 100_000
                 d_hybrid.append(distance(name, h.best_f))
                 d_plain.append(distance(name, p.best_f))
@@ -352,8 +352,8 @@ class TestFilterInvariants:
 
     def test_survivors_respect_min_particles(self):
         obj = make_benchmark("ackley", 2)
-        r = sbs_pf_run(obj, n_particles=60, budget=100_000, seed=0,
-                       filter_config=FilterConfig(), collect_diagnostics=True)
+        r = sbs_run(obj, SbsConfig(n_particles=60, filter=FilterConfig()), 100_000, 0,
+                    collect_diagnostics=True)
         floor = max(5, 60 // 20)
         assert all(rec.live >= floor for rec in r.diagnostics)
         assert r.diagnostics[-1].live < 60  # the filter actually engaged
@@ -375,10 +375,12 @@ class TestFilterInvariants:
             assert int(np.argmin(f)) in keep
 
     def test_disabled_filter_is_bitwise_plain_sbs(self):
+        # a filter that never starts leaves the run exactly as plain sbs
         obj = make_benchmark("ackley", 2)
-        plain = sbs_run(obj, n_particles=25, budget=10_000, seed=4)
-        disabled = sbs_pf_run(obj, n_particles=25, budget=10_000, seed=4,
-                              filter_config=None)
+        plain = sbs_run(obj, SbsConfig(n_particles=25), 10_000, 4)
+        disabled = sbs_run(obj, SbsConfig(n_particles=25,
+                                          filter=FilterConfig(start_iteration=10**9)),
+                           10_000, 4)
         assert plain.best_x.tobytes() == disabled.best_x.tobytes()
         assert plain.best_f == disabled.best_f
         assert plain.evals_used == disabled.evals_used

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsopt import (
     BudgetTooSmall,
@@ -282,3 +284,109 @@ class TestRunMethod:
         via_name = run_method("cma-es", obj, 1200, seed=5)
         direct, _ = cmaes_run(obj, 1200, seed=5)
         assert via_name.best_x.tobytes() == direct.best_x.tobytes()
+
+
+# The parameter keys each method accepted before the method registry was
+# built from config dataclasses; the registry must accept exactly these.
+FILTER_KEYS = {"q_value_percentile", "p_move_percentile", "start_iteration",
+               "min_particles"}
+FLOW_KEYS = {"n_particles", "kappa", "step_size", "sigma", "fd_step", "max_iterations"}
+HYBRID_KEYS = {"cmaes_budget", "woa_iterations"}
+METHOD_KEYS = {
+    "sbs": FLOW_KEYS,
+    "sbs-pf": FLOW_KEYS | FILTER_KEYS,
+    "sbs-hybrid": FLOW_KEYS | HYBRID_KEYS,
+    "sbs-pf-hybrid": FLOW_KEYS | HYBRID_KEYS | FILTER_KEYS,
+    "cma-es": {"popsize", "sigma0"},
+    "woa": {"n_agents", "iterations"},
+    "cbo": {"n_particles", "iterations", "alpha", "lam_drift", "sigma_noise", "dt"},
+    "langevin": {"n_chains", "kappa", "eta"},
+}
+
+# a valid, cheap value for every key above
+SAMPLE_VALUES = {
+    "n_particles": 5, "kappa": 100.0, "step_size": 0.05, "sigma": 0.5,
+    "fd_step": 1e-5, "max_iterations": 3, "q_value_percentile": 70.0,
+    "p_move_percentile": 30.0, "start_iteration": 1, "min_particles": 2,
+    "cmaes_budget": 60, "woa_iterations": 5, "popsize": 6, "sigma0": 1.0,
+    "n_agents": 6, "iterations": 4, "alpha": 10.0, "lam_drift": 0.5,
+    "sigma_noise": 0.5, "dt": 0.05, "n_chains": 3, "eta": 1e-4,
+}
+
+
+class TestConfigSurface:
+    def test_pinned_methods_are_the_registry(self):
+        assert set(METHOD_KEYS) == set(available_methods())
+
+    @pytest.mark.parametrize("method", list(METHOD_KEYS))
+    def test_accepts_every_pinned_key(self, method):
+        obj = make_benchmark("sphere", 2)
+        params = {key: SAMPLE_VALUES[key] for key in METHOD_KEYS[method]}
+        r = run_method(method, obj, 2000, 0, params)
+        assert r.evals_used <= 2000
+
+    @pytest.mark.parametrize("method", list(METHOD_KEYS))
+    def test_rejects_every_other_key(self, method):
+        obj = make_benchmark("sphere", 2)
+        others = set(SAMPLE_VALUES) - METHOD_KEYS[method] | {"momentum"}
+        for key in sorted(others):
+            with pytest.raises(ConfigError) as err:
+                run_method(method, obj, 2000, 0, {key: SAMPLE_VALUES.get(key, 0.9)})
+            assert err.value.field == key
+
+    @pytest.mark.parametrize("method, key, value", [
+        ("sbs", "n_particles", 0),
+        ("sbs", "n_particles", "many"),
+        ("sbs", "kappa", -1),
+        ("sbs", "kappa", float("inf")),
+        ("sbs", "step_size", 0),
+        ("sbs", "sigma", -1),
+        ("sbs", "fd_step", 0.0),
+        ("sbs", "max_iterations", "x"),
+        ("sbs-pf", "q_value_percentile", 0.0),
+        ("sbs-pf", "p_move_percentile", 100.0),
+        ("sbs-pf", "start_iteration", "soon"),
+        ("sbs-pf", "min_particles", 0),
+        ("sbs-hybrid", "cmaes_budget", 0),
+        ("sbs-hybrid", "woa_iterations", None),
+        ("cma-es", "popsize", "x"),
+        ("cma-es", "sigma0", 0.0),
+        ("woa", "n_agents", 0),
+        ("woa", "iterations", "x"),
+        ("cbo", "n_particles", 0),
+        ("cbo", "alpha", "x"),
+        ("cbo", "dt", -0.1),
+        ("langevin", "n_chains", "x"),
+        ("langevin", "eta", "x"),
+    ])
+    def test_bad_value_is_a_config_error(self, method, key, value):
+        obj = make_benchmark("sphere", 2)
+        with pytest.raises(ConfigError) as err:
+            run_method(method, obj, 1000, 0, {key: value})
+        assert err.value.field == key
+
+
+# the parameter that sizes each method's population
+SIZE_KEY = {
+    "sbs": "n_particles", "sbs-pf": "n_particles", "sbs-hybrid": "n_particles",
+    "sbs-pf-hybrid": "n_particles", "cma-es": "popsize", "woa": "n_agents",
+    "cbo": "n_particles", "langevin": "n_chains",
+}
+
+
+class TestBudgetInvariant:
+    @pytest.mark.parametrize("method", list(SIZE_KEY))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(budget=st.integers(1, 4000), d=st.integers(1, 4), n=st.integers(2, 25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_never_spends_past_the_budget(self, method, budget, d, n, seed):
+        params = {SIZE_KEY[method]: n}
+        if "-pf" in method:
+            params["start_iteration"] = 1
+        if "hybrid" in method:
+            params.update(cmaes_budget=30, woa_iterations=3)
+        try:
+            r = run_method(method, make_benchmark("rastrigin", d), budget, seed, params)
+        except BudgetTooSmall:
+            return
+        assert r.evals_used <= budget

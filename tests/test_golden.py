@@ -5,6 +5,9 @@ point at a time. They pin evals_used, iterations_done and best_f to the
 bit, so any change to evaluation order, block scoring or floating-point
 rounding that moves a seeded result fails here. sbs-pf runs far past its
 filter's start_iteration (10) on every function.
+
+A second table pins one run per method with non-default parameters, so
+that every parameter key keeps reaching the run it configures.
 """
 
 import pytest
@@ -55,3 +58,39 @@ def test_seeded_result_is_pinned(method, function, dim):
                         dict(PARAMS[method]))
     got = (result.evals_used, result.iterations_done, float(result.best_f).hex())
     assert got == GOLDEN[method, function, dim]
+
+
+# (method, function, dim, params) -> (evals_used, iterations_done, best_f.hex())
+GOLDEN_PARAMS = {
+    ("sbs", "ackley", 2, (("n_particles", 15), ("kappa", 50.0), ("step_size", 0.05),
+                          ("sigma", 0.3), ("fd_step", 1e-5), ("max_iterations", 60))):
+        (3615, 60, "0x1.4a72c725dc7b9p+1"),
+    ("sbs-pf", "rastrigin", 3, (("n_particles", 30), ("q_value_percentile", 70.0),
+                                ("p_move_percentile", 40.0), ("start_iteration", 3),
+                                ("min_particles", 4))):
+        (7976, 125, "0x1.fd6b240560780p+2"),
+    ("sbs-hybrid", "rosenbrock", 5, (("n_particles", 10), ("cmaes_budget", 300),
+                                     ("woa_iterations", 15))):
+        (7966, 75, "0x1.177d024beebd2p+0"),
+    ("sbs-pf-hybrid", "ackley", 2, (("n_particles", 25), ("cmaes_budget", 150),
+                                    ("woa_iterations", 30), ("start_iteration", 2),
+                                    ("sigma", 0.01))):
+        (7970, 105, "0x1.820205c800000p-22"),
+    ("cma-es", "rastrigin", 10, (("popsize", 12), ("sigma0", 0.5))):
+        (7992, 666, "0x1.dd9452296b630p+3"),
+    ("woa", "rosenbrock", 5, (("n_agents", 12), ("iterations", 100))):
+        (1212, 100, "0x1.fd522c66bb24cp+1"),
+    ("cbo", "ackley", 2, (("n_particles", 40), ("iterations", 50), ("alpha", 10.0),
+                          ("lam_drift", 0.5), ("sigma_noise", 0.9), ("dt", 0.05))):
+        (2040, 50, "0x1.a25ef4069f248p-2"),
+    ("langevin", "rastrigin", 10, (("n_chains", 4), ("kappa", 100.0), ("eta", 1e-3))):
+        (7984, 95, "0x1.a72b405c3bd69p+6"),
+}
+
+
+@pytest.mark.parametrize("method, function, dim, params", list(GOLDEN_PARAMS),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_seeded_result_with_parameters_is_pinned(method, function, dim, params):
+    result = run_method(method, make_benchmark(function, dim), BUDGET, SEED, dict(params))
+    got = (result.evals_used, result.iterations_done, float(result.best_f).hex())
+    assert got == GOLDEN_PARAMS[method, function, dim, params]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from sbsopt import (
     run_method,
     write_results,
 )
-from sbsopt import harness
+from sbsopt import TrajectoryLog, harness
 from sbsopt.cli import main
 from sbsopt.harness import ECR_CLIP, ECR_FLOOR, validate_config
 
@@ -245,21 +244,6 @@ class TestRunExperiment:
         for key in t1.cells:
             assert t1.cells[key] == t2.cells[key]
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        old = os.environ.get("SBSOPT_THREADS")
-        try:
-            os.environ["SBSOPT_THREADS"] = "1"
-            serial = run_experiment(tiny_config(tmp_path / "serial"))
-            os.environ["SBSOPT_THREADS"] = "4"
-            threaded = run_experiment(tiny_config(tmp_path / "threaded"))
-        finally:
-            if old is None:
-                os.environ.pop("SBSOPT_THREADS", None)
-            else:
-                os.environ["SBSOPT_THREADS"] = old
-        assert serial.cells == threaded.cells
-        assert serial.ecr == threaded.ecr
-
     def test_budget_audit_raises_typed_error(self, tmp_path, monkeypatch):
         def over_budget(*args, **kwargs):
             result = run_method(*args, **kwargs)
@@ -268,21 +252,6 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run_method", over_budget)
         with pytest.raises(BudgetExceeded, match="budget audit failed"):
             run_experiment(tiny_config(tmp_path))
-
-    def test_bad_worker_env_rejected(self, tmp_path):
-        old = os.environ.get("SBSOPT_THREADS")
-        try:
-            os.environ["SBSOPT_THREADS"] = "many"
-            with pytest.raises(ConfigError):
-                run_experiment(tiny_config(tmp_path))
-            os.environ["SBSOPT_THREADS"] = "0"
-            with pytest.raises(ConfigError):
-                run_experiment(tiny_config(tmp_path))
-        finally:
-            if old is None:
-                os.environ.pop("SBSOPT_THREADS", None)
-            else:
-                os.environ["SBSOPT_THREADS"] = old
 
 
 class TestWriteResults:
@@ -413,3 +382,36 @@ class TestCli:
         assert main(["diag", "ksd", str(log_path)]) == 0
         out = capsys.readouterr().out
         assert "iteration" in out and "ksd" in out
+
+    @pytest.mark.parametrize("method", ["cma-es", "woa", "cbo", "langevin"])
+    def test_trajectory_of_a_baseline_exits_2(self, method, capsys, tmp_path):
+        log_path = tmp_path / "run.json"
+        assert main([
+            "single", "--method", method, "--function", "ackley", "--budget", "2000",
+            "--log-trajectory", str(log_path),
+        ]) == 2
+        assert "records no trajectory" in capsys.readouterr().err
+        assert not log_path.exists()
+
+    def test_bad_parameter_value_exits_2(self, capsys):
+        assert main(["single", "--method", "sbs", "--function", "sphere",
+                     "--budget", "1000", "--param", "kappa=-1"]) == 2
+        assert "kappa" in capsys.readouterr().err
+
+    def test_hybrid_spent_by_its_init_logs_the_initial_particles(self, capsys, tmp_path):
+        # the warm start leaves less than one scoring of the 50 particles
+        log_path = tmp_path / "run.json"
+        assert main([
+            "single", "--method", "sbs-hybrid", "--function", "ackley",
+            "--budget", "2150", "--param", "cmaes_budget=100",
+            "--param", "woa_iterations=40", "--log-trajectory", str(log_path),
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["iterations_done"] == 0
+        log = TrajectoryLog.load(log_path)
+        assert [snap.iteration for snap in log.snapshots] == [0]
+        assert log.method == "sbs-hybrid" and len(log.snapshots[0].ids) == 50
+        assert main(["plot", str(log_path), "-o", str(tmp_path / "run.svg")]) == 0
+        assert main(["diag", "ksd", str(log_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1].split()[:2] == ["0", "50"]

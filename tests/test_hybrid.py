@@ -9,14 +9,19 @@ from sbsopt import (
     EvalCounter,
     FilterConfig,
     HybridConfig,
+    SbsConfig,
     cmaes_run,
     derive_seed,
-    hybrid_init,
     make_benchmark,
-    sbs_hybrid_run,
-    sbs_pf_hybrid_run,
+    run_method,
+    sbs_run,
     woa_run,
 )
+from sbsopt.optimizers.hybrid import _hybrid_init_full
+
+
+def hybrid(n_particles, cfg, **kwargs):
+    return SbsConfig(n_particles=n_particles, hybrid=cfg, **kwargs)
 
 
 class TestHybridConfig:
@@ -24,7 +29,7 @@ class TestHybridConfig:
         cfg = HybridConfig()
         assert cfg.cmaes_budget == 1000
         assert cfg.woa_iterations == 1000
-        assert cfg.inner == "plain"
+        assert SbsConfig(hybrid=cfg).n_particles == 50
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -32,7 +37,7 @@ class TestHybridConfig:
         with pytest.raises(ConfigError):
             HybridConfig(woa_iterations=-1)
         with pytest.raises(ConfigError):
-            HybridConfig(inner="annealed")
+            HybridConfig(cmaes_budget="many")
 
 
 class TestHybridInit:
@@ -44,8 +49,8 @@ class TestHybridInit:
         woa_result, woa_pop = woa_run(obj, 10, 300, derive_seed(seed, "hybrid-woa"))
         cma_result, _ = cmaes_run(obj, 12, derive_seed(seed, "hybrid-cma"))
         assert not (cma_result.best_f < woa_result.best_f)  # WOA wins this setup
-        pts = hybrid_init(obj, 10, 12, 300, seed, EvalCounter())
-        np.testing.assert_array_equal(pts.positions, woa_pop[:10])
+        pts, *_ = _hybrid_init_full(obj, 10, 12, 300, seed, EvalCounter())
+        np.testing.assert_array_equal(pts, woa_pop[:10])
 
     def test_cma_winner_samples_its_gaussian(self):
         # generous CMA budget against a 5-iteration WOA: CMA wins, and the
@@ -55,28 +60,28 @@ class TestHybridInit:
         cma_result, gauss = cmaes_run(obj, 1000, derive_seed(seed, "hybrid-cma"))
         woa_result, _ = woa_run(obj, max(2, 200), 5, derive_seed(seed, "hybrid-woa"))
         assert cma_result.best_f < woa_result.best_f
-        pts = hybrid_init(obj, 200, 1000, 5, seed, EvalCounter())
-        assert pts.n == 200
-        for x in pts.positions:
+        pts, *_ = _hybrid_init_full(obj, 200, 1000, 5, seed, EvalCounter())
+        assert pts.shape == (200, 2)
+        for x in pts:
             assert obj.domain.contains(x)
         # whitened displacement from the Gaussian mean stays within 6 sigma
         cov = gauss.cov * gauss.sigma**2
-        delta = pts.positions - gauss.mean
+        delta = pts - gauss.mean
         maha = np.sqrt(np.einsum("nd,dc,nc->n", delta, np.linalg.inv(cov), delta))
         assert maha.max() < 6.0
 
     def test_counts_both_phases(self):
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        hybrid_init(obj, 5, 60, 20, seed=0, counter=counter)
+        _hybrid_init_full(obj, 5, 60, 20, seed=0, counter=counter)
         assert counter.count == 60 + max(2, 5) * (20 + 1)
 
     def test_single_particle_request_is_valid(self):
         # WOA needs two agents, so a 1-particle init still runs with 2
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        pts = hybrid_init(obj, 1, 60, 10, seed=1, counter=counter)
-        assert pts.n == 1
+        pts, *_ = _hybrid_init_full(obj, 1, 60, 10, seed=1, counter=counter)
+        assert pts.shape == (1, 2)
         assert counter.count == 60 + 2 * 11
 
 
@@ -85,7 +90,7 @@ class TestHybridRun:
         obj = make_benchmark("himmelblau", 2)
         cfg = HybridConfig(cmaes_budget=200, woa_iterations=30)
         for budget in (2000, 5000, 20_000):
-            r = sbs_hybrid_run(obj, n_particles=10, budget=budget, seed=0, hybrid=cfg)
+            r = sbs_run(obj, hybrid(10, cfg), budget, 0)
             assert r.evals_used <= budget
 
     def test_budget_below_init_cost_raises(self):
@@ -93,7 +98,7 @@ class TestHybridRun:
         cfg = HybridConfig(cmaes_budget=200, woa_iterations=30)
         init_cost = 200 + max(2, 10) * (30 + 1)
         with pytest.raises(BudgetTooSmall):
-            sbs_hybrid_run(obj, n_particles=10, budget=init_cost - 1, seed=0, hybrid=cfg)
+            sbs_run(obj, hybrid(10, cfg), init_cost - 1, 0)
 
     def test_exact_init_budget_returns_the_incumbent(self):
         # no room for even one continuation iteration: the init-phase
@@ -102,11 +107,25 @@ class TestHybridRun:
         seed = 4
         cfg = HybridConfig(cmaes_budget=12, woa_iterations=300)
         init_cost = 12 + max(2, 10) * (300 + 1)
-        r = sbs_hybrid_run(obj, n_particles=10, budget=init_cost, seed=seed, hybrid=cfg)
+        r = sbs_run(obj, hybrid(10, cfg), init_cost, seed)
         assert r.iterations_done == 0
         assert r.evals_used == init_cost
         woa_result, _ = woa_run(obj, 10, 300, derive_seed(seed, "hybrid-woa"))
         assert r.best_f == woa_result.best_f
+
+    def test_init_spending_the_budget_still_reports_instruments(self):
+        # diagnostics cover the zero iterations run; the trajectory holds the
+        # initial particles, scored off-budget
+        obj = make_benchmark("rastrigin", 2)
+        cfg = HybridConfig(cmaes_budget=12, woa_iterations=300)
+        init_cost = 12 + max(2, 10) * (300 + 1)
+        r = sbs_run(obj, hybrid(10, cfg), init_cost, 4, collect_diagnostics=True,
+                    log_every=5, benchmark="Rastrigin")
+        assert r.diagnostics == []
+        assert r.evals_used == init_cost
+        (snap,) = r.trajectory.snapshots
+        assert snap.iteration == 0 and snap.ids == list(range(10))
+        np.testing.assert_array_equal(snap.f_values, obj.evaluator(snap.positions))
 
     def test_continuation_never_loses_to_the_incumbent(self):
         obj = make_benchmark("sphere", 2)
@@ -114,32 +133,52 @@ class TestHybridRun:
         cma_result, _ = cmaes_run(obj, 150, derive_seed(3, "hybrid-cma"))
         woa_result, _ = woa_run(obj, 10, 20, derive_seed(3, "hybrid-woa"))
         incumbent = min(cma_result.best_f, woa_result.best_f)
-        r = sbs_hybrid_run(obj, n_particles=10, budget=20_000, seed=3, hybrid=cfg)
+        r = sbs_run(obj, hybrid(10, cfg), 20_000, 3)
         assert r.best_f <= incumbent
 
     def test_deterministic_rerun(self):
         obj = make_benchmark("camel", 2)
         cfg = HybridConfig(cmaes_budget=150, woa_iterations=25)
-        a = sbs_hybrid_run(obj, n_particles=8, budget=10_000, seed=5, hybrid=cfg)
-        b = sbs_hybrid_run(obj, n_particles=8, budget=10_000, seed=5, hybrid=cfg)
+        a = sbs_run(obj, hybrid(8, cfg), 10_000, 5)
+        b = sbs_run(obj, hybrid(8, cfg), 10_000, 5)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert a.evals_used == b.evals_used
 
     def test_pf_variant_without_filter_matches_plain(self):
+        # a filter that never starts leaves the continuation exactly as plain
         obj = make_benchmark("levy", 2)
         cfg = HybridConfig(cmaes_budget=150, woa_iterations=25)
-        plain = sbs_hybrid_run(obj, n_particles=8, budget=8000, seed=6, hybrid=cfg)
-        pf = sbs_pf_hybrid_run(obj, n_particles=8, budget=8000, seed=6, hybrid=cfg,
-                               filter_config=None)
+        plain = sbs_run(obj, hybrid(8, cfg), 8000, 6)
+        pf = sbs_run(obj, hybrid(8, cfg, filter=FilterConfig(start_iteration=10**9)),
+                     8000, 6)
         assert plain.best_x.tobytes() == pf.best_x.tobytes()
         assert plain.evals_used == pf.evals_used
+
+    def test_filter_is_honoured_with_a_warm_start(self):
+        obj = make_benchmark("levy", 2)
+        cfg = HybridConfig(cmaes_budget=150, woa_iterations=25)
+        plain = sbs_run(obj, hybrid(8, cfg), 8000, 6, collect_diagnostics=True)
+        filtered = sbs_run(obj, hybrid(8, cfg, filter=FilterConfig(start_iteration=1)),
+                           8000, 6, collect_diagnostics=True)
+        assert plain.diagnostics[-1].live == 8
+        assert filtered.diagnostics[-1].live < 8
+        assert filtered.best_x.tobytes() != plain.best_x.tobytes()
+
+    def test_registry_aliases_pick_the_parts(self):
+        obj = make_benchmark("levy", 2)
+        cfg = HybridConfig(cmaes_budget=150, woa_iterations=25)
+        params = {"n_particles": 8, "cmaes_budget": 150, "woa_iterations": 25}
+        for name, filter_cfg in (("sbs-hybrid", None), ("sbs-pf-hybrid", FilterConfig())):
+            via_name = run_method(name, obj, 8000, 6, params)
+            direct = sbs_run(obj, hybrid(8, cfg, filter=filter_cfg), 8000, 6)
+            assert via_name.best_x.tobytes() == direct.best_x.tobytes(), name
+            assert via_name.evals_used == direct.evals_used, name
 
     def test_pf_variant_filters_the_continuation(self):
         obj = make_benchmark("ackley", 2)
         cfg = HybridConfig(cmaes_budget=150, woa_iterations=25)
-        r = sbs_pf_hybrid_run(obj, n_particles=30, budget=40_000, seed=7,
-                              hybrid=cfg, filter_config=FilterConfig(),
-                              collect_diagnostics=True)
+        r = sbs_run(obj, hybrid(30, cfg, filter=FilterConfig()), 40_000, 7,
+                    collect_diagnostics=True)
         live = [rec.live for rec in r.diagnostics]
         assert live and live[-1] < 30
         assert r.evals_used <= 40_000
@@ -147,6 +186,6 @@ class TestHybridRun:
     def test_single_particle_hybrid(self):
         obj = make_benchmark("sphere", 2)
         cfg = HybridConfig(cmaes_budget=100, woa_iterations=10)
-        r = sbs_hybrid_run(obj, n_particles=1, budget=5000, seed=8, hybrid=cfg)
+        r = sbs_run(obj, hybrid(1, cfg), 5000, 8)
         assert obj.domain.contains(r.best_x)
         assert r.evals_used <= 5000

@@ -3,8 +3,31 @@
 import numpy as np
 import pytest
 
-from sbsopt import BandwidthPolicy, RbfKernel, resolve_bandwidth
-from sbsopt.kernel import HYBRID_SIGMA, grad_second_arg, k, pairwise_kernel
+from sbsopt import (
+    BandwidthPolicy,
+    BoltzmannTarget,
+    EvalCounter,
+    RbfKernel,
+    make_objective,
+    resolve_bandwidth,
+)
+from sbsopt.kernel import HYBRID_SIGMA, pairwise_kernel
+from sbsopt.svgd import _forces
+
+
+def k(kern, x, y):
+    """k(x, y), read off the Gram matrix of the pair."""
+    kmat, _, _ = pairwise_kernel(kern.sigma, np.stack([x, y]))
+    return float(kmat[0, 1])
+
+
+def grad_second_arg(kern, x, y):
+    """grad_y k(x, y): on a flat objective the scores vanish, and the SVGD
+    repulsion on x from the pair {x, y} is half of it."""
+    flat = make_objective("flat", [-10.0] * len(x), [10.0] * len(x), lambda p: 0.0)
+    target = BoltzmannTarget(flat, kappa=1.0)
+    _, repulsion, *_ = _forces(np.stack([x, y]), target, kern, EvalCounter())
+    return 2.0 * repulsion[0]
 
 
 class TestRbfKernel:

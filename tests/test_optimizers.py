@@ -8,10 +8,10 @@ from sbsopt import (
     BudgetTooSmall,
     ConfigError,
     FilterConfig,
+    SbsConfig,
     make_benchmark,
     make_objective,
     pf_filter,
-    sbs_pf_run,
     sbs_run,
 )
 from sbsopt.objective import EvalCounter
@@ -137,48 +137,48 @@ class TestBudgetAudit:
         monkeypatch.setattr(sbs_module, "EvalCounter", OverCounting)
         # d=2, N=5: three iterations reach 63 counted, the final argmin 69 > 68
         with pytest.raises(BudgetExceeded):
-            sbs_run(make_benchmark("sphere", 2), n_particles=5, budget=68, seed=0)
+            sbs_run(make_benchmark("sphere", 2), SbsConfig(n_particles=5), 68, 0)
 
 
 class TestSbsRun:
     def test_respects_budget(self):
         obj = make_benchmark("ackley", 2)
         for budget in (500, 1000, 5000):
-            r = sbs_run(obj, n_particles=10, budget=budget, seed=0)
+            r = sbs_run(obj, SbsConfig(n_particles=10), budget, 0)
             assert r.evals_used <= budget
 
     def test_exact_accounting_small_case(self):
         # d=2, N=10: iteration costs 40, final selection reserves 10.
         # budget 1000 -> 24 iterations (24*40 + 10 <= 1000), 970 evals total.
         obj = make_benchmark("sphere", 2)
-        r = sbs_run(obj, n_particles=10, budget=1000, seed=3)
+        r = sbs_run(obj, SbsConfig(n_particles=10), 1000, 3)
         assert r.iterations_done == 24
         assert r.evals_used == 24 * 40 + 10
 
     def test_budget_too_small(self):
         obj = make_benchmark("sphere", 2)
         with pytest.raises(BudgetTooSmall):
-            sbs_run(obj, n_particles=10, budget=39, seed=0)
+            sbs_run(obj, SbsConfig(n_particles=10), 39, 0)
 
     def test_deterministic_rerun(self):
         obj = make_benchmark("himmelblau", 2)
-        a = sbs_run(obj, n_particles=20, budget=4000, seed=9)
-        b = sbs_run(obj, n_particles=20, budget=4000, seed=9)
+        a = sbs_run(obj, SbsConfig(n_particles=20), 4000, 9)
+        b = sbs_run(obj, SbsConfig(n_particles=20), 4000, 9)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert a.best_f == b.best_f
         assert a.evals_used == b.evals_used
 
     def test_seeds_differ(self):
         obj = make_benchmark("himmelblau", 2)
-        a = sbs_run(obj, n_particles=20, budget=4000, seed=0)
-        b = sbs_run(obj, n_particles=20, budget=4000, seed=1)
+        a = sbs_run(obj, SbsConfig(n_particles=20), 4000, 0)
+        b = sbs_run(obj, SbsConfig(n_particles=20), 4000, 1)
         assert a.best_x.tobytes() != b.best_x.tobytes()
 
     def test_logging_does_not_change_the_run(self):
         # diagnostics and trajectory evaluations are off-budget instrumentation
         obj = make_benchmark("levy", 2)
-        plain = sbs_run(obj, n_particles=15, budget=3000, seed=2)
-        logged = sbs_run(obj, n_particles=15, budget=3000, seed=2,
+        plain = sbs_run(obj, SbsConfig(n_particles=15), 3000, 2)
+        logged = sbs_run(obj, SbsConfig(n_particles=15), 3000, 2,
                          collect_diagnostics=True, track_ksd=True, log_every=7)
         assert plain.best_x.tobytes() == logged.best_x.tobytes()
         assert plain.evals_used == logged.evals_used
@@ -186,7 +186,7 @@ class TestSbsRun:
 
     def test_diagnostics_stream(self):
         obj = make_benchmark("sphere", 2)
-        r = sbs_run(obj, n_particles=10, budget=2000, seed=4,
+        r = sbs_run(obj, SbsConfig(n_particles=10), 2000, 4,
                     collect_diagnostics=True, track_ksd=True)
         assert len(r.diagnostics) == r.iterations_done
         best = [rec.best_so_far for rec in r.diagnostics]
@@ -201,40 +201,42 @@ class TestSbsRun:
 
     def test_constant_objective(self):
         obj = make_objective("flat", [-1.0, -1.0], [1.0, 1.0], lambda x: 2.5)
-        r = sbs_run(obj, n_particles=5, budget=200, seed=0)
+        r = sbs_run(obj, SbsConfig(n_particles=5), 200, 0)
         assert r.best_f == 2.5
 
     def test_single_particle_run(self):
         obj = make_benchmark("sphere", 2)
-        r = sbs_run(obj, n_particles=1, budget=500, seed=0)
+        r = sbs_run(obj, SbsConfig(n_particles=1), 500, 0)
         assert r.best_x.shape == (2,)
         assert obj.domain.contains(r.best_x)
 
     def test_explicit_init_positions(self):
         obj = make_benchmark("sphere", 2)
         init = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
-        r = sbs_run(obj, n_particles=99, budget=1000, seed=0, init=init,
-                    collect_diagnostics=True)
+        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, 0, init=init,
+                                  collect_diagnostics=True)
         # n_particles is taken from the init array, not the argument
         assert r.diagnostics[0].live == 3
 
     def test_max_iterations_caps_the_run(self):
         obj = make_benchmark("sphere", 2)
-        r = sbs_run(obj, n_particles=10, budget=10_000, seed=0, max_iterations=7)
+        r = sbs_run(obj, SbsConfig(n_particles=10, max_iterations=7), 10_000, 0)
         assert r.iterations_done == 7
 
     def test_best_x_was_evaluated_to_best_f(self):
         obj = make_benchmark("rastrigin", 2)
-        r = sbs_run(obj, n_particles=10, budget=2000, seed=5)
+        r = sbs_run(obj, SbsConfig(n_particles=10), 2000, 5)
         assert float(obj.evaluator(r.best_x)) == r.best_f
 
 
 class TestSbsPfRun:
     def test_disabled_filter_is_plain_sbs_bitwise(self):
+        # a filter that never starts leaves the run exactly as plain sbs
         obj = make_benchmark("ackley", 2)
-        plain = sbs_run(obj, n_particles=20, budget=5000, seed=6)
-        nofilter = sbs_pf_run(obj, n_particles=20, budget=5000, seed=6,
-                              filter_config=None)
+        plain = sbs_run(obj, SbsConfig(n_particles=20), 5000, 6)
+        nofilter = sbs_run(obj, SbsConfig(n_particles=20,
+                                          filter=FilterConfig(start_iteration=10**9)),
+                           5000, 6)
         assert plain.best_x.tobytes() == nofilter.best_x.tobytes()
         assert plain.best_f == nofilter.best_f
         assert plain.evals_used == nofilter.evals_used
@@ -247,26 +249,24 @@ class TestSbsPfRun:
         obj = make_benchmark("himmelblau", 2)
         cfg = FilterConfig(q_value_percentile=100.0, p_move_percentile=50.0,
                            start_iteration=0, min_particles=1)
-        plain = sbs_run(obj, n_particles=12, budget=50_000, seed=7,
-                        max_iterations=30)
-        filtered = sbs_pf_run(obj, n_particles=12, budget=50_000, seed=7,
-                              filter_config=cfg, max_iterations=30)
+        plain = sbs_run(obj, SbsConfig(n_particles=12, max_iterations=30), 50_000, 7)
+        filtered = sbs_run(obj, SbsConfig(n_particles=12, max_iterations=30, filter=cfg),
+                           50_000, 7)
         assert plain.best_x.tobytes() == filtered.best_x.tobytes()
         assert filtered.evals_used > plain.evals_used  # filter evals are real
 
     def test_filtering_reduces_evaluations(self):
         obj = make_benchmark("ackley", 2)
-        plain = sbs_run(obj, n_particles=50, budget=100_000, seed=8,
-                        max_iterations=200)
-        filtered = sbs_pf_run(obj, n_particles=50, budget=100_000, seed=8,
-                              filter_config=FilterConfig(), max_iterations=200)
+        plain = sbs_run(obj, SbsConfig(n_particles=50, max_iterations=200), 100_000, 8)
+        filtered = sbs_run(obj, SbsConfig(n_particles=50, max_iterations=200,
+                                          filter=FilterConfig()), 100_000, 8)
         assert plain.iterations_done == filtered.iterations_done == 200
         assert filtered.evals_used < plain.evals_used
 
     def test_live_counts_never_increase_and_respect_floor(self):
         obj = make_benchmark("ackley", 2)
-        r = sbs_pf_run(obj, n_particles=40, budget=60_000, seed=9,
-                       filter_config=FilterConfig(), collect_diagnostics=True)
+        r = sbs_run(obj, SbsConfig(n_particles=40, filter=FilterConfig()), 60_000, 9,
+                    collect_diagnostics=True)
         live = [rec.live for rec in r.diagnostics]
         assert all(l2 <= l1 for l1, l2 in zip(live, live[1:]))
         assert live[-1] >= 5  # resolved floor: max(5, 40 // 20)
@@ -274,23 +274,21 @@ class TestSbsPfRun:
 
     def test_deterministic_rerun(self):
         obj = make_benchmark("ackley", 2)
-        a = sbs_pf_run(obj, n_particles=30, budget=20_000, seed=10,
-                       filter_config=FilterConfig())
-        b = sbs_pf_run(obj, n_particles=30, budget=20_000, seed=10,
-                       filter_config=FilterConfig())
+        cfg = SbsConfig(n_particles=30, filter=FilterConfig())
+        a = sbs_run(obj, cfg, 20_000, 10)
+        b = sbs_run(obj, cfg, 20_000, 10)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert a.evals_used == b.evals_used
 
     def test_respects_budget(self):
         obj = make_benchmark("rastrigin", 2)
         for budget in (1000, 3000, 9000):
-            r = sbs_pf_run(obj, n_particles=25, budget=budget, seed=0,
-                           filter_config=FilterConfig())
+            r = sbs_run(obj, SbsConfig(n_particles=25, filter=FilterConfig()), budget, 0)
             assert r.evals_used <= budget
 
     def test_min_particles_explicit_floor(self):
         obj = make_benchmark("ackley", 2)
         cfg = FilterConfig(min_particles=12)
-        r = sbs_pf_run(obj, n_particles=30, budget=40_000, seed=11,
-                       filter_config=cfg, collect_diagnostics=True)
+        r = sbs_run(obj, SbsConfig(n_particles=30, filter=cfg), 40_000, 11,
+                    collect_diagnostics=True)
         assert all(rec.live >= 12 for rec in r.diagnostics)

@@ -5,22 +5,25 @@ import pytest
 
 from sbsopt import (
     AdamState,
-    BandwidthPolicy,
     BoltzmannTarget,
     DEFAULT_STEP_SIZE,
     EvalCounter,
     ParticleSet,
     RbfKernel,
     ShapeMismatch,
-    SvgdConfig,
     adam_step,
-    force_decomposition,
     make_benchmark,
     make_objective,
-    phi_star,
+    project_to_box,
     score,
-    svgd_iterate,
 )
+from sbsopt.svgd import _forces, _iterate_with_parts
+
+
+def forces(positions, target, sigma):
+    """(attraction, repulsion); their sum is the SVGD direction phi*."""
+    attraction, repulsion, *_ = _forces(positions, target, RbfKernel(sigma), EvalCounter())
+    return attraction, repulsion
 
 
 def constant_objective(value=5.0):
@@ -57,7 +60,7 @@ class TestPhiStar:
         obj = constant_objective_1d()
         target = BoltzmannTarget(obj, kappa=1.0)
         pts = ParticleSet(np.array([[0.0], [1.0]]))
-        phi = phi_star(pts, target, RbfKernel(1.0), EvalCounter())
+        phi = sum(forces(pts.positions, target, 1.0))
         expect = np.exp(-0.5) / 2.0
         np.testing.assert_allclose(phi, [[-expect], [expect]], rtol=0, atol=1e-15)
 
@@ -68,7 +71,7 @@ class TestPhiStar:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(-5, 5, size=(1, 2))
-            phi = phi_star(ParticleSet(x), target, RbfKernel(0.5), EvalCounter())
+            phi = sum(forces(x, target, 0.5))
             s = score(target, x[0], EvalCounter())
             assert phi[0].tobytes() == s.tobytes()
 
@@ -78,8 +81,8 @@ class TestPhiStar:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-4, 4, size=(8, 2))
         perm = rng.permutation(8)
-        phi = phi_star(ParticleSet(pts), target, RbfKernel(0.8), EvalCounter())
-        phi_perm = phi_star(ParticleSet(pts[perm]), target, RbfKernel(0.8), EvalCounter())
+        phi = sum(forces(pts, target, 0.8))
+        phi_perm = sum(forces(pts[perm], target, 0.8))
         np.testing.assert_allclose(phi_perm, phi[perm], rtol=1e-12, atol=1e-12)
 
     def test_matches_direct_summation(self):
@@ -98,7 +101,7 @@ class TestPhiStar:
                 kij = np.exp(-float(delta @ delta) / (2 * sigma**2))
                 want[i] += scores[j] * kij + kij * delta / sigma**2
         want /= n
-        got = phi_star(ParticleSet(pts), target, RbfKernel(sigma), EvalCounter())
+        got = sum(forces(pts, target, sigma))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -111,10 +114,13 @@ class TestForceDecomposition:
             n = int(rng.integers(1, 10))
             pts = rng.uniform(-5, 5, size=(n, 2))
             sigma = float(rng.uniform(0.1, 2.0))
-            particles = ParticleSet(pts)
-            att, rep = force_decomposition(particles, target, RbfKernel(sigma), EvalCounter())
-            phi = phi_star(particles, target, RbfKernel(sigma), EvalCounter())
-            assert (att + rep).tobytes() == phi.tobytes()
+            att, rep = forces(pts, target, sigma)
+            # the iteration steps along exactly attraction + repulsion
+            moved, *_ = _iterate_with_parts(ParticleSet(pts), target, RbfKernel(sigma),
+                                            0.03, AdamState.fresh(n, 2), EvalCounter())
+            step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
+            want = project_to_box(obj.domain, pts + step)
+            assert moved.positions.tobytes() == want.tobytes()
 
     def test_repulsion_antisymmetric_for_pair(self):
         obj = constant_objective()
@@ -122,9 +128,7 @@ class TestForceDecomposition:
         rng = np.random.default_rng(4)
         for _ in range(20):
             pts = rng.uniform(-8, 8, size=(2, 2))
-            att, rep = force_decomposition(
-                ParticleSet(pts), target, RbfKernel(1.0), EvalCounter()
-            )
+            att, rep = forces(pts, target, 1.0)
             np.testing.assert_allclose(rep[0], -rep[1], rtol=0, atol=1e-15)
             np.testing.assert_allclose(att, 0.0, atol=1e-12)
 
@@ -133,7 +137,7 @@ class TestForceDecomposition:
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
         pts = ParticleSet(np.array([[2.0, 0.0]]))
-        att, rep = force_decomposition(pts, target, RbfKernel(1.0), EvalCounter())
+        att, rep = forces(pts.positions, target, 1.0)
         assert att[0, 0] < 0  # pulls toward the origin
         np.testing.assert_allclose(rep, 0.0, atol=1e-15)
 
@@ -195,9 +199,9 @@ class TestSvgdIterate:
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
         pts = ParticleSet(np.zeros((5, 2)))
-        config = SvgdConfig(step_size=0.03, bandwidth_policy=BandwidthPolicy.fixed(1.0))
         counter = EvalCounter()
-        svgd_iterate(pts, target, RbfKernel(1.0), config, AdamState.fresh(5, 2), counter)
+        adam = AdamState.fresh(5, 2)
+        _iterate_with_parts(pts, target, RbfKernel(1.0), 0.03, adam, counter)
         assert counter.count == 2 * 2 * 5
 
     def test_result_stays_in_domain(self):
@@ -205,10 +209,10 @@ class TestSvgdIterate:
         target = BoltzmannTarget(obj, kappa=1e3)
         rng = np.random.default_rng(7)
         pts = ParticleSet(rng.uniform(obj.domain.lower, obj.domain.upper, size=(20, 2)))
-        config = SvgdConfig(step_size=0.5, bandwidth_policy=BandwidthPolicy.fixed(0.5))
         adam = AdamState.fresh(20, 2)
         for _ in range(10):
-            pts = svgd_iterate(pts, target, RbfKernel(0.5), config, adam, EvalCounter())
+            pts, *_ = _iterate_with_parts(pts, target, RbfKernel(0.5), 0.5, adam,
+                                          EvalCounter())
             for x in pts.positions:
                 assert obj.domain.contains(x)
 
@@ -216,12 +220,10 @@ class TestSvgdIterate:
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1e3)
         pts = ParticleSet(np.array([[3.0, -4.0]]))
-        config = SvgdConfig(
-            step_size=DEFAULT_STEP_SIZE, bandwidth_policy=BandwidthPolicy.fixed(1.0)
-        )
         adam = AdamState.fresh(1, 2)
         for _ in range(600):
-            pts = svgd_iterate(pts, target, RbfKernel(1.0), config, adam, EvalCounter())
+            pts, *_ = _iterate_with_parts(pts, target, RbfKernel(1.0), DEFAULT_STEP_SIZE,
+                                          adam, EvalCounter())
         assert float(pts.positions[0] @ pts.positions[0]) < 1e-4
 
     def test_default_step_size_value(self):

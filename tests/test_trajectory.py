@@ -7,6 +7,7 @@ import pytest
 
 from sbsopt import (
     NotTwoDimensional,
+    SbsConfig,
     TrajectoryLog,
     TrajectorySnapshot,
     make_benchmark,
@@ -72,7 +73,7 @@ class TestSerialization:
 
     def test_run_produces_consistent_log(self):
         obj = make_benchmark("camel", 2)
-        r = sbs_run(obj, n_particles=6, budget=2000, seed=1, log_every=4,
+        r = sbs_run(obj, SbsConfig(n_particles=6), 2000, 1, log_every=4,
                     benchmark="Camel")
         log = r.trajectory
         assert log is not None
