@@ -216,9 +216,17 @@ _HOLDER_F = -19.208502567886747
 _CAMEL_F = -1.0316284534898774
 _MICHALEWICZ_F = {
     2: -1.8013034100985534,
-    5: -4.687658,
-    10: -9.66015,
+    5: -4.68765817908815,
+    10: -9.66015171564135,
 }
+# The function is separable, so coordinate i minimizes its own term
+# -sin(x) sin(i x^2 / pi)^20 alone; each entry was polished in 1-D down to
+# adjacent floats, and the minimizers evaluate to the values above exactly.
+_MICHALEWICZ_X = (
+    2.2029055223491447, 1.5707963215265406, 1.2849915686900788, 1.9230584692131107,
+    1.7204697721271454, 1.570796325038778, 1.4544139713072446, 1.756086521094113,
+    1.6557174167022464, 1.5707963257412256,
+)
 
 _ENTRIES: tuple[BenchmarkEntry, ...] = (
     BenchmarkEntry(
@@ -267,8 +275,8 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
     BenchmarkEntry(
         "Michalewicz", _michalewicz, 2, frozenset({2, 5, 10}), 2, (0.0, _PI),
         _MICHALEWICZ_F,
-        # d=5 and d=10 reference values are published without coordinates
-        {2: ((2.202905519986293, 1.5707963272256125),)},
+        {2: ((2.202905519986293, 1.5707963272256125),),
+         5: (_MICHALEWICZ_X[:5],), 10: (_MICHALEWICZ_X,)},
     ),
     BenchmarkEntry(
         "Rastrigin", _rastrigin, 2, None, 1, (-5.12, 5.12),

@@ -6,6 +6,10 @@ Gaussian alongside the incumbent. Box constraints are handled by resampling
 an out-of-box offspring up to 100 times, then clamping.
 
 Random streams: 0 draws the initial mean, 1 drives offspring sampling.
+Offspring are drawn as if one at a time: each try is one
+standard_normal(d) row, offspring k takes tries until one lands in the box
+(or its 100th try, clamped), and only then does offspring k + 1 start.
+Sampling in blocks keeps that stream and those results bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetTooSmall, ConfigError
-from ..objective import EvalCounter, Objective, evaluate, uniform_sample
+from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
 from .base import IterationRecord, RunResult, split_streams
 
 _RESAMPLE_TRIES = 100
@@ -41,6 +45,49 @@ def sample_gaussian(gauss: CmaGaussian, n: int, rng: np.random.Generator) -> np.
     scales = np.sqrt(np.maximum(eigvals, 0.0))
     z = rng.standard_normal((n, gauss.mean.shape[0]))
     return gauss.mean + gauss.sigma * (z * scales) @ basis.T
+
+
+def _sample_offspring(
+    mean: np.ndarray,
+    sigma: float,
+    basis: np.ndarray,
+    scales: np.ndarray,
+    lam: int,
+    domain: BoxDomain,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw lam in-box offspring of N(mean, sigma^2 B diag(scales^2) B^T).
+
+    Each round draws one row per offspring still missing. Every row is one
+    try for the current offspring, so a round never draws past the last
+    try the one-at-a-time loop would make. A try is accepted when it lies
+    in the box or when it is its offspring's 100th failure in a row
+    (clamped); the failure count carries over to the next round.
+    """
+    d = mean.shape[0]
+    offspring = np.empty((lam, d))
+    filled = 0
+    failures = 0
+    while filled < lam:
+        z = rng.standard_normal((lam - filled, d))
+        # the stacked product rounds each row as basis @ (scales * z_row) does
+        candidates = mean + sigma * (basis @ (scales * z)[:, :, None])[:, :, 0]
+        inside = ((candidates >= domain.lower) & (candidates <= domain.upper)).all(axis=1)
+        if inside.all():
+            offspring[filled:] = candidates
+            return offspring
+        rows = np.arange(inside.size)
+        last_inside = np.maximum.accumulate(np.where(inside, rows, -1))
+        # misses in a row up to each try, 0 on a try inside the box
+        streak = np.where(last_inside >= 0, rows - last_inside, rows + 1 + failures)
+        taken = np.flatnonzero(streak % _RESAMPLE_TRIES == 0)
+        chosen = candidates[taken]
+        offspring[filled:filled + taken.size] = np.where(
+            inside[taken, None], chosen, np.clip(chosen, domain.lower, domain.upper)
+        )
+        filled += taken.size
+        failures = int(streak[-1]) % _RESAMPLE_TRIES
+    return offspring
 
 
 def cmaes_run(
@@ -103,18 +150,7 @@ def cmaes_run(
         ):
             break
 
-        offspring = np.empty((lam, d))
-        for k in range(lam):
-            x = None
-            for _ in range(_RESAMPLE_TRIES):
-                z = rng_sample.standard_normal(d)
-                candidate = mean + sigma * (basis @ (scales * z))
-                if domain.contains(candidate):
-                    x = candidate
-                    break
-            if x is None:
-                x = np.clip(candidate, domain.lower, domain.upper)
-            offspring[k] = x
+        offspring = _sample_offspring(mean, sigma, basis, scales, lam, domain, rng_sample)
         fitness = evaluate(obj, offspring, counter)
         generation += 1
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import BudgetTooSmall
+from ..errors import BudgetTooSmall, ConfigError
 from ..objective import EvalCounter, Objective, project_to_box
 from .base import RunResult, check_number, derive_seed, split_streams
-from .cmaes import cmaes_run, sample_gaussian
+from .cmaes import cmaes_run, default_popsize, sample_gaussian
 from .sbs import SbsConfig, _run_engine
 from .woa import woa_run
 
@@ -88,7 +88,8 @@ def sbs_run(
     to the lowest index). cfg.filter permanently removes particles of high
     f-value and low displacement from its start_iteration on. cfg.hybrid
     first picks the starting particles by the init phase above, whose
-    incumbent stays the answer unless the continuation beats it.
+    incumbent stays the answer unless the continuation beats it; its
+    cmaes_budget must cover one CMA-ES generation (else ConfigError).
     Diagnostics, the KSD and a trajectory snapshot every log_every
     iterations are off-budget instrumentation.
     """
@@ -102,6 +103,13 @@ def sbs_run(
         return _run_engine(obj, cfg, budget, seed, **instruments)
 
     hybrid = cfg.hybrid
+    lam = default_popsize(obj.domain.d)
+    if hybrid.cmaes_budget < lam:
+        raise ConfigError(
+            f"cmaes_budget {hybrid.cmaes_budget} is below one CMA-ES generation "
+            f"({lam} evaluations)",
+            field="cmaes_budget",
+        )
     n_particles = cfg.n_particles
     counter = EvalCounter()
     woa_agents = max(2, n_particles)

@@ -6,6 +6,10 @@ logarithmic spiral (shape b=1), and encircling switches to a random agent
 when |A| >= 1. Positions are clamped to the box after every move.
 
 Random streams: 0 initializes the population, 1 drives the per-agent draws.
+Each iteration draws, agent by agent, r1, r2, the coin p and the spiral
+parameter l (four doubles), then the random partner's index when that agent
+explores. Moves are computed for the whole population at once from those
+draws, with the same stream and results as an agent-by-agent loop.
 The final population is returned alongside the incumbent because hybrid
 initialization consumes it.
 """
@@ -19,6 +23,53 @@ import numpy as np
 from ..errors import BudgetTooSmall, ConfigError
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
 from .base import IterationRecord, RunResult, split_streams
+
+
+def _move(
+    positions: np.ndarray,
+    best_x: np.ndarray,
+    a: float,
+    spiral_shape: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One WOA move of every agent, before the clamp to the box.
+
+    Agent i encircles best_x or, when its coin p < 0.5 and |A| >= 1, a
+    random partner; otherwise it follows the spiral around best_x. Below
+    a = 1, |A| <= a < 1 and no agent explores, so the whole population's
+    draws come from one call.
+    """
+    n_agents = positions.shape[0]
+    partner = [0] * n_agents
+    if a < 1.0:
+        draws = rng.random((n_agents, 4))
+    else:
+        rows = []
+        for i in range(n_agents):
+            row = rng.random(4).tolist()
+            rows.append(row)
+            r1, _, p, _ = row
+            if p < 0.5 and abs(2.0 * a * r1 - a) >= 1.0:
+                partner[i] = int(rng.integers(n_agents))
+        draws = np.array(rows)
+    r1, r2, p, u = draws.T
+    amp = 2.0 * a * r1 - a
+    encircle = p < 0.5
+    spiral = ~encircle
+    explore = encircle & (np.abs(amp) >= 1.0)
+
+    moved = np.empty_like(positions)
+    target = np.where(explore[:, None], positions[np.array(partner)], best_x)[encircle]
+    gap = np.abs((2.0 * r2[encircle])[:, None] * target - positions[encircle])
+    moved[encircle] = target - amp[encircle, None] * gap
+
+    spiral_l = -1.0 + 2.0 * u[spiral]
+    # math.exp and math.cos, as numpy's may round differently
+    grow = np.array([math.exp(spiral_shape * l) for l in spiral_l.tolist()])
+    turn = np.array([math.cos(2.0 * math.pi * l) for l in spiral_l.tolist()])
+    gap = np.abs(best_x - positions[spiral])
+    moved[spiral] = gap * grow[:, None] * turn[:, None] + best_x
+    return moved
 
 
 def woa_run(
@@ -62,29 +113,7 @@ def woa_run(
         if budget is not None and counter.count + n_agents > budget:
             break
         a = 2.0 - 2.0 * t / iterations
-        moved = np.empty_like(positions)
-        for i in range(n_agents):
-            r1 = rng_move.random()
-            r2 = rng_move.random()
-            amp = 2.0 * a * r1 - a
-            attract = 2.0 * r2
-            p = rng_move.random()
-            spiral_l = -1.0 + 2.0 * rng_move.random()
-            if p < 0.5:
-                if abs(amp) < 1.0:
-                    gap = np.abs(attract * best_x - positions[i])
-                    moved[i] = best_x - amp * gap
-                else:
-                    other = positions[rng_move.integers(n_agents)]
-                    gap = np.abs(attract * other - positions[i])
-                    moved[i] = other - amp * gap
-            else:
-                gap = np.abs(best_x - positions[i])
-                moved[i] = (
-                    gap * math.exp(spiral_shape * spiral_l)
-                    * math.cos(2.0 * math.pi * spiral_l)
-                    + best_x
-                )
+        moved = _move(positions, best_x, a, spiral_shape, rng_move)
         positions = project_to_box(domain, moved)
         fitness = evaluate(obj, positions, counter)
         done = t

@@ -1,11 +1,14 @@
 """Baseline optimizers: CMA-ES, WOA, CBO, Langevin."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbsopt import (
+    BoxDomain,
     BudgetTooSmall,
     ConfigError,
     cbo_run,
@@ -17,6 +20,9 @@ from sbsopt import (
     woa_run,
 )
 from sbsopt.optimizers import available_methods, consensus_point, default_popsize
+from sbsopt.optimizers import cmaes as cmaes_module
+from sbsopt.optimizers.cmaes import _sample_offspring
+from sbsopt.optimizers.woa import _move
 
 
 class TestCmaes:
@@ -129,6 +135,162 @@ class TestWoa:
         result, _ = woa_run(obj, 10, 100, seed=6, collect_diagnostics=True)
         best = [rec.best_so_far for rec in result.diagnostics]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+
+
+def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
+    """The one-offspring-at-a-time loop that _sample_offspring replaced.
+
+    Returns the offspring, the number of tries drawn and the number of
+    offspring clamped after 100 misses.
+    """
+    d = mean.shape[0]
+    offspring = np.empty((lam, d))
+    tries = clamped = 0
+    for k in range(lam):
+        x = None
+        for _ in range(100):
+            z = rng.standard_normal(d)
+            tries += 1
+            candidate = mean + sigma * (basis @ (scales * z))
+            if domain.contains(candidate):
+                x = candidate
+                break
+        if x is None:
+            x = np.clip(candidate, domain.lower, domain.upper)
+            clamped += 1
+        offspring[k] = x
+    return offspring, tries, clamped
+
+
+def oracle_move(positions, best_x, a, spiral_shape, rng):
+    """The agent-by-agent loop that woa._move replaced; also counts explorers."""
+    n_agents = positions.shape[0]
+    moved = np.empty_like(positions)
+    explorers = 0
+    for i in range(n_agents):
+        r1 = rng.random()
+        r2 = rng.random()
+        amp = 2.0 * a * r1 - a
+        attract = 2.0 * r2
+        p = rng.random()
+        spiral_l = -1.0 + 2.0 * rng.random()
+        if p < 0.5:
+            if abs(amp) < 1.0:
+                gap = np.abs(attract * best_x - positions[i])
+                moved[i] = best_x - amp * gap
+            else:
+                explorers += 1
+                other = positions[rng.integers(n_agents)]
+                gap = np.abs(attract * other - positions[i])
+                moved[i] = other - amp * gap
+        else:
+            gap = np.abs(best_x - positions[i])
+            moved[i] = (
+                gap * math.exp(spiral_shape * spiral_l)
+                * math.cos(2.0 * math.pi * spiral_l)
+                + best_x
+            )
+    return moved, explorers
+
+
+def twin_generators(seed):
+    """Two generators in one state, with PCG64's buffered uint32 filled."""
+    pair = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    for rng in pair:
+        rng.integers(2**31, dtype=np.int32)
+    assert pair[0].bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+# mean offset of the first coordinate, in standard deviations of that
+# coordinate, against a box whose first side is [-50, 1]: every try inside,
+# half of them, about 1 in 100 (some offspring clamped), or none at all
+SAMPLING = {"inside": -20.0, "resampling": 1.0, "mixed": 3.33, "clamped": 13.0}
+
+
+class TestCmaesBlockSampling:
+    @pytest.mark.parametrize("scenario", list(SAMPLING))
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_the_one_at_a_time_loop(self, d, scenario):
+        setup = np.random.default_rng(d)
+        a = setup.standard_normal((d, d))
+        eigvals, basis = np.linalg.eigh(a @ a.T + 0.1 * np.eye(d))
+        scales = np.sqrt(eigvals)
+        # sigma makes the first coordinate of a step a unit normal
+        sigma = 1.0 / math.sqrt(float(basis[0] ** 2 @ eigvals))
+        mean = setup.uniform(-1.0, 1.0, d)
+        mean[0] = 1.0 + SAMPLING[scenario]
+        lower = np.full(d, -1e6)
+        upper = np.full(d, 1e6)
+        lower[0], upper[0] = -50.0, 1.0
+        domain = BoxDomain(lower, upper)
+        lam = default_popsize(d) + d
+        generations = 12 if scenario == "mixed" else 3
+
+        block_rng, loop_rng = twin_generators(100 + d)
+        tries = clamped = 0
+        for _ in range(generations):
+            got = _sample_offspring(mean, sigma, basis, scales, lam, domain, block_rng)
+            want, n_tries, n_clamped = oracle_offspring(
+                mean, sigma, basis, scales, lam, domain, loop_rng
+            )
+            assert got.tobytes() == want.tobytes()
+            tries += n_tries
+            clamped += n_clamped
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+        total = lam * generations
+        if scenario == "inside":
+            assert tries == total
+        elif scenario == "resampling":
+            assert tries > total and clamped == 0
+        elif scenario == "mixed":
+            assert 0 < clamped < total
+        else:
+            assert clamped == total and tries == 100 * total
+
+    def test_pinned_sigma0_row_hits_the_clamp(self, monkeypatch):
+        # the golden row cma-es, Ackley-2d, sigma0=100: run once with the
+        # loop oracle in place of the block sampler, counting clamps
+        obj = make_benchmark("ackley", 2)
+        clamped = []
+
+        def loop_sampler(*args):
+            offspring, _, n_clamped = oracle_offspring(*args)
+            clamped.append(n_clamped)
+            return offspring
+
+        block, _ = cmaes_run(obj, 8000, 3, sigma0=100.0)
+        monkeypatch.setattr(cmaes_module, "_sample_offspring", loop_sampler)
+        loop, _ = cmaes_run(obj, 8000, 3, sigma0=100.0)
+        assert sum(clamped) > 0
+        assert (block.evals_used, block.iterations_done) == (7998, 1333)
+        assert (loop.evals_used, loop.iterations_done) == (7998, 1333)
+        assert block.best_x.tobytes() == loop.best_x.tobytes()
+        assert block.best_f == loop.best_f
+
+
+class TestWoaBlockMove:
+    @pytest.mark.parametrize("a", [2.0, 1.7, 1.0, 0.999, 0.5, 0.0])
+    @pytest.mark.parametrize("n_agents", [2, 3, 30])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_the_agent_by_agent_loop(self, d, n_agents, a):
+        setup = np.random.default_rng(1000 * d + n_agents)
+        positions = setup.uniform(-5.0, 5.0, (n_agents, d))
+        best_x = positions[int(setup.integers(n_agents))].copy()
+        block_rng, loop_rng = twin_generators(d + n_agents)
+        explorers = 0
+        for _ in range(8):
+            got = _move(positions, best_x, a, 1.0, block_rng)
+            want, n_explorers = oracle_move(positions, best_x, a, 1.0, loop_rng)
+            assert got.tobytes() == want.tobytes()
+            explorers += n_explorers
+            positions = np.clip(got, -5.0, 5.0)
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        if a < 1.0:
+            assert explorers == 0
+        elif a > 1.0:
+            assert explorers > 0
 
 
 class TestCbo:
@@ -390,3 +552,24 @@ class TestBudgetInvariant:
         except BudgetTooSmall:
             return
         assert r.evals_used <= budget
+
+    @pytest.mark.parametrize("method", list(SIZE_KEY))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_too_small_exactly_below_the_minimum_cost(self, method, d, n, seed):
+        # the documented cost of the first unit of work each method must afford
+        params = {SIZE_KEY[method]: n}
+        if "hybrid" in method:
+            params.update(cmaes_budget=30, woa_iterations=3)
+            cost = 30 + n * (3 + 1)
+        elif method == "langevin":
+            cost = 2 * d
+        elif method.startswith("sbs"):
+            cost = 2 * d * n
+        else:
+            cost = n
+        obj = make_benchmark("rastrigin", d)
+        with pytest.raises(BudgetTooSmall):
+            run_method(method, obj, cost - 1, seed, params)
+        r = run_method(method, obj, cost, seed, params)
+        assert r.evals_used <= cost

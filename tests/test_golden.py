@@ -7,7 +7,10 @@ rounding that moves a seeded result fails here. sbs-pf runs far past its
 filter's start_iteration (10) on every function.
 
 A second table pins one run per method with non-default parameters, so
-that every parameter key keeps reaching the run it configures.
+that every parameter key keeps reaching the run it configures, and two
+runs on paths the first table never takes: CMA-ES clamping offspring and
+WOA with two agents. All were recorded before CMA-ES and WOA drew and
+moved their populations in blocks.
 """
 
 import pytest
@@ -85,6 +88,12 @@ GOLDEN_PARAMS = {
         (2040, 50, "0x1.a25ef4069f248p-2"),
     ("langevin", "rastrigin", 10, (("n_chains", 4), ("kappa", 100.0), ("eta", 1e-3))):
         (7984, 95, "0x1.a72b405c3bd69p+6"),
+    # sigma0=100 against Ackley's [-5, 5] box: some offspring miss 100 times
+    # and are clamped (tests/test_baselines.py counts them)
+    ("cma-es", "ackley", 2, (("sigma0", 100.0),)):
+        (7998, 1333, "0x1.0000000000000p-51"),
+    ("woa", "rosenbrock", 5, (("n_agents", 2),)):
+        (8000, 3999, "0x1.fe83b362bf6d4p+1"),
 }
 
 

@@ -398,6 +398,12 @@ class TestCli:
                      "--budget", "1000", "--param", "kappa=-1"]) == 2
         assert "kappa" in capsys.readouterr().err
 
+    def test_hybrid_cmaes_budget_below_one_generation_exits_2(self, capsys):
+        assert main(["single", "--method", "sbs-hybrid", "--function", "rastrigin",
+                     "--dim", "10", "--budget", "100000",
+                     "--param", "cmaes_budget=5"]) == 2
+        assert "cmaes_budget" in capsys.readouterr().err
+
     def test_hybrid_spent_by_its_init_logs_the_initial_particles(self, capsys, tmp_path):
         # the warm start leaves less than one scoring of the 50 particles
         log_path = tmp_path / "run.json"

@@ -17,6 +17,7 @@ from sbsopt import (
     sbs_run,
     woa_run,
 )
+from sbsopt.optimizers import default_popsize
 from sbsopt.optimizers.hybrid import _hybrid_init_full
 
 
@@ -99,6 +100,17 @@ class TestHybridRun:
         init_cost = 200 + max(2, 10) * (30 + 1)
         with pytest.raises(BudgetTooSmall):
             sbs_run(obj, hybrid(10, cfg), init_cost - 1, 0)
+
+    def test_cmaes_budget_below_one_generation_is_a_config_error(self):
+        obj = make_benchmark("rastrigin", 10)
+        lam = default_popsize(10)
+        cfg = HybridConfig(cmaes_budget=lam - 1, woa_iterations=5)
+        with pytest.raises(ConfigError) as err:
+            sbs_run(obj, hybrid(10, cfg), 100_000, 0)
+        assert err.value.field == "cmaes_budget"
+        r = sbs_run(obj, hybrid(10, HybridConfig(cmaes_budget=lam, woa_iterations=5)),
+                    2000, 0)
+        assert r.evals_used <= 2000
 
     def test_exact_init_budget_returns_the_incumbent(self):
         # no room for even one continuation iteration: the init-phase
