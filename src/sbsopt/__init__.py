@@ -49,7 +49,6 @@ from .harness import (
     run_experiment,
     write_results,
 )
-from .kernel import BandwidthPolicy, RbfKernel, resolve_bandwidth
 from .objective import (
     BoxDomain,
     EvalCounter,
@@ -78,12 +77,11 @@ from .optimizers import (
     split_streams,
     woa_run,
 )
-from .svgd import DEFAULT_STEP_SIZE, AdamState, ParticleSet, adam_step
+from .svgd import DEFAULT_STEP_SIZE, AdamState, adam_step
 from .trajectory import TrajectoryLog, TrajectorySnapshot, plot_trajectories
 
 __all__ = [
     "AdamState",
-    "BandwidthPolicy",
     "BenchmarkEntry",
     "BoltzmannTarget",
     "BoxDomain",
@@ -106,9 +104,7 @@ __all__ = [
     "NotTwoDimensional",
     "Objective",
     "OutOfDomain",
-    "ParticleSet",
     "Reference",
-    "RbfKernel",
     "RunResult",
     "SbsConfig",
     "SbsError",
@@ -139,7 +135,6 @@ __all__ = [
     "plot_trajectories",
     "project_to_box",
     "registry",
-    "resolve_bandwidth",
     "run_experiment",
     "run_method",
     "sbs_run",

@@ -1,4 +1,5 @@
-"""Boltzmann target: score function, grid densities, and the KSD diagnostic.
+"""Boltzmann target: score function, RBF kernel, grid densities, and the KSD
+diagnostic.
 
 The target density is m(x) = exp(-kappa f(x)) / Z on the box domain. Its
 normalizer cancels in the log-gradient, so the score is just -kappa grad f,
@@ -14,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGrid
-from .kernel import RbfKernel, pairwise_kernel
 from .objective import EvalCounter, Objective, fd_gradient
 
 DEFAULT_KAPPA = 1e3
@@ -40,6 +40,19 @@ def score(target: BoltzmannTarget, x: np.ndarray, counter: EvalCounter) -> np.nd
     """
     grad = fd_gradient(target.objective, x, counter, h=target.fd_step)
     return -target.kappa * grad
+
+
+def pairwise_kernel(sigma: float, positions: np.ndarray):
+    """RBF Gram matrix K, pairwise differences, and squared distances.
+
+    k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). Returns (K, diff, sqdist) with
+    diff[i, j] = x_i - x_j. Shared by the SVGD update and the KSD diagnostic
+    so both see identical floating-point values.
+    """
+    diff = positions[:, None, :] - positions[None, :, :]
+    sqdist = np.einsum("ijk,ijk->ij", diff, diff)
+    kmat = np.exp(-sqdist / (2.0 * sigma**2))
+    return kmat, diff, sqdist
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,7 @@ def ksd_from_parts(
 def ksd(
     particles: np.ndarray,
     target: BoltzmannTarget,
-    kernel: RbfKernel,
+    sigma: float,
     counter: EvalCounter,
 ) -> float:
     """Empirical KSD of the particle set against the Boltzmann target.
@@ -136,5 +149,5 @@ def ksd(
     """
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
     scores = score(target, positions, counter)
-    kmat, diff, sqdist = pairwise_kernel(kernel.sigma, positions)
-    return ksd_from_parts(scores, kmat, diff, sqdist, kernel.sigma)
+    kmat, diff, sqdist = pairwise_kernel(sigma, positions)
+    return ksd_from_parts(scores, kmat, diff, sqdist, sigma)

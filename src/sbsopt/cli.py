@@ -15,7 +15,6 @@ from .benchmarks import distance_to_minimum, lookup, make_benchmark, registry
 from .boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd
 from .errors import ConfigError, SbsError
 from .harness import ExperimentConfig, run_experiment, write_results
-from .kernel import RbfKernel
 from .objective import EvalCounter
 from .optimizers import available_methods, logs_trajectories, run_method
 from .trajectory import TrajectoryLog, plot_trajectories
@@ -116,7 +115,7 @@ def _cmd_diag_ksd(args) -> int:
     target = BoltzmannTarget(objective=obj, kappa=kappa)
     print("iteration  live  ksd")
     for snap in log.snapshots:
-        value = ksd(snap.positions, target, RbfKernel(snap.sigma), EvalCounter())
+        value = ksd(snap.positions, target, snap.sigma, EvalCounter())
         print(f"{snap.iteration:9d}  {len(snap.ids):4d}  {value:.10g}")
     return 0
 

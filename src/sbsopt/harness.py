@@ -10,7 +10,7 @@ summary with the comparison metrics, and optional per-run trajectory logs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from . import __version__
 from .benchmarks import BenchmarkEntry, distance_to_minimum, lookup, make_benchmark
 from .errors import BudgetExceeded, ConfigError
 from .optimizers import RunResult, available_methods, derive_seed, run_method
+from .optimizers.base import check_number
 from .trajectory import plot_trajectories
 
 ECR_FLOOR = 1e-12
@@ -45,6 +46,9 @@ class FunctionSpec:
     name: str
     dim: int
 
+    def __post_init__(self):
+        check_number(self, "dim", int)
+
     @property
     def key(self) -> str:
         return f"{self.name}-{self.dim}d"
@@ -62,40 +66,38 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        known = {"functions", "methods", "budget", "repetitions", "base_seed",
-                 "output_dir", "log_every"}
+        known = {f.name: f for f in fields(ExperimentConfig)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}", field=key)
+        for name, f in known.items():
+            if f.default is MISSING and name not in data:
+                raise ConfigError(f"missing field {name!r}", field=name)
+        cfg = ExperimentConfig(**{name: data.get(name, f.default)
+                                  for name, f in known.items()})
         try:
-            functions = [
-                FunctionSpec(name=str(f["name"]), dim=int(f["dim"]))
-                for f in data["functions"]
+            cfg.functions = [
+                FunctionSpec(name=str(f["name"]), dim=f["dim"])
+                for f in cfg.functions
             ]
-            methods = [
+            cfg.methods = [
                 MethodSpec(
                     name=str(m["name"]),
                     params=dict(m.get("params", {})),
                     label=m.get("label"),
                 )
-                for m in data["methods"]
+                for m in cfg.methods
             ]
         except KeyError as exc:
             raise ConfigError(f"missing field {exc.args[0]!r}", field=str(exc.args[0]))
         except TypeError:
             raise ConfigError("functions and methods must be lists of objects",
                               field="functions")
-        if "budget" not in data:
-            raise ConfigError("missing field 'budget'", field="budget")
-        return ExperimentConfig(
-            functions=functions,
-            methods=methods,
-            budget=int(data["budget"]),
-            repetitions=int(data.get("repetitions", 10)),
-            base_seed=int(data.get("base_seed", 0)),
-            output_dir=str(data.get("output_dir", "results")),
-            log_every=int(data.get("log_every", 0)),
-        )
+        for name, f in known.items():
+            if f.type == "int":  # annotations are strings under postponed evaluation
+                check_number(cfg, name, int)
+        cfg.output_dir = str(cfg.output_dir)
+        return cfg
 
     @staticmethod
     def load(path) -> "ExperimentConfig":

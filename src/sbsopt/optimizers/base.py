@@ -59,6 +59,21 @@ def check_number(config, name: str, kind: type, *, optional: bool = False,
     return converted
 
 
+def improve_incumbent(points: np.ndarray, f: np.ndarray, best_x: np.ndarray,
+                      best_f: float) -> tuple[np.ndarray, float]:
+    """The incumbent after scoring points in row order: the first row with the
+    lowest value replaces it when strictly better. NaN values never win."""
+    if f.size:
+        i = int(f.argmin())
+        low = float(f[i])
+        if math.isnan(low):  # argmin stops at the first NaN; look past them
+            i = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
+            low = float(f[i])
+        if low < best_f:
+            return points[i].copy(), low
+    return best_x, best_f
+
+
 @dataclass
 class IterationRecord:
     """One diagnostics row per iteration.

@@ -14,15 +14,22 @@ import math
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, ConfigError
+from ..errors import BudgetTooSmall, ConfigError, NonFiniteValue
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import IterationRecord, RunResult, split_streams
+from .base import IterationRecord, RunResult, improve_incumbent, split_streams
 
 
 def consensus_point(positions: np.ndarray, f_values: np.ndarray, alpha: float) -> np.ndarray:
-    """Softmin-weighted mean of the particles: sum_i x_i e^{-alpha f_i} / Z."""
+    """Softmin-weighted mean of the particles: sum_i x_i e^{-alpha f_i} / Z.
+
+    A NaN value gets zero weight; NonFiniteValue when every value is NaN.
+    """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    log_w = -alpha * np.asarray(f_values, dtype=float)
+    f_values = np.asarray(f_values, dtype=float)
+    nan = np.isnan(f_values)
+    if nan.all():
+        raise NonFiniteValue("every consensus value is NaN")
+    log_w = np.where(nan, -np.inf, -alpha * f_values)
     log_w = log_w - log_w.max()
     weights = np.exp(log_w)
     return weights @ positions / weights.sum()
@@ -62,9 +69,7 @@ def cbo_run(
     rng_init, rng_noise = split_streams(seed, 2)
     positions = uniform_sample(domain, n_particles, rng_init)
     fitness = evaluate(obj, positions, counter)
-    best_idx = int(np.argmin(fitness))
-    best_x = positions[best_idx].copy()
-    best_f = float(fitness[best_idx])
+    best_x, best_f = improve_incumbent(positions, fitness, positions[0].copy(), np.inf)
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
     done = 0
@@ -81,13 +86,10 @@ def cbo_run(
         fitness = evaluate(obj, positions, counter)
         done = t
 
-        step_best = int(np.argmin(fitness))
-        if fitness[step_best] < best_f:
-            best_f = float(fitness[step_best])
-            best_x = positions[step_best].copy()
+        best_x, best_f = improve_incumbent(positions, fitness, best_x, best_f)
         if records is not None:
             records.append(
-                IterationRecord(t, float(fitness[step_best]), best_f, n_particles)
+                IterationRecord(t, float(np.fmin.reduce(fitness)), best_f, n_particles)
             )
 
     return RunResult(

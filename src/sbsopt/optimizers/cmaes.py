@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, ConfigError
 from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
-from .base import IterationRecord, RunResult, split_streams
+from .base import IterationRecord, RunResult, improve_incumbent, split_streams
 
 _RESAMPLE_TRIES = 100
 
@@ -154,10 +154,7 @@ def cmaes_run(
         fitness = evaluate(obj, offspring, counter)
         generation += 1
 
-        gen_best = int(np.argmin(fitness))
-        if fitness[gen_best] < best_f:
-            best_f = float(fitness[gen_best])
-            best_x = offspring[gen_best].copy()
+        best_x, best_f = improve_incumbent(offspring, fitness, best_x, best_f)
 
         order = np.argsort(fitness, kind="stable")[:mu]
         selected = offspring[order]
@@ -182,7 +179,7 @@ def cmaes_run(
 
         if records is not None:
             records.append(
-                IterationRecord(generation, float(fitness[gen_best]), best_f, lam)
+                IterationRecord(generation, float(np.fmin.reduce(fitness)), best_f, lam)
             )
 
     result = RunResult(

@@ -25,17 +25,7 @@ from ..objective import (
     project_to_box,
     uniform_sample,
 )
-from .base import IterationRecord, RunResult, split_streams
-
-
-def _improve(points: np.ndarray, f: np.ndarray, best_x: np.ndarray, best_f: float):
-    """The incumbent after scoring points in row order: the first row with the
-    lowest value replaces it when strictly better. NaN values never win."""
-    if f.size:
-        i = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
-        if f[i] < best_f:
-            return points[i].copy(), float(f[i])
-    return best_x, best_f
+from .base import IterationRecord, RunResult, improve_incumbent, split_streams
 
 
 def langevin_run(
@@ -63,7 +53,8 @@ def langevin_run(
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
     scored = chains[: budget - counter.count]
-    best_x, best_f = _improve(scored, evaluate(obj, scored, counter), chains[0].copy(), np.inf)
+    best_x, best_f = improve_incumbent(scored, evaluate(obj, scored, counter),
+                                       chains[0].copy(), np.inf)
 
     noise_scale = math.sqrt(2.0 * eta)
     step_cost = 2 * d + 1
@@ -83,7 +74,7 @@ def langevin_run(
         )
         chains[:k] = project_to_box(domain, proposal)
         f = evaluate(obj, chains[:k], counter)
-        best_x, best_f = _improve(chains[:k], f, best_x, best_f)
+        best_x, best_f = improve_incumbent(chains[:k], f, best_x, best_f)
         sweep_min = np.fmin.reduce(f, initial=np.inf)
         if np.isfinite(sweep_min):
             sweeps += 1

@@ -21,14 +21,15 @@ import numpy as np
 
 from ..boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd_from_parts
 from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
-from ..kernel import BandwidthPolicy, RbfKernel, resolve_bandwidth
 from ..objective import EvalCounter, Objective, evaluate, uniform_sample
-from ..svgd import DEFAULT_STEP_SIZE, AdamState, ParticleSet, _iterate_with_parts
+from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
 from .base import IterationRecord, RunResult, check_number, split_streams
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
+
+HYBRID_SIGMA = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,9 @@ class SbsConfig:
 
     filter removes unpromising particles as the run goes (SBS-PF); hybrid
     warm-starts the particles from CMA-ES or WOA (SBS-hybrid). n_particles
-    None resolves to 100, or to 50 with a warm start. sigma None picks the
-    bandwidth 1/N^2 of the live count N, or 1e-10 with a warm start. fd_step
-    None uses 1e-6 * max(1, |x_i|) per coordinate.
+    None resolves to 100, or to 50 with a warm start. bandwidth() is the one
+    rule for the kernel width sigma. fd_step None uses 1e-6 * max(1, |x_i|)
+    per coordinate.
     """
 
     n_particles: int | None = None
@@ -108,13 +109,14 @@ class SbsConfig:
         return ("sbs" + ("-pf" if self.filter is not None else "")
                 + ("-hybrid" if self.hybrid is not None else ""))
 
-    @property
-    def bandwidth(self) -> BandwidthPolicy:
+    def bandwidth(self, n: int) -> float:
+        """The kernel width sigma for n live particles: sigma when set, else
+        HYBRID_SIGMA with a warm start, else 1/n^2 (re-resolved as n shrinks)."""
         if self.sigma is not None:
-            return BandwidthPolicy.fixed(self.sigma)
+            return self.sigma
         if self.hybrid is not None:
-            return BandwidthPolicy.hybrid_small()
-        return BandwidthPolicy.inverse_n_squared()
+            return HYBRID_SIGMA
+        return 1.0 / float(n) ** 2
 
 
 def _percentile(values: np.ndarray, q: float) -> float:
@@ -199,7 +201,6 @@ def _run_engine(
     counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
     d = domain.d
-    policy = cfg.bandwidth
 
     if init is not None:
         positions = np.atleast_2d(np.asarray(init, dtype=float)).copy()
@@ -218,7 +219,6 @@ def _run_engine(
     fcfg = cfg.filter
     if fcfg is not None and fcfg.min_particles is None:
         fcfg = replace(fcfg, min_particles=max(5, n_particles // 20))
-    particles = ParticleSet(positions)
     original_ids = np.arange(n_particles)
     last_f: np.ndarray | None = None
 
@@ -228,7 +228,7 @@ def _run_engine(
 
     def current_f_values() -> np.ndarray:
         # instrumentation only: does not touch the run budget
-        return evaluate(obj, particles.positions, instrument)
+        return evaluate(obj, positions, instrument)
 
     log: TrajectoryLog | None = None
     if log_every > 0:
@@ -251,16 +251,16 @@ def _run_engine(
                 iteration=iteration,
                 sigma=sigma,
                 ids=list(original_ids),
-                positions=particles.positions.copy(),
+                positions=positions.copy(),
                 f_values=values,
             )
         )
 
-    snapshot(0, resolve_bandwidth(policy, particles.n), None)
+    snapshot(0, cfg.bandwidth(n_particles), None)
 
     iteration = 0
     while True:
-        n_live = particles.n
+        n_live = positions.shape[0]
         will_filter = fcfg is not None and (iteration + 1) >= fcfg.start_iteration
         iter_cost = 2 * d * n_live + (n_live if will_filter else 0)
         reserve = 0 if will_filter else n_live
@@ -269,56 +269,51 @@ def _run_engine(
         if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
             break
 
-        sigma = resolve_bandwidth(policy, n_live)
-        kernel = RbfKernel(sigma)
-        prev_positions = particles.positions
-        moved, scores, kmat, diff, sqdist = _iterate_with_parts(
-            particles, target, kernel, cfg.step_size, adam, counter
+        sigma = cfg.bandwidth(n_live)
+        prev_positions = positions
+        positions, scores, kmat, diff, sqdist = _iterate_with_parts(
+            positions, target, sigma, cfg.step_size, adam, counter
         )
         ksd_value = (
             ksd_from_parts(scores, kmat, diff, sqdist, sigma) if track_ksd else None
         )
         iteration += 1
 
+        last_f = None
         if will_filter:
-            f_vals = evaluate(obj, moved.positions, counter)
-            keep = pf_filter(moved.positions, prev_positions, f_vals, fcfg)
-            if keep.size < moved.n:
-                moved = ParticleSet(moved.positions[keep])
+            last_f = evaluate(obj, positions, counter)
+            keep = pf_filter(positions, prev_positions, last_f, fcfg)
+            if keep.size < n_live:
+                positions = positions[keep]
                 adam.keep(keep)
                 original_ids = original_ids[keep]
-                f_vals = f_vals[keep]
-            particles = moved
-            last_f = f_vals
-        else:
-            particles = moved
-            last_f = None
+                last_f = last_f[keep]
 
         if records is not None:
             values = last_f if last_f is not None else current_f_values()
             min_f = float(values.min())
             best_so_far = min(best_so_far, min_f)
             records.append(
-                IterationRecord(iteration, min_f, best_so_far, particles.n, ksd_value)
+                IterationRecord(iteration, min_f, best_so_far, positions.shape[0],
+                                ksd_value)
             )
         if log is not None and iteration % log_every == 0:
             snapshot(iteration, sigma, last_f)
 
     if log is not None and log.snapshots[-1].iteration != iteration:
-        final_sigma = resolve_bandwidth(policy, particles.n)
-        snapshot(iteration, final_sigma, last_f)
+        snapshot(iteration, cfg.bandwidth(positions.shape[0]), last_f)
 
     if last_f is None:
-        if budget - counter.count >= particles.n:
-            last_f = evaluate(obj, particles.positions, counter)
+        if budget - counter.count >= positions.shape[0]:
+            last_f = evaluate(obj, positions, counter)
         else:
-            last_f = np.full(particles.n, np.inf)
+            last_f = np.full(positions.shape[0], np.inf)
     best_idx = int(np.argmin(last_f))
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
                              f"exceed the budget of {budget}")
     return RunResult(
-        best_x=particles.positions[best_idx].copy(),
+        best_x=positions[best_idx].copy(),
         best_f=float(last_f[best_idx]),
         evals_used=counter.count,
         iterations_done=iteration,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, ConfigError
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import IterationRecord, RunResult, split_streams
+from .base import IterationRecord, RunResult, improve_incumbent, split_streams
 
 
 def _move(
@@ -103,9 +103,7 @@ def woa_run(
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(domain, n_agents, rng_init)
     fitness = evaluate(obj, positions, counter)
-    best_idx = int(np.argmin(fitness))
-    best_x = positions[best_idx].copy()
-    best_f = float(fitness[best_idx])
+    best_x, best_f = improve_incumbent(positions, fitness, positions[0].copy(), np.inf)
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
     done = 0
@@ -118,13 +116,10 @@ def woa_run(
         fitness = evaluate(obj, positions, counter)
         done = t
 
-        gen_best = int(np.argmin(fitness))
-        if fitness[gen_best] < best_f:
-            best_f = float(fitness[gen_best])
-            best_x = positions[gen_best].copy()
+        best_x, best_f = improve_incumbent(positions, fitness, best_x, best_f)
         if records is not None:
             records.append(
-                IterationRecord(t, float(fitness[gen_best]), best_f, n_agents)
+                IterationRecord(t, float(np.fmin.reduce(fitness)), best_f, n_agents)
             )
 
     result = RunResult(

@@ -7,32 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import BoltzmannTarget, score
+from .boltzmann import BoltzmannTarget, pairwise_kernel, score
 from .errors import NonFiniteValue, ShapeMismatch
-from .kernel import RbfKernel, pairwise_kernel
 from .objective import EvalCounter, project_to_box
 
 DEFAULT_STEP_SIZE = 0.03
-
-
-@dataclass
-class ParticleSet:
-    """N particle positions, one row each, inside the ambient box."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if self.positions.ndim != 2 or self.positions.shape[0] < 1:
-            raise ValueError("positions must be a nonempty N x d matrix")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.positions.shape[1]
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -42,9 +24,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @staticmethod
     def fresh(n: int, d: int) -> "AdamState":
@@ -59,7 +38,7 @@ class AdamState:
 def _forces(
     positions: np.ndarray,
     target: BoltzmannTarget,
-    kernel: RbfKernel,
+    sigma: float,
     counter: EvalCounter,
 ):
     """Attraction/repulsion decomposition plus the reusable kernel parts.
@@ -72,9 +51,9 @@ def _forces(
     """
     n = positions.shape[0]
     scores = score(target, positions, counter)
-    kmat, diff, sqdist = pairwise_kernel(kernel.sigma, positions)
+    kmat, diff, sqdist = pairwise_kernel(sigma, positions)
     attraction = kmat @ scores / n
-    repulsion = np.einsum("ij,ijd->id", kmat, diff) / kernel.sigma**2 / n
+    repulsion = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
     return attraction, repulsion, scores, kmat, diff, sqdist
 
 
@@ -86,33 +65,34 @@ def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
             f"direction shape {direction.shape} does not match state {state.m.shape}"
         )
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * direction
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * direction**2
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * direction
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * direction**2
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _iterate_with_parts(
-    particles: ParticleSet,
+    positions: np.ndarray,
     target: BoltzmannTarget,
-    kernel: RbfKernel,
+    sigma: float,
     step_size: float,
     adam: AdamState,
     counter: EvalCounter,
 ):
-    """One SVGD iteration: move along the Adam-preconditioned phi*, then
-    project to the box. Also returns the kernel parts it computed.
+    """One SVGD iteration of the (N, d) positions: move along the
+    Adam-preconditioned phi*, then project to the box. Returns the moved
+    positions and the kernel parts it computed.
 
     The run loop reuses scores and kernel matrices for discrepancy
     diagnostics, so the iteration exposes them instead of recomputing.
     """
     attraction, repulsion, scores, kmat, diff, sqdist = _forces(
-        particles.positions, target, kernel, counter
+        positions, target, sigma, counter
     )
     phi = attraction + repulsion
     if not np.isfinite(phi).all():
         raise NonFiniteValue("the SVGD direction phi* has non-finite entries")
     displacement = adam_step(adam, phi, step_size)
-    moved = project_to_box(target.objective.domain, particles.positions + displacement)
-    return ParticleSet(moved), scores, kmat, diff, sqdist
+    moved = project_to_box(target.objective.domain, positions + displacement)
+    return moved, scores, kmat, diff, sqdist

@@ -9,6 +9,7 @@ appearing in later snapshots, so their polylines end early in the rendering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,11 @@ LOG_FORMAT = "sbsopt-trajectory-1"
 
 @dataclass
 class TrajectorySnapshot:
-    """Live particle state after one iteration (iteration 0 = initial)."""
+    """Live particle state after one iteration (iteration 0 = initial).
+
+    sigma, the kernel width the run used, must be positive and finite: a
+    log read from a file is checked here before any diagnostic uses it.
+    """
 
     iteration: int
     sigma: float
@@ -31,6 +36,10 @@ class TrajectorySnapshot:
     f_values: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(
+                f"snapshot sigma must be positive and finite, got {self.sigma!r}"
+            )
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.f_values = np.asarray(self.f_values, dtype=float)
         self.ids = [int(i) for i in self.ids]

@@ -20,8 +20,6 @@ from sbsopt import (
     FunctionSpec,
     HybridConfig,
     MethodSpec,
-    ParticleSet,
-    RbfKernel,
     SbsConfig,
     adam_step,
     cbo_run,
@@ -121,13 +119,13 @@ class TestForceDecomposition:
             n = int(rng.integers(1, 12))
             pts = rng.uniform(-5, 5, size=(n, 2))
             sigma = float(rng.uniform(0.05, 2.0))
-            att, rep, *_ = _forces(pts, target, RbfKernel(sigma), EvalCounter())
+            att, rep, *_ = _forces(pts, target, sigma, EvalCounter())
             # the iteration steps along exactly attraction + repulsion
-            moved, *_ = _iterate_with_parts(ParticleSet(pts), target, RbfKernel(sigma),
-                                            0.03, AdamState.fresh(n, 2), EvalCounter())
+            moved, *_ = _iterate_with_parts(pts, target, sigma, 0.03,
+                                            AdamState.fresh(n, 2), EvalCounter())
             step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
             want = project_to_box(obj.domain, pts + step)
-            assert moved.positions.tobytes() == want.tobytes()
+            assert moved.tobytes() == want.tobytes()
 
     def test_pair_repulsion_antisymmetric_100_configs(self):
         rng = np.random.default_rng(1)
@@ -136,7 +134,7 @@ class TestForceDecomposition:
         for _ in range(100):
             pts = rng.uniform(-9, 9, size=(2, 2))
             sigma = float(rng.uniform(0.1, 3.0))
-            _, rep, *_ = _forces(pts, target, RbfKernel(sigma), EvalCounter())
+            _, rep, *_ = _forces(pts, target, sigma, EvalCounter())
             np.testing.assert_allclose(rep[0], -rep[1], rtol=0, atol=1e-14)
 
 
@@ -171,7 +169,7 @@ class TestKsdSanity:
             n = int(rng.integers(1, 8))
             pts = rng.uniform(-5.12, 5.12, size=(n, 2))
             sigma = float(rng.uniform(0.2, 3.0))
-            assert ksd(pts, target, RbfKernel(sigma), EvalCounter()) >= 0.0
+            assert ksd(pts, target, sigma, EvalCounter()) >= 0.0
 
     def test_single_particle_closed_form(self):
         obj = make_benchmark("sphere", 2)
@@ -182,7 +180,7 @@ class TestKsdSanity:
             sigma = float(rng.uniform(0.2, 3.0))
             s = score(target, x[0], EvalCounter())
             closed = float(s @ s) + 2.0 / sigma**2
-            got = ksd(x, target, RbfKernel(sigma), EvalCounter())
+            got = ksd(x, target, sigma, EvalCounter())
             assert abs(got - closed) < 1e-10 * max(1.0, abs(closed))
 
     def test_ksd_decays_over_a_sphere_run(self):

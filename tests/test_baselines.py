@@ -11,6 +11,7 @@ from sbsopt import (
     BoxDomain,
     BudgetTooSmall,
     ConfigError,
+    NonFiniteValue,
     cbo_run,
     cmaes_run,
     langevin_run,
@@ -394,6 +395,37 @@ class TestLangevin:
             langevin_run(obj, n_chains=0, kappa=1.0, eta=1e-5, budget=100, seed=0)
         with pytest.raises(ConfigError):
             langevin_run(obj, n_chains=2, kappa=1.0, eta=-1e-5, budget=100, seed=0)
+
+
+def half_nan_objective():
+    """NaN for x_0 > 0, ||x||^2 elsewhere on [-1, 1]^2."""
+    return make_objective("half-nan", [-1.0, -1.0], [1.0, 1.0],
+                          lambda x: math.nan if x[0] > 0 else float(x @ x))
+
+
+class TestNonFiniteValues:
+    """Population methods never take NaN as an answer; gradient methods raise
+    NonFiniteValue at a non-finite probe."""
+
+    @pytest.mark.parametrize("method", ["cma-es", "woa", "cbo"])
+    def test_population_method_never_answers_nan(self, method):
+        r = run_method(method, half_nan_objective(), 3000, 0)
+        assert r.evals_used <= 3000
+        assert np.isfinite(r.best_f) and r.best_f < 1e-2
+        assert r.best_x[0] <= 0.0 and r.best_f == float(r.best_x @ r.best_x)
+
+    def test_langevin_raises_at_a_nan_probe(self):
+        with pytest.raises(NonFiniteValue):
+            run_method("langevin", half_nan_objective(), 3000, 0)
+
+    def test_consensus_gives_nan_zero_weight(self):
+        pts = np.array([[0.0], [1.0], [2.0]])
+        got = consensus_point(pts, np.array([math.nan, 1.0, 1.0]), alpha=1.0)
+        np.testing.assert_array_equal(got, [1.5])
+
+    def test_consensus_of_all_nan_raises(self):
+        with pytest.raises(NonFiniteValue):
+            consensus_point(np.zeros((2, 2)), np.array([math.nan, math.nan]), alpha=1.0)
 
 
 class TestRunMethod:

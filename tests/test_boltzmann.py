@@ -7,7 +7,6 @@ from sbsopt import (
     BoltzmannTarget,
     DegenerateGrid,
     EvalCounter,
-    RbfKernel,
     density_on_grid,
     expectation_on_grid,
     ksd,
@@ -15,8 +14,7 @@ from sbsopt import (
     make_objective,
     score,
 )
-from sbsopt.boltzmann import ksd_from_parts
-from sbsopt.kernel import pairwise_kernel
+from sbsopt.boltzmann import ksd_from_parts, pairwise_kernel
 
 
 def line_objective():
@@ -150,7 +148,7 @@ class TestKsd:
             sigma = float(rng.uniform(0.2, 3.0))
             s = score(target, x[0], EvalCounter())
             want = float(s @ s) + 2.0 / sigma**2
-            got = ksd(x, target, RbfKernel(sigma), EvalCounter())
+            got = ksd(x, target, sigma, EvalCounter())
             assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
 
     def test_matches_double_loop_oracle(self):
@@ -163,7 +161,7 @@ class TestKsd:
             sigma = float(rng.uniform(0.3, 2.0))
             scores = np.stack([score(target, p, EvalCounter()) for p in pts])
             want = stein_ksd_loop(pts, scores, sigma)
-            got = ksd(pts, target, RbfKernel(sigma), EvalCounter())
+            got = ksd(pts, target, sigma, EvalCounter())
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_nonnegative_on_random_sets(self):
@@ -174,7 +172,7 @@ class TestKsd:
             n = int(rng.integers(1, 7))
             pts = rng.uniform(-5, 5, size=(n, 2))
             sigma = float(rng.uniform(0.2, 2.5))
-            assert ksd(pts, target, RbfKernel(sigma), EvalCounter()) >= -1e-9
+            assert ksd(pts, target, sigma, EvalCounter()) >= -1e-9
 
     def test_ksd_from_parts_agrees_with_ksd(self):
         obj = make_benchmark("sphere", 3)
@@ -185,12 +183,12 @@ class TestKsd:
         scores = np.stack([score(target, p, EvalCounter()) for p in pts])
         kmat, diff, sqdist = pairwise_kernel(sigma, pts)
         a = ksd_from_parts(scores, kmat, diff, sqdist, sigma)
-        b = ksd(pts, target, RbfKernel(sigma), EvalCounter())
+        b = ksd(pts, target, sigma, EvalCounter())
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_counts_2d_per_particle(self):
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
         counter = EvalCounter()
-        ksd(np.zeros((5, 2)), target, RbfKernel(1.0), counter)
+        ksd(np.zeros((5, 2)), target, 1.0, counter)
         assert counter.count == 5 * 4

@@ -131,6 +131,14 @@ class TestConfig:
             })
         assert err.value.field == "paralellism"
 
+    def test_from_dict_defaults_are_the_dataclass_defaults(self):
+        cfg = ExperimentConfig.from_dict({
+            "functions": [{"name": "Sphere", "dim": 2}],
+            "methods": [{"name": "sbs"}],
+            "budget": 100,
+        })
+        assert cfg == ExperimentConfig([FunctionSpec("Sphere", 2)], [MethodSpec("sbs")], 100)
+
     def test_from_dict_requires_budget(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({
@@ -348,6 +356,26 @@ class TestCli:
 
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("key", ["budget", "repetitions", "base_seed", "log_every",
+                                     "dim"])
+    def test_non_number_in_config_exits_2(self, key, capsys, tmp_path):
+        cfg = {
+            "functions": [{"name": "Sphere", "dim": 2}],
+            "methods": [{"name": "woa"}],
+            "budget": 500,
+            "output_dir": str(tmp_path / "out"),
+        }
+        if key == "dim":
+            cfg["functions"][0]["dim"] = "many"
+        else:
+            cfg[key] = "many"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_command_end_to_end(self, capsys, tmp_path):
         cfg_path = tmp_path / "exp.json"

@@ -8,8 +8,7 @@ from sbsopt import (
     BoltzmannTarget,
     DEFAULT_STEP_SIZE,
     EvalCounter,
-    ParticleSet,
-    RbfKernel,
+    SbsConfig,
     ShapeMismatch,
     adam_step,
     make_benchmark,
@@ -17,12 +16,13 @@ from sbsopt import (
     project_to_box,
     score,
 )
+from sbsopt.optimizers.sbs import _run_engine
 from sbsopt.svgd import _forces, _iterate_with_parts
 
 
 def forces(positions, target, sigma):
     """(attraction, repulsion); their sum is the SVGD direction phi*."""
-    attraction, repulsion, *_ = _forces(positions, target, RbfKernel(sigma), EvalCounter())
+    attraction, repulsion, *_ = _forces(positions, target, sigma, EvalCounter())
     return attraction, repulsion
 
 
@@ -34,23 +34,23 @@ def constant_objective_1d(value=5.0):
     return make_objective("const1", [-10.0], [10.0], lambda x: value)
 
 
-class TestParticleSet:
-    def test_shape_properties(self):
-        pts = ParticleSet(np.zeros((7, 3)))
-        assert pts.n == 7
-        assert pts.d == 3
+class TestParticleArrays:
+    """The engine carries the particles as one (N, d) array."""
 
     def test_single_particle_is_valid(self):
-        pts = ParticleSet(np.array([[1.0, 2.0]]))
-        assert pts.n == 1
+        obj = make_benchmark("sphere", 2)
+        target = BoltzmannTarget(obj, kappa=1.0)
+        moved, *_ = _iterate_with_parts(np.array([[1.0, 2.0]]), target, 1.0, 0.03,
+                                        AdamState.fresh(1, 2), EvalCounter())
+        assert moved.shape == (1, 2)
 
     def test_coerces_1d_to_single_row(self):
-        pts = ParticleSet(np.zeros(3))
-        assert pts.positions.shape == (1, 3)
-
-    def test_rejects_3d_input(self):
-        with pytest.raises(ValueError):
-            ParticleSet(np.zeros((2, 2, 2)))
+        # a 1-d starting ensemble is one particle
+        obj = make_benchmark("sphere", 3)
+        r = _run_engine(obj, SbsConfig(max_iterations=2), 1000, 0, init=np.zeros(3),
+                        collect_diagnostics=True, log_every=1)
+        assert r.trajectory.snapshots[0].positions.shape == (1, 3)
+        assert [rec.live for rec in r.diagnostics] == [1, 1]
 
 
 class TestPhiStar:
@@ -59,8 +59,8 @@ class TestPhiStar:
         # At x = 0 and x = 1 with sigma = 1: phi* = -/+ exp(-1/2) / 2.
         obj = constant_objective_1d()
         target = BoltzmannTarget(obj, kappa=1.0)
-        pts = ParticleSet(np.array([[0.0], [1.0]]))
-        phi = sum(forces(pts.positions, target, 1.0))
+        pts = np.array([[0.0], [1.0]])
+        phi = sum(forces(pts, target, 1.0))
         expect = np.exp(-0.5) / 2.0
         np.testing.assert_allclose(phi, [[-expect], [expect]], rtol=0, atol=1e-15)
 
@@ -116,11 +116,11 @@ class TestForceDecomposition:
             sigma = float(rng.uniform(0.1, 2.0))
             att, rep = forces(pts, target, sigma)
             # the iteration steps along exactly attraction + repulsion
-            moved, *_ = _iterate_with_parts(ParticleSet(pts), target, RbfKernel(sigma),
-                                            0.03, AdamState.fresh(n, 2), EvalCounter())
+            moved, *_ = _iterate_with_parts(pts, target, sigma, 0.03,
+                                            AdamState.fresh(n, 2), EvalCounter())
             step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
             want = project_to_box(obj.domain, pts + step)
-            assert moved.positions.tobytes() == want.tobytes()
+            assert moved.tobytes() == want.tobytes()
 
     def test_repulsion_antisymmetric_for_pair(self):
         obj = constant_objective()
@@ -136,8 +136,8 @@ class TestForceDecomposition:
         # single particle on the sphere: attraction = score = -2 kappa x
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
-        pts = ParticleSet(np.array([[2.0, 0.0]]))
-        att, rep = forces(pts.positions, target, 1.0)
+        pts = np.array([[2.0, 0.0]])
+        att, rep = forces(pts, target, 1.0)
         assert att[0, 0] < 0  # pulls toward the origin
         np.testing.assert_allclose(rep, 0.0, atol=1e-15)
 
@@ -198,33 +198,32 @@ class TestSvgdIterate:
     def test_costs_2dn_evaluations(self):
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
-        pts = ParticleSet(np.zeros((5, 2)))
+        pts = np.zeros((5, 2))
         counter = EvalCounter()
         adam = AdamState.fresh(5, 2)
-        _iterate_with_parts(pts, target, RbfKernel(1.0), 0.03, adam, counter)
+        _iterate_with_parts(pts, target, 1.0, 0.03, adam, counter)
         assert counter.count == 2 * 2 * 5
 
     def test_result_stays_in_domain(self):
         obj = make_benchmark("camel", 2)
         target = BoltzmannTarget(obj, kappa=1e3)
         rng = np.random.default_rng(7)
-        pts = ParticleSet(rng.uniform(obj.domain.lower, obj.domain.upper, size=(20, 2)))
+        pts = rng.uniform(obj.domain.lower, obj.domain.upper, size=(20, 2))
         adam = AdamState.fresh(20, 2)
         for _ in range(10):
-            pts, *_ = _iterate_with_parts(pts, target, RbfKernel(0.5), 0.5, adam,
-                                          EvalCounter())
-            for x in pts.positions:
+            pts, *_ = _iterate_with_parts(pts, target, 0.5, 0.5, adam, EvalCounter())
+            for x in pts:
                 assert obj.domain.contains(x)
 
     def test_single_particle_descends_quadratic(self):
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1e3)
-        pts = ParticleSet(np.array([[3.0, -4.0]]))
+        pts = np.array([[3.0, -4.0]])
         adam = AdamState.fresh(1, 2)
         for _ in range(600):
-            pts, *_ = _iterate_with_parts(pts, target, RbfKernel(1.0), DEFAULT_STEP_SIZE,
+            pts, *_ = _iterate_with_parts(pts, target, 1.0, DEFAULT_STEP_SIZE,
                                           adam, EvalCounter())
-        assert float(pts.positions[0] @ pts.positions[0]) < 1e-4
+        assert float(pts[0] @ pts[0]) < 1e-4
 
     def test_default_step_size_value(self):
         assert DEFAULT_STEP_SIZE == 0.03

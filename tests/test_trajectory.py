@@ -14,6 +14,7 @@ from sbsopt import (
     plot_trajectories,
     sbs_run,
 )
+from sbsopt.cli import main
 from sbsopt.trajectory import LOG_FORMAT
 
 
@@ -64,6 +65,17 @@ class TestSerialization:
         np.testing.assert_array_equal(
             again.snapshots[-1].positions, log.snapshots[-1].positions
         )
+
+    @pytest.mark.parametrize("sigma", [0.0, float("nan")])
+    def test_bad_sigma_rejected_on_load(self, sigma, tmp_path, capsys):
+        path = tmp_path / "log.json"
+        data = small_log().to_dict()
+        data["snapshots"][1]["sigma"] = sigma
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="sigma"):
+            TrajectoryLog.load(path)
+        assert main(["diag", "ksd", str(path)]) == 1
+        assert "sigma" in capsys.readouterr().err
 
     def test_unknown_format_rejected(self):
         data = small_log().to_dict()
