@@ -9,6 +9,7 @@ concentration properties of the density numerically in low dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,8 @@ from .errors import DegenerateGrid
 from .objective import EvalCounter, Objective, fd_gradient
 
 DEFAULT_KAPPA = 1e3
+TILE = 256  # particles per kernel tile; a block holds TILE^2 (d + 2) floats
+WINDOW = 40.0  # tile pairs whose coordinate-0 gap exceeds WINDOW sigma are skipped
 
 
 @dataclass(frozen=True)
@@ -42,17 +45,59 @@ def score(target: BoltzmannTarget, x: np.ndarray, counter: EvalCounter) -> np.nd
     return -target.kappa * grad
 
 
-def pairwise_kernel(sigma: float, positions: np.ndarray):
-    """RBF Gram matrix K, pairwise differences, and squared distances.
+def check_sigma(sigma: float, name: str = "sigma") -> None:
+    """Raise ValueError unless the kernel width is positive and finite."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"{name} must be positive and finite, got {sigma!r}")
+
+
+def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | None = None):
+    """RBF kernel block, pairwise differences, and squared distances.
 
     k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). Returns (K, diff, sqdist) with
-    diff[i, j] = x_i - x_j. Shared by the SVGD update and the KSD diagnostic
-    so both see identical floating-point values.
+    diff[i, j] = x_i - y_j over the rows x of positions and the rows y of
+    others (positions again when None). Shared by the SVGD update and the
+    KSD diagnostic so both see identical floating-point values.
     """
-    diff = positions[:, None, :] - positions[None, :, :]
+    others = positions if others is None else others
+    diff = positions[:, None, :] - others[None, :, :]
     sqdist = np.einsum("ijk,ijk->ij", diff, diff)
     kmat = np.exp(-sqdist / (2.0 * sigma**2))
     return kmat, diff, sqdist
+
+
+def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list]:
+    """The particles cut into tiles, and the pairs of tiles whose kernel
+    block can hold a nonzero entry.
+
+    Returns (tiles, pairs). The particles are sorted on coordinate 0 and cut
+    into tiles of TILE, each an index array in ascending order; pairs lists
+    (a, b), a < b, for each two tiles whose coordinate-0 ranges come within
+    WINDOW sigma. Every block left out is exactly zero: k underflows to 0.0
+    once ||x - y|| exceeds about 38.6 sigma, and the gap between two tiles'
+    ranges is a lower bound on every distance across them. With at most
+    TILE particles the one tile is slice(0, N), so the kernel is computed on
+    views, as one dense N x N block.
+    """
+    n = positions.shape[0]
+    if n <= TILE:
+        return [slice(0, n)], []
+    order = np.argsort(positions[:, 0], kind="stable")
+    x0 = positions[order, 0]
+    starts = range(0, n, TILE)
+    tiles = [np.sort(order[s:s + TILE]) for s in starts]
+    lows = [x0[s] for s in starts]
+    highs = [x0[min(s + TILE, n) - 1] for s in starts]
+    # below the normal range sigma**2 rounds coarsely and the cutoff moves,
+    # so there every pair of tiles is kept
+    reach = WINDOW * sigma if sigma**2 >= np.finfo(float).tiny else np.inf
+    pairs = []
+    for a, high in enumerate(highs):
+        for b in range(a + 1, len(tiles)):
+            if lows[b] - high > reach:  # the exact gap; later tiles lie further
+                break
+            pairs.append((a, b))
+    return tiles, pairs
 
 
 @dataclass(frozen=True)
@@ -115,25 +160,37 @@ def expectation_on_grid(density: GridDensity, g: Callable[[np.ndarray], float]) 
 
 def ksd_from_parts(
     scores: np.ndarray,
+    rows,
+    cols,
     kmat: np.ndarray,
     diff: np.ndarray,
     sqdist: np.ndarray,
     sigma: float,
 ) -> float:
-    """KSD V-statistic from precomputed scores and kernel parts.
+    """One kernel block's share of the KSD V-statistic, from the scores of
+    all N particles and the parts of the block of tiles rows and cols (see
+    kernel_tiles).
 
     V = (1/N^2) sum_ij [ s_i.s_j k_ij + s_i.(x_i-x_j) k_ij / sigma^2
                          + s_j.(x_j-x_i) k_ij / sigma^2
                          + k_ij (d/sigma^2 - ||x_i-x_j||^2 / sigma^4) ]
+
+    A diagonal block (rows is cols) holds each of its pairs in both orders;
+    a cross block stands for itself and its mirror image, so counts twice.
     """
     n, d = scores.shape
     sig2 = sigma**2
-    term_ss = np.einsum("id,jd,ij->", scores, scores, kmat)
+    s_rows = scores[rows]
+    s_cols = s_rows if rows is cols else scores[cols]
+    weight = 1.0 if rows is cols else 2.0
+    term_ss = np.einsum("id,jd,ij->", s_rows, s_cols, kmat)
     # s_i . grad_{x_j} k = s_i . (x_i - x_j) k / sigma^2, plus its mirror
-    s_dot_diff = np.einsum("id,ijd->ij", scores, diff)
+    s_dot_diff = np.einsum("id,ijd->ij", s_rows, diff)
+    if rows is not cols:
+        s_dot_diff -= np.einsum("jd,ijd->ij", s_cols, diff)
     term_cross = 2.0 * np.sum(s_dot_diff * kmat) / sig2
     term_trace = np.sum(kmat * (d / sig2 - sqdist / sig2**2))
-    return float((term_ss + term_cross + term_trace) / n**2)
+    return float((weight * term_ss + term_cross + weight * term_trace) / n**2)
 
 
 def ksd(
@@ -145,9 +202,16 @@ def ksd(
     """Empirical KSD of the particle set against the Boltzmann target.
 
     Scores are computed once per particle (2d evaluations each). Nonnegative
-    up to floating-point rounding because the Stein kernel is PSD.
+    up to floating-point rounding because the Stein kernel is PSD. sigma
+    must be positive and finite (ValueError otherwise).
     """
+    check_sigma(sigma)
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
     scores = score(target, positions, counter)
-    kmat, diff, sqdist = pairwise_kernel(sigma, positions)
-    return ksd_from_parts(scores, kmat, diff, sqdist, sigma)
+    tiles, pairs = kernel_tiles(sigma, positions)
+    total = 0.0
+    for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
+        others = None if rows is cols else positions[cols]
+        parts = pairwise_kernel(sigma, positions[rows], others)
+        total += ksd_from_parts(scores, rows, cols, *parts, sigma)
+    return total

@@ -83,7 +83,7 @@ class ExperimentConfig:
             cfg.methods = [
                 MethodSpec(
                     name=str(m["name"]),
-                    params=dict(m.get("params", {})),
+                    params=_params_object(m),
                     label=m.get("label"),
                 )
                 for m in cfg.methods
@@ -120,6 +120,15 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
             "log_every": self.log_every,
         }
+
+
+def _params_object(method: dict) -> dict:
+    """A copy of a method entry's params, which must be an object."""
+    params = method.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params of method {method['name']!r} must be an object, "
+                          f"got {params!r}", field="params")
+    return dict(params)
 
 
 def validate_config(cfg: ExperimentConfig) -> dict[str, BenchmarkEntry]:

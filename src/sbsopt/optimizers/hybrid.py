@@ -84,12 +84,13 @@ def sbs_run(
     """Run SBS as cfg configures it, under an evaluation budget.
 
     The particles descend the Boltzmann flow until the budget can no longer
-    cover the next iteration; the answer is the best final particle (ties
-    to the lowest index). cfg.filter permanently removes particles of high
-    f-value and low displacement from its start_iteration on. cfg.hybrid
-    first picks the starting particles by the init phase above, whose
-    incumbent stays the answer unless the continuation beats it; its
-    cmaes_budget must cover one CMA-ES generation (else ConfigError).
+    cover the next iteration; the answer is the best final particle (NaN
+    values skipped, ties to the lowest index). cfg.filter permanently
+    removes particles of high f-value and low displacement from its
+    start_iteration on. cfg.hybrid first picks the starting particles by
+    the init phase above, whose incumbent stays the answer unless the
+    continuation beats it; its cmaes_budget must cover one CMA-ES
+    generation (else ConfigError).
     Diagnostics, the KSD and a trajectory snapshot every log_every
     iterations are off-budget instrumentation.
     """

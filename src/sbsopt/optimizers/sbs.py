@@ -24,7 +24,8 @@ from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
 from ..objective import EvalCounter, Objective, evaluate, uniform_sample
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import IterationRecord, RunResult, check_number, split_streams
+from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
+                   split_streams)
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
@@ -258,6 +259,12 @@ def _run_engine(
 
     snapshot(0, cfg.bandwidth(n_particles), None)
 
+    ksd_parts: list[float] = []
+
+    def add_ksd(*block) -> None:
+        # one kernel block of the iteration's direction, reused for the KSD
+        ksd_parts.append(ksd_from_parts(*block, sigma))
+
     iteration = 0
     while True:
         n_live = positions.shape[0]
@@ -271,12 +278,12 @@ def _run_engine(
 
         sigma = cfg.bandwidth(n_live)
         prev_positions = positions
-        positions, scores, kmat, diff, sqdist = _iterate_with_parts(
-            positions, target, sigma, cfg.step_size, adam, counter
+        ksd_parts.clear()
+        positions = _iterate_with_parts(
+            positions, target, sigma, cfg.step_size, adam, counter,
+            add_ksd if track_ksd else None,
         )
-        ksd_value = (
-            ksd_from_parts(scores, kmat, diff, sqdist, sigma) if track_ksd else None
-        )
+        ksd_value = sum(ksd_parts) if track_ksd else None
         iteration += 1
 
         last_f = None
@@ -308,13 +315,13 @@ def _run_engine(
             last_f = evaluate(obj, positions, counter)
         else:
             last_f = np.full(positions.shape[0], np.inf)
-    best_idx = int(np.argmin(last_f))
+    best_x, best_f = improve_incumbent(positions, last_f, positions[0].copy(), np.inf)
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
                              f"exceed the budget of {budget}")
     return RunResult(
-        best_x=positions[best_idx].copy(),
-        best_f=float(last_f[best_idx]),
+        best_x=best_x,
+        best_f=best_f,
         evals_used=counter.count,
         iterations_done=iteration,
         diagnostics=records,

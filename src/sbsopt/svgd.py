@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import BoltzmannTarget, pairwise_kernel, score
+from .boltzmann import BoltzmannTarget, kernel_tiles, pairwise_kernel, score
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -40,21 +40,50 @@ def _forces(
     target: BoltzmannTarget,
     sigma: float,
     counter: EvalCounter,
+    visit=None,
 ):
-    """Attraction/repulsion decomposition plus the reusable kernel parts.
+    """Attraction/repulsion decomposition of the SVGD direction.
 
     attraction_i = (1/N) sum_j s(x_j) k(x_i, x_j)
     repulsion_i  = (1/N) sum_j k(x_i, x_j) (x_i - x_j) / sigma^2
 
     Their sum is the empirical SVGD direction
     phi*(x_i) = (1/N) sum_j [ s(x_j) k(x_i, x_j) + grad_{x_j} k(x_i, x_j) ].
+
+    The sums run over the kernel blocks of kernel_tiles: each tile with
+    itself first, then each pair of tiles, added into both of its sides.
+    visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
+    block once, as it is made; rows is cols on a tile with itself.
     """
     n = positions.shape[0]
     scores = score(target, positions, counter)
-    kmat, diff, sqdist = pairwise_kernel(sigma, positions)
-    attraction = kmat @ scores / n
-    repulsion = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
-    return attraction, repulsion, scores, kmat, diff, sqdist
+    tiles, pairs = kernel_tiles(sigma, positions)
+    attraction, repulsion = [], []  # per tile, rows in tile order
+    for tile in tiles:
+        kmat, diff, sqdist = pairwise_kernel(sigma, positions[tile])
+        attraction.append(kmat @ scores[tile] / n)
+        repulsion.append(np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n)
+        if visit is not None:
+            visit(scores, tile, tile, kmat, diff, sqdist)
+    for a, b in pairs:
+        rows, cols = tiles[a], tiles[b]
+        kmat, diff, sqdist = pairwise_kernel(sigma, positions[rows], positions[cols])
+        attraction[a] += kmat @ scores[cols] / n
+        attraction[b] += kmat.T @ scores[rows] / n
+        repulsion[a] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
+        repulsion[b] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
+        if visit is not None:
+            visit(scores, rows, cols, kmat, diff, sqdist)
+    return _untile(tiles, attraction), _untile(tiles, repulsion)
+
+
+def _untile(tiles: list, parts: list) -> np.ndarray:
+    """Per-tile rows put back in particle order."""
+    if len(parts) == 1:  # the one tile holds every particle, in order
+        return parts[0]
+    out = np.empty((sum(len(t) for t in tiles), parts[0].shape[1]))
+    out[np.concatenate(tiles)] = np.concatenate(parts)
+    return out
 
 
 def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
@@ -79,20 +108,19 @@ def _iterate_with_parts(
     step_size: float,
     adam: AdamState,
     counter: EvalCounter,
+    visit=None,
 ):
     """One SVGD iteration of the (N, d) positions: move along the
     Adam-preconditioned phi*, then project to the box. Returns the moved
-    positions and the kernel parts it computed.
+    positions.
 
-    The run loop reuses scores and kernel matrices for discrepancy
-    diagnostics, so the iteration exposes them instead of recomputing.
+    The run loop reuses the scores and kernel blocks, through visit (see
+    _forces), for discrepancy diagnostics instead of recomputing them.
     """
-    attraction, repulsion, scores, kmat, diff, sqdist = _forces(
-        positions, target, sigma, counter
-    )
+    attraction, repulsion = _forces(positions, target, sigma, counter, visit)
     phi = attraction + repulsion
     if not np.isfinite(phi).all():
         raise NonFiniteValue("the SVGD direction phi* has non-finite entries")
     displacement = adam_step(adam, phi, step_size)
     moved = project_to_box(target.objective.domain, positions + displacement)
-    return moved, scores, kmat, diff, sqdist
+    return moved

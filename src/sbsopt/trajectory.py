@@ -9,12 +9,12 @@ appearing in later snapshots, so their polylines end early in the rendering.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .boltzmann import check_sigma
 from .errors import NotTwoDimensional
 from .objective import Objective
 
@@ -36,10 +36,7 @@ class TrajectorySnapshot:
     f_values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(
-                f"snapshot sigma must be positive and finite, got {self.sigma!r}"
-            )
+        check_sigma(self.sigma, "snapshot sigma")
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.f_values = np.asarray(self.f_values, dtype=float)
         self.ids = [int(i) for i in self.ids]

@@ -121,8 +121,8 @@ class TestForceDecomposition:
             sigma = float(rng.uniform(0.05, 2.0))
             att, rep, *_ = _forces(pts, target, sigma, EvalCounter())
             # the iteration steps along exactly attraction + repulsion
-            moved, *_ = _iterate_with_parts(pts, target, sigma, 0.03,
-                                            AdamState.fresh(n, 2), EvalCounter())
+            moved = _iterate_with_parts(pts, target, sigma, 0.03,
+                                        AdamState.fresh(n, 2), EvalCounter())
             step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
             want = project_to_box(obj.domain, pts + step)
             assert moved.tobytes() == want.tobytes()

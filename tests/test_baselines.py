@@ -12,12 +12,14 @@ from sbsopt import (
     BudgetTooSmall,
     ConfigError,
     NonFiniteValue,
+    SbsConfig,
     cbo_run,
     cmaes_run,
     langevin_run,
     make_benchmark,
     make_objective,
     run_method,
+    sbs_run,
     woa_run,
 )
 from sbsopt.optimizers import available_methods, consensus_point, default_popsize
@@ -404,8 +406,8 @@ def half_nan_objective():
 
 
 class TestNonFiniteValues:
-    """Population methods never take NaN as an answer; gradient methods raise
-    NonFiniteValue at a non-finite probe."""
+    """Population methods and the sbs final answer never take NaN; gradient
+    methods raise NonFiniteValue at a non-finite probe."""
 
     @pytest.mark.parametrize("method", ["cma-es", "woa", "cbo"])
     def test_population_method_never_answers_nan(self, method):
@@ -413,6 +415,17 @@ class TestNonFiniteValues:
         assert r.evals_used <= 3000
         assert np.isfinite(r.best_f) and r.best_f < 1e-2
         assert r.best_x[0] <= 0.0 and r.best_f == float(r.best_x @ r.best_x)
+
+    def test_sbs_final_answer_skips_nan(self):
+        # one step carries particles past x_0 = 4.95, where f is NaN, after
+        # their last finite probes; the answer is the best finite particle
+        obj = make_objective("halfnan", [-5.0, -5.0], [5.0, 5.0],
+                             lambda p: math.nan if p[0] > 4.95 else -p[0])
+        cfg = SbsConfig(n_particles=200, max_iterations=1, step_size=0.1)
+        r = sbs_run(obj, cfg, 10_000, seed=5)
+        assert r.iterations_done == 1
+        assert np.isfinite(r.best_f) and r.best_x[0] <= 4.95
+        assert r.best_f == -r.best_x[0] and r.best_f < -4.8
 
     def test_langevin_raises_at_a_nan_probe(self):
         with pytest.raises(NonFiniteValue):

@@ -181,10 +181,19 @@ class TestKsd:
         pts = rng.uniform(-4, 4, size=(6, 3))
         sigma = 0.9
         scores = np.stack([score(target, p, EvalCounter()) for p in pts])
-        kmat, diff, sqdist = pairwise_kernel(sigma, pts)
-        a = ksd_from_parts(scores, kmat, diff, sqdist, sigma)
+        whole = slice(0, len(pts))  # one diagonal block holds every pair
+        a = ksd_from_parts(scores, whole, whole, *pairwise_kernel(sigma, pts), sigma)
         b = ksd(pts, target, sigma, EvalCounter())
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_sigma(self, sigma):
+        # the check TrajectorySnapshot makes on a sigma read from a log
+        target = BoltzmannTarget(make_benchmark("sphere", 2), kappa=1.0)
+        counter = EvalCounter()
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ksd(np.zeros((3, 2)), target, sigma, counter)
+        assert counter.count == 0
 
     def test_counts_2d_per_particle(self):
         obj = make_benchmark("sphere", 2)

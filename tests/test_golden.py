@@ -6,6 +6,15 @@ bit, so any change to evaluation order, block scoring or floating-point
 rounding that moves a seeded result fails here. sbs-pf runs far past its
 filter's start_iteration (10) on every function.
 
+The warm-started sbs rows on Ackley and Rastrigin start from particles of
+which several coincide (14 and 15 distinct of 20), so their Gram matrices
+hold off-diagonal ones, and the kernel product K @ scores sums several
+nonzero terms per row. Those rows therefore also pin the summation order of
+the BLAS the table was recorded with (OpenBLAS GEMM sums in lanes keyed on
+the column index). If only they fail under another BLAS build, compare the
+numpy build configuration, which CI prints before the suite, before
+suspecting the code.
+
 A second table pins one run per method with non-default parameters, so
 that every parameter key keeps reaching the run it configures, and two
 runs on paths the first table never takes: CMA-ES clamping offspring and

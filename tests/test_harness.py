@@ -377,6 +377,21 @@ class TestCli:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("params", [["abc"], "abc", 5, [["n_agents", 5]]])
+    def test_malformed_params_exit_2(self, params, capsys, tmp_path):
+        cfg = {
+            "functions": [{"name": "sphere", "dim": 2}],
+            "methods": [{"name": "woa", "params": params}],
+            "budget": 500,
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "params" in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_command_end_to_end(self, capsys, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({

@@ -1,4 +1,6 @@
-"""RBF kernel and bandwidth rule tests."""
+"""RBF kernel, tiled kernel blocks and bandwidth rule tests."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,13 @@ from sbsopt import (
     HybridConfig,
     SbsConfig,
     TrajectorySnapshot,
+    ksd,
+    make_benchmark,
     make_objective,
+    sbs_run,
+    score,
 )
-from sbsopt.boltzmann import pairwise_kernel
+from sbsopt.boltzmann import TILE, WINDOW, kernel_tiles, pairwise_kernel
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
 from sbsopt.svgd import _forces
 
@@ -155,3 +161,143 @@ class TestPairwiseKernel:
         kmat, diff, sqdist = pairwise_kernel(0.1, np.array([[3.0, 4.0]]))
         assert kmat.shape == (1, 1) and kmat[0, 0] == 1.0
         assert np.all(diff == 0.0) and sqdist[0, 0] == 0.0
+
+
+def dense_parts(sigma, positions, scores):
+    """The dense N x N kernel the tiles replace, as a test oracle: SVGD
+    attraction and repulsion, and the KSD V-statistic."""
+    n, d = positions.shape
+    diff = positions[:, None, :] - positions[None, :, :]
+    sqdist = np.einsum("ijk,ijk->ij", diff, diff)
+    kmat = np.exp(-sqdist / (2.0 * sigma**2))
+    attraction = kmat @ scores / n
+    repulsion = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
+    sig2 = sigma**2
+    term_ss = np.einsum("id,jd,ij->", scores, scores, kmat)
+    s_dot_diff = np.einsum("id,ijd->ij", scores, diff)
+    term_cross = 2.0 * np.sum(s_dot_diff * kmat) / sig2
+    term_trace = np.sum(kmat * (d / sig2 - sqdist / sig2**2))
+    stein = float((term_ss + term_cross + term_trace) / n**2)
+    return attraction, repulsion, stein, kmat
+
+
+def clustered(rng, n, sigma, d=2):
+    """n particles in five clusters a few sigma wide, a quarter of them
+    coincident with another particle."""
+    centres = rng.uniform(-3.0, 3.0, size=(5, d))
+    pts = centres[rng.integers(0, 5, n)] + rng.normal(size=(n, d)) * 5.0 * sigma
+    pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    return np.clip(pts, -4.5, 4.5)
+
+
+def outside_the_tiles(sigma, pts):
+    """The dense kernel's entries in no block that kernel_tiles lists."""
+    n = pts.shape[0]
+    tiles, pairs = kernel_tiles(sigma, pts)
+    covered = np.zeros((n, n), dtype=bool)
+    for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
+        covered[np.ix_(rows, cols)] = covered[np.ix_(cols, rows)] = True
+    return pairwise_kernel(sigma, pts)[0][~covered]
+
+
+def tiled_and_dense(sigma, pts, objective=None):
+    obj = objective or make_benchmark("ackley", pts.shape[1])
+    target = BoltzmannTarget(obj, kappa=10.0)
+    attraction, repulsion = _forces(pts, target, sigma, EvalCounter())
+    scores = score(target, pts, EvalCounter())
+    stein = ksd(pts, target, sigma, EvalCounter())
+    return (attraction, repulsion, stein), dense_parts(sigma, pts, scores)
+
+
+def max_normalised(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestTiledKernel:
+    """The tiled exact-cutoff kernel against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 37, TILE])
+    @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, None, 0.3])
+    def test_bit_equal_up_to_one_tile(self, n, sigma):
+        sigma = sigma or 1.0 / n**2
+        pts = clustered(np.random.default_rng(n), n, sigma, d=3)
+        (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
+        np.testing.assert_array_equal(a, da)
+        np.testing.assert_array_equal(r, dr)
+        assert stein == dstein
+
+    @pytest.mark.parametrize("n", [TILE + 1, 600, 4 * TILE])
+    @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, None, 1e-3])
+    def test_close_beyond_one_tile(self, n, sigma):
+        sigma = sigma or 1.0 / n**2
+        pts = clustered(np.random.default_rng(n), n, sigma)
+        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+        assert np.count_nonzero(kmat) > n  # particles interact across tiles
+        assert max_normalised(a, da) <= 1e-14
+        assert max_normalised(r, dr) <= 1e-14
+        assert stein == pytest.approx(dstein, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [TILE + 1, 1000])
+    def test_skipped_blocks_are_exactly_zero(self, n):
+        sigma = 1e-3
+        pts = clustered(np.random.default_rng(7), n, sigma)
+        tiles, pairs = kernel_tiles(sigma, pts)
+        np.testing.assert_array_equal(np.sort(np.concatenate(tiles)), np.arange(n))
+        assert all(len(t) <= TILE and np.all(np.diff(t) > 0) for t in tiles)
+        assert all(a < b for a, b in pairs)
+        if n > 2 * TILE:  # some pairs of tiles are left out
+            assert len(pairs) < len(tiles) * (len(tiles) - 1) // 2
+        assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+
+    def test_one_tile_is_a_view(self):
+        pts = np.zeros((TILE, 2))
+        assert kernel_tiles(1.0, pts) == ([slice(0, TILE)], [])
+
+    def test_keeps_a_one_ulp_pair_across_a_tile_boundary(self):
+        # at sigma = 1e-17 two particles one ulp apart at x_0 = 1 have
+        # k = exp(-246) > 0; 255 others sort first, so they fall in two tiles
+        sigma = 1e-17
+        pts = np.zeros((TILE + 1, 2))
+        pts[:TILE - 1, 0] = np.linspace(-4.0, -1.0, TILE - 1)
+        pts[TILE - 1, 0] = 1.0
+        pts[TILE, 0] = np.nextafter(1.0, 2.0)
+        assert kernel_tiles(sigma, pts)[1] == [(0, 1)]
+        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+        assert 0.0 < kmat[TILE - 1, TILE] < 1e-100
+        assert r[TILE, 0] > 0.0 and r[TILE - 1, 0] < 0.0
+        assert max_normalised(r, dr) <= 1e-14 and max_normalised(a, da) <= 1e-14
+        assert stein == pytest.approx(dstein, rel=1e-14)
+
+    def test_keeps_every_pair_when_sigma_squared_is_subnormal(self):
+        # sigma**2 rounds up to 2 subnormal units here, so k(41 sigma) is
+        # 1.8e-292 although 41 sigma is past the window
+        sigma = 2.81e-162
+        pts = np.zeros((TILE + 1, 2))
+        pts[:TILE - 1, 0] = np.linspace(-4.0, -1.0, TILE - 1)
+        pts[TILE, 0] = 41 * sigma
+        assert 41 > WINDOW and pairwise_kernel(sigma, pts[TILE - 1:])[0][0, 1] > 0.0
+        assert kernel_tiles(sigma, pts)[1] == [(0, 1)]
+        with np.errstate(over="ignore"):  # far pairs: exp(-inf) = 0
+            assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+
+    def test_run_ksd_matches_ksd_of_the_entering_state(self):
+        n = TILE + 44
+        obj = make_benchmark("ackley", 2)
+        cfg = SbsConfig(n_particles=n, sigma=0.05, max_iterations=1)
+        r = sbs_run(obj, cfg, 10**6, 2, collect_diagnostics=True, track_ksd=True,
+                    log_every=1)
+        entering = r.trajectory.snapshots[0].positions
+        want = ksd(entering, BoltzmannTarget(obj, kappa=cfg.kappa), 0.05, EvalCounter())
+        assert r.diagnostics[0].ksd == want
+
+    def test_twenty_thousand_particles_in_bounded_memory(self):
+        # the dense kernel would hold 20000^2 (d + 2) floats, about 12.8 GB
+        tracemalloc.start()
+        try:
+            r = sbs_run(make_benchmark("ackley", 2),
+                        SbsConfig(n_particles=20_000, max_iterations=2), 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.iterations_done == 2 and np.isfinite(r.best_f)
+        assert peak < 100e6
