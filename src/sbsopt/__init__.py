@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .benchmarks import (
     BenchmarkEntry,
-    benchmark_names,
     distance_to_minimum,
     lookup,
     make_benchmark,
@@ -21,9 +20,6 @@ from .benchmarks import (
 from .boltzmann import (
     DEFAULT_KAPPA,
     BoltzmannTarget,
-    GridDensity,
-    density_on_grid,
-    expectation_on_grid,
     ksd,
     score,
 )
@@ -31,7 +27,6 @@ from .errors import (
     BudgetExceeded,
     BudgetTooSmall,
     ConfigError,
-    DegenerateGrid,
     NonFiniteValue,
     NotTwoDimensional,
     OutOfDomain,
@@ -53,7 +48,6 @@ from .objective import (
     BoxDomain,
     EvalCounter,
     Objective,
-    Reference,
     evaluate,
     fd_gradient,
     make_objective,
@@ -90,13 +84,11 @@ __all__ = [
     "ConfigError",
     "DEFAULT_KAPPA",
     "DEFAULT_STEP_SIZE",
-    "DegenerateGrid",
     "EvalCounter",
     "ExperimentConfig",
     "ExperimentTable",
     "FilterConfig",
     "FunctionSpec",
-    "GridDensity",
     "HybridConfig",
     "IterationRecord",
     "MethodSpec",
@@ -104,7 +96,6 @@ __all__ = [
     "NotTwoDimensional",
     "Objective",
     "OutOfDomain",
-    "Reference",
     "RunResult",
     "SbsConfig",
     "SbsError",
@@ -116,15 +107,12 @@ __all__ = [
     "adam_step",
     "available_methods",
     "average_rank",
-    "benchmark_names",
     "cbo_run",
     "cmaes_run",
-    "density_on_grid",
     "derive_seed",
     "distance_to_minimum",
     "ecr",
     "evaluate",
-    "expectation_on_grid",
     "fd_gradient",
     "ksd",
     "langevin_run",

@@ -1,8 +1,9 @@
 """Registry of the 13 classical benchmark functions.
 
-Definitions follow the standard virtual-library forms. Reference minima are
-the published values, re-refined to full double precision so that every
-listed minimizer evaluates to f_star within 1e-9.
+Definitions follow the standard virtual-library forms. The reference
+minima are the published values, re-refined to full double precision so
+that every listed minimizer evaluates to f_star within 1e-9; make_benchmark
+checks this for the dimension it builds.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import UnsupportedDimension
-from .objective import BoxDomain, Objective, Reference
+from .objective import BoxDomain, Objective
 
 Evaluator = Callable[[np.ndarray], float]
 
@@ -193,10 +194,6 @@ class BenchmarkEntry:
             return self.f_star_by_dim[d]
         raise UnsupportedDimension(f"{self.name} has no reference value for d={d}")
 
-    @property
-    def f_star(self) -> float:
-        return self.f_star_for(self.default_dim)
-
     def minimizers_for(self, d: int) -> tuple[np.ndarray, ...]:
         spec = self.minimizers_by_dim.get(0, self.minimizers_by_dim.get(d, ()))
         if spec == "zeros":
@@ -204,10 +201,6 @@ class BenchmarkEntry:
         if spec == "ones":
             return (np.ones(d),)
         return tuple(np.asarray(m, dtype=float) for m in spec)
-
-    @property
-    def minimizers(self) -> tuple[np.ndarray, ...]:
-        return self.minimizers_for(self.default_dim)
 
 
 _BRANIN_F = 0.39788735772973816
@@ -305,24 +298,10 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
 )
 
 _REGISTRY = {e.name: e for e in _ENTRIES}
-_REGISTRY_VALIDATED = False
-
-MINIMIZER_TOL = 1e-6
 
 
 def registry() -> dict[str, BenchmarkEntry]:
-    """Name -> entry, in canonical listing order. Validated on first use."""
-    global _REGISTRY_VALIDATED
-    if not _REGISTRY_VALIDATED:
-        for entry in _ENTRIES:
-            for x_star in entry.minimizers:
-                got = entry.evaluator(np.asarray(x_star, dtype=float))
-                if abs(got - entry.f_star) > MINIMIZER_TOL:
-                    raise AssertionError(
-                        f"registry: {entry.name} minimizer {x_star} evaluates to "
-                        f"{got!r}, expected {entry.f_star!r}"
-                    )
-        _REGISTRY_VALIDATED = True
+    """Name -> entry, in canonical listing order."""
     return _REGISTRY
 
 
@@ -337,28 +316,32 @@ def lookup(name: str) -> BenchmarkEntry:
 
 
 def make_benchmark(name: str, d: int) -> Objective:
-    """Build an Objective for the named benchmark at dimension d."""
+    """Build an Objective for the named benchmark at dimension d.
+
+    Checks the entry's reference minimum first: each minimizer for d must
+    lie in the box and evaluate to f_star within 1e-9, else ValueError.
+    """
     entry = lookup(name)
     if not entry.supports(d):
         raise UnsupportedDimension(
             f"{entry.name} supports dims {entry.dims_label()}, not {d}"
         )
-    reference = Reference(
-        f_star=entry.f_star_for(d),
-        minimizers=entry.minimizers_for(d),
-    )
-    return Objective(
-        name=f"{entry.name}-{d}d",
-        domain=entry.domain_for(d),
-        evaluator=entry.evaluator,
-        reference=reference,
-    )
+    obj = Objective(name=f"{entry.name}-{d}d", domain=entry.domain_for(d),
+                    evaluator=entry.evaluator)
+    f_star = entry.f_star_for(d)
+    for x_star in entry.minimizers_for(d):
+        if not obj.domain.contains(x_star):
+            raise ValueError(f"{obj.name}: minimizer {x_star} outside domain")
+        f_val = float(obj.evaluator(x_star))
+        if abs(f_val - f_star) > 1e-9:
+            raise ValueError(
+                f"{obj.name}: f(minimizer)={f_val!r} differs from "
+                f"f_star={f_star!r} beyond 1e-9"
+            )
+    return obj
 
 
 def distance_to_minimum(entry: BenchmarkEntry, f_found: float, d: int | None = None) -> float:
     """|f_found - f_star|: distance to the optimum in objective value."""
     return abs(f_found - entry.f_star_for(d if d is not None else entry.default_dim))
 
-
-def benchmark_names() -> list[str]:
-    return [e.name for e in _ENTRIES]

@@ -73,6 +73,9 @@ def _cmd_single(args) -> int:
     if args.log_trajectory and not logs_trajectories(args.method):
         raise ConfigError(f"method {args.method!r} records no trajectory",
                           field="log_trajectory")
+    if args.log_trajectory and args.log_every < 1:
+        raise ConfigError(f"log_every must be positive, got {args.log_every}",
+                          field="log_every")
     params = _parse_params(args.param or [])
     obj = make_benchmark(args.function, args.dim)
     log_every = args.log_every if args.log_trajectory else 0

@@ -23,10 +23,6 @@ class UnsupportedDimension(SbsError):
     """A benchmark does not support the requested dimension."""
 
 
-class DegenerateGrid(SbsError):
-    """A quadrature grid has too few points or zero extent."""
-
-
 class BudgetTooSmall(SbsError):
     """The evaluation budget cannot cover the minimum required work."""
 

@@ -20,7 +20,6 @@ from .benchmarks import BenchmarkEntry, distance_to_minimum, lookup, make_benchm
 from .errors import BudgetExceeded, ConfigError
 from .optimizers import RunResult, available_methods, derive_seed, run_method
 from .optimizers.base import check_number
-from .trajectory import plot_trajectories
 
 ECR_FLOOR = 1e-12
 ECR_CLIP = 100.0
@@ -385,7 +384,6 @@ __all__ = [
     "RunRecord",
     "average_rank",
     "ecr",
-    "plot_trajectories",
     "run_experiment",
     "validate_config",
     "write_results",

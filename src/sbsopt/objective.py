@@ -1,5 +1,9 @@
 """Box-constrained black-box objectives and evaluation accounting.
 
+An :class:`Objective` is a name, a box and an evaluator, nothing more: the
+known minima of the registry benchmarks live in the registry, which checks
+them in :func:`~sbsopt.benchmarks.make_benchmark`.
+
 Every optimizer in this package spends its budget through :func:`evaluate`
 and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the single
 source of truth for how many scalar function evaluations a run consumed.
@@ -21,8 +25,6 @@ from .errors import NonFiniteValue, OutOfDomain
 
 Point = np.ndarray
 Evaluator = Callable[[np.ndarray], float]
-
-REFERENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,6 @@ class BoxDomain:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Known global minimum: value and one or more minimizers."""
-
-    f_star: float
-    minimizers: tuple[np.ndarray, ...]
-
-
 @dataclass
 class EvalCounter:
     """Counts scalar objective evaluations, one per evaluator call."""
@@ -80,30 +74,11 @@ class EvalCounter:
 
 @dataclass(frozen=True)
 class Objective:
-    """A named scalar function on a box domain.
-
-    The evaluator must be pure. ``reference``, when present, is validated at
-    construction: each listed minimizer must lie in the domain and evaluate
-    to ``f_star`` within 1e-9.
-    """
+    """A named scalar function on a box domain. The evaluator must be pure."""
 
     name: str
     domain: BoxDomain
     evaluator: Evaluator = field(repr=False)
-    reference: Reference | None = None
-
-    def __post_init__(self):
-        if self.reference is None:
-            return
-        for x_star in self.reference.minimizers:
-            if not self.domain.contains(x_star):
-                raise ValueError(f"{self.name}: minimizer {x_star} outside domain")
-            f_val = float(self.evaluator(np.asarray(x_star, dtype=float)))
-            if abs(f_val - self.reference.f_star) > REFERENCE_TOL:
-                raise ValueError(
-                    f"{self.name}: f(minimizer)={f_val!r} differs from "
-                    f"f_star={self.reference.f_star!r} beyond {REFERENCE_TOL}"
-                )
 
     @property
     def d(self) -> int:
@@ -187,15 +162,7 @@ def make_objective(
     lower: Sequence[float],
     upper: Sequence[float],
     evaluator: Evaluator,
-    f_star: float | None = None,
-    minimizers: Sequence[Sequence[float]] = (),
 ) -> Objective:
-    """Convenience constructor used by the benchmark registry and tests."""
+    """An Objective for a user callable on the box [lower, upper]."""
     domain = BoxDomain(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-    reference = None
-    if f_star is not None:
-        reference = Reference(
-            f_star=float(f_star),
-            minimizers=tuple(np.asarray(m, dtype=float) for m in minimizers),
-        )
-    return Objective(name=name, domain=domain, evaluator=evaluator, reference=reference)
+    return Objective(name=name, domain=domain, evaluator=evaluator)

@@ -188,7 +188,8 @@ def run_method(
 ) -> RunResult:
     """Run one optimizer by name under an evaluation budget.
 
-    track_ksd, log_every and benchmark only affect the sbs names.
+    track_ksd, log_every and benchmark only affect the sbs names; track_ksd
+    adds a KSD to each diagnostics record, so it needs collect_diagnostics.
     """
     if name not in _METHODS:
         raise ConfigError(f"unknown method {name!r}", field="method")

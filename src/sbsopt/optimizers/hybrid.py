@@ -92,7 +92,9 @@ def sbs_run(
     continuation beats it; its cmaes_budget must cover one CMA-ES
     generation (else ConfigError).
     Diagnostics, the KSD and a trajectory snapshot every log_every
-    iterations are off-budget instrumentation.
+    iterations are off-budget instrumentation. The KSD goes only into the
+    diagnostics records, so track_ksd does nothing without
+    collect_diagnostics.
     """
     instruments = dict(
         collect_diagnostics=collect_diagnostics,

@@ -102,7 +102,9 @@ class SbsConfig:
         check_number(self, "step_size", float, positive=True)
         check_number(self, "sigma", float, optional=True, positive=True)
         check_number(self, "fd_step", float, optional=True, positive=True)
-        check_number(self, "max_iterations", int, optional=True)
+        max_iterations = check_number(self, "max_iterations", int, optional=True)
+        if max_iterations is not None and max_iterations < 0:
+            raise ConfigError("max_iterations must be nonnegative", field="max_iterations")
 
     @property
     def method(self) -> str:
@@ -225,11 +227,7 @@ def _run_engine(
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
     best_so_far = np.inf
-    instrument = EvalCounter()
-
-    def current_f_values() -> np.ndarray:
-        # instrumentation only: does not touch the run budget
-        return evaluate(obj, positions, instrument)
+    instrument = EvalCounter()  # instrumentation only: not the run budget
 
     log: TrajectoryLog | None = None
     if log_every > 0:
@@ -244,21 +242,22 @@ def _run_engine(
         )
 
     def snapshot(iteration: int, sigma: float, f_vals: np.ndarray | None) -> None:
-        if log is None:
-            return
-        values = f_vals if f_vals is not None else current_f_values()
+        if f_vals is None:
+            f_vals = evaluate(obj, positions, instrument)
         log.append(
             TrajectorySnapshot(
                 iteration=iteration,
                 sigma=sigma,
                 ids=list(original_ids),
                 positions=positions.copy(),
-                f_values=values,
+                f_values=f_vals,
             )
         )
 
-    snapshot(0, cfg.bandwidth(n_particles), None)
+    if log is not None:
+        snapshot(0, cfg.bandwidth(n_particles), None)
 
+    track_ksd = track_ksd and records is not None  # the KSD only goes into records
     ksd_parts: list[float] = []
 
     def add_ksd(*block) -> None:
@@ -266,6 +265,7 @@ def _run_engine(
         ksd_parts.append(ksd_from_parts(*block, sigma))
 
     iteration = 0
+    seen_f: np.ndarray | None = None  # the live particles' f-values, when known
     while True:
         n_live = positions.shape[0]
         will_filter = fcfg is not None and (iteration + 1) >= fcfg.start_iteration
@@ -296,19 +296,23 @@ def _run_engine(
                 original_ids = original_ids[keep]
                 last_f = last_f[keep]
 
+        # one off-budget pass at most, shared by the record and the snapshot
+        logged = log is not None and iteration % log_every == 0
+        seen_f = last_f
+        if seen_f is None and (records is not None or logged):
+            seen_f = evaluate(obj, positions, instrument)
         if records is not None:
-            values = last_f if last_f is not None else current_f_values()
-            min_f = float(values.min())
+            min_f = float(seen_f.min())
             best_so_far = min(best_so_far, min_f)
             records.append(
                 IterationRecord(iteration, min_f, best_so_far, positions.shape[0],
                                 ksd_value)
             )
-        if log is not None and iteration % log_every == 0:
-            snapshot(iteration, sigma, last_f)
+        if logged:
+            snapshot(iteration, sigma, seen_f)
 
     if log is not None and log.snapshots[-1].iteration != iteration:
-        snapshot(iteration, cfg.bandwidth(positions.shape[0]), last_f)
+        snapshot(iteration, cfg.bandwidth(positions.shape[0]), seen_f)
 
     if last_f is None:
         if budget - counter.count >= positions.shape[0]:

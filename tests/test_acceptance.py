@@ -24,9 +24,7 @@ from sbsopt import (
     adam_step,
     cbo_run,
     cmaes_run,
-    density_on_grid,
     ecr,
-    expectation_on_grid,
     fd_gradient,
     ksd,
     langevin_run,
@@ -44,6 +42,8 @@ from sbsopt import (
     write_results,
 )
 from sbsopt.svgd import _forces, _iterate_with_parts
+
+from grid_oracle import density_on_grid, expectation_on_grid
 
 
 def distance(entry_name, best_f, d=2):

@@ -6,6 +6,7 @@ minimizers. The registry evaluators are written over the last axis of a
 block, so a transcription error in any copy would show up as a mismatch.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from sbsopt import (
     UnsupportedDimension,
-    benchmark_names,
     distance_to_minimum,
     lookup,
     make_benchmark,
@@ -249,7 +249,7 @@ def _dims(entry):
 
 class TestRegistryShape:
     def test_names_and_order(self):
-        assert benchmark_names() == EXPECTED_NAMES
+        assert list(registry()) == EXPECTED_NAMES
         assert len(registry()) == 13
 
     def test_lookup_is_case_insensitive(self):
@@ -340,12 +340,14 @@ class TestBlockEvaluation:
 
 
 class TestReferenceMinima:
+    # make_benchmark enforces 1e-9; the worst gap over every entry and
+    # dimension is 4.4e-16
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_minimizers_evaluate_to_f_star(self, name):
         entry = lookup(name)
         for x_star in entry.minimizers_for(2):
             got = entry.evaluator(np.asarray(x_star, dtype=float))
-            assert abs(got - entry.f_star_for(2)) < 1e-6
+            assert abs(got - entry.f_star_for(2)) <= 1e-9
 
     @pytest.mark.parametrize("name", ["Ackley", "Rastrigin", "Levy", "Sphere", "Rosenbrock"])
     @pytest.mark.parametrize("d", [2, 5, 10, 50])
@@ -355,7 +357,7 @@ class TestReferenceMinima:
         for x_star in entry.minimizers_for(d):
             assert x_star.size == d
             got = entry.evaluator(x_star)
-            assert abs(got - entry.f_star_for(d)) < 1e-6
+            assert abs(got - entry.f_star_for(d)) <= 1e-9
 
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_f_star_is_a_lower_bound_on_samples(self, name):
@@ -380,8 +382,22 @@ class TestMakeBenchmark:
         obj = make_benchmark("sphere", 4)
         assert obj.name == "Sphere-4d"
         assert obj.d == 4
-        assert obj.reference.f_star == 0.0
+        assert lookup("sphere").f_star_for(obj.d) == 0.0
         np.testing.assert_array_equal(obj.domain.lower, [-5.12] * 4)
+
+    def test_reference_validation(self, monkeypatch):
+        # make_benchmark is where a reference minimum is checked
+        entry = lookup("himmelblau")
+        for field, bad, match in [
+            ("f_star_by_dim", {2: 1e-6}, "differs from f_star"),
+            ("minimizers_by_dim", {2: ((5.5, 0.0),)}, "outside domain"),
+        ]:
+            corrupted = dataclasses.replace(entry, **{field: bad})
+            monkeypatch.setitem(registry(), "Himmelblau", corrupted)
+            with pytest.raises(ValueError, match=match):
+                make_benchmark("himmelblau", 2)
+        monkeypatch.undo()
+        assert make_benchmark("himmelblau", 2).name == "Himmelblau-2d"
 
     def test_distance_to_minimum(self):
         entry = lookup("branin")

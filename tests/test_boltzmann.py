@@ -5,16 +5,15 @@ import pytest
 
 from sbsopt import (
     BoltzmannTarget,
-    DegenerateGrid,
     EvalCounter,
-    density_on_grid,
-    expectation_on_grid,
     ksd,
     make_benchmark,
     make_objective,
     score,
 )
 from sbsopt.boltzmann import ksd_from_parts, pairwise_kernel
+
+from grid_oracle import density_on_grid, expectation_on_grid
 
 
 def line_objective():
@@ -105,13 +104,13 @@ class TestGridDensity:
 
     def test_degenerate_grids_raise(self):
         target = BoltzmannTarget(line_objective(), kappa=1.0)
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ValueError):
             density_on_grid(target)
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ValueError):
             density_on_grid(target, np.array([0.5]))
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ValueError):
             density_on_grid(target, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DegenerateGrid):
+        with pytest.raises(ValueError):
             density_on_grid(
                 target, np.linspace(0, 1, 5), np.linspace(0, 1, 5), np.linspace(0, 1, 5)
             )

@@ -436,6 +436,17 @@ class TestCli:
         assert "records no trajectory" in capsys.readouterr().err
         assert not log_path.exists()
 
+    @pytest.mark.parametrize("log_every", ["0", "-3"])
+    def test_trajectory_with_log_every_below_one_exits_2(self, log_every, capsys,
+                                                          tmp_path):
+        log_path = tmp_path / "run.json"
+        assert main([
+            "single", "--method", "sbs", "--function", "sphere", "--budget", "500",
+            "--log-trajectory", str(log_path), "--log-every", log_every,
+        ]) == 2
+        assert "log_every" in capsys.readouterr().err
+        assert not log_path.exists()
+
     def test_bad_parameter_value_exits_2(self, capsys):
         assert main(["single", "--method", "sbs", "--function", "sphere",
                      "--budget", "1000", "--param", "kappa=-1"]) == 2

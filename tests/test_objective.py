@@ -91,18 +91,6 @@ class TestEvaluate:
             evaluate(obj, np.array([2.0, 0.0, 0.0]), counter)
         assert counter.count == 0
 
-    def test_reference_validation(self):
-        with pytest.raises(ValueError):
-            make_objective(
-                "bad", [-1.0], [1.0], lambda x: float(x[0] ** 2),
-                f_star=1.0, minimizers=[[0.0]],
-            )
-        ok = make_objective(
-            "good", [-1.0], [1.0], lambda x: float(x[0] ** 2),
-            f_star=0.0, minimizers=[[0.0]],
-        )
-        assert ok.reference.f_star == 0.0
-
 
 class TestBlockEvaluate:
     def test_block_ticks_one_per_row(self):

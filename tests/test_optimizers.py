@@ -223,10 +223,58 @@ class TestSbsRun:
         r = sbs_run(obj, SbsConfig(n_particles=10, max_iterations=7), 10_000, 0)
         assert r.iterations_done == 7
 
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            SbsConfig(max_iterations=-4)
+        assert err.value.field == "max_iterations"
+        assert SbsConfig(max_iterations=0).max_iterations == 0
+
     def test_best_x_was_evaluated_to_best_f(self):
         obj = make_benchmark("rastrigin", 2)
         r = sbs_run(obj, SbsConfig(n_particles=10), 2000, 5)
         assert float(obj.evaluator(r.best_x)) == r.best_f
+
+
+class TestInstrumentation:
+    @staticmethod
+    def counted_objective():
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return float(x @ x)
+
+        return make_objective("counted", [-1.0, -1.0], [1.0, 1.0], f), calls
+
+    # d=2, N=5, budget 1000: 49 iterations of 20 evaluations, then 5 for the
+    # answer. Off budget: one pass per recorded or logged iteration, plus
+    # snapshot 0 when logging.
+    @pytest.mark.parametrize("diagnostics, log_every, offbudget", [
+        (False, 0, 0),
+        (True, 0, 5 * 49),
+        (False, 10, 5 * 6),  # snapshots 0, 10, 20, 30, 40 and the final 49
+        (True, 10, 5 * 50),
+        (True, 1, 5 * 50),
+    ])
+    def test_one_offbudget_pass_per_iteration(self, diagnostics, log_every, offbudget):
+        obj, calls = self.counted_objective()
+        r = sbs_run(obj, SbsConfig(n_particles=5), 1000, 3,
+                    collect_diagnostics=diagnostics, track_ksd=diagnostics,
+                    log_every=log_every)
+        assert r.iterations_done == 49 and r.evals_used == 985
+        assert calls[0] - r.evals_used == offbudget
+
+    def test_ksd_is_skipped_without_diagnostics(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("KSD computed for no record")
+
+        monkeypatch.setattr(sbs_module, "ksd_from_parts", fail)
+        obj = make_benchmark("sphere", 2)
+        r = sbs_run(obj, SbsConfig(n_particles=10), 2000, 4, track_ksd=True)
+        assert r.diagnostics is None
+        with pytest.raises(AssertionError):
+            sbs_run(obj, SbsConfig(n_particles=10), 2000, 4, track_ksd=True,
+                    collect_diagnostics=True)
 
 
 class TestSbsPfRun:
