@@ -55,11 +55,15 @@ from .objective import (
     uniform_sample,
 )
 from .optimizers import (
+    CboParams,
+    CmaesParams,
     FilterConfig,
     HybridConfig,
     IterationRecord,
+    LangevinParams,
     RunResult,
     SbsConfig,
+    WoaParams,
     available_methods,
     cbo_run,
     cmaes_run,
@@ -71,16 +75,17 @@ from .optimizers import (
     split_streams,
     woa_run,
 )
-from .svgd import DEFAULT_STEP_SIZE, AdamState, adam_step
+from .svgd import DEFAULT_STEP_SIZE
 from .trajectory import TrajectoryLog, TrajectorySnapshot, plot_trajectories
 
 __all__ = [
-    "AdamState",
     "BenchmarkEntry",
     "BoltzmannTarget",
     "BoxDomain",
     "BudgetExceeded",
     "BudgetTooSmall",
+    "CboParams",
+    "CmaesParams",
     "ConfigError",
     "DEFAULT_KAPPA",
     "DEFAULT_STEP_SIZE",
@@ -91,6 +96,7 @@ __all__ = [
     "FunctionSpec",
     "HybridConfig",
     "IterationRecord",
+    "LangevinParams",
     "MethodSpec",
     "NonFiniteValue",
     "NotTwoDimensional",
@@ -103,8 +109,8 @@ __all__ = [
     "TrajectoryLog",
     "TrajectorySnapshot",
     "UnsupportedDimension",
+    "WoaParams",
     "__version__",
-    "adam_step",
     "available_methods",
     "average_rank",
     "cbo_run",

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import BenchmarkEntry, distance_to_minimum, lookup, make_benchmark
 from .errors import BudgetExceeded, ConfigError
-from .optimizers import RunResult, available_methods, derive_seed, run_method
+from .optimizers import RunResult, derive_seed, method_config, run_method
 from .optimizers.base import check_number
 
 ECR_FLOOR = 1e-12
@@ -131,7 +131,8 @@ def _params_object(method: dict) -> dict:
 
 
 def validate_config(cfg: ExperimentConfig) -> dict[str, BenchmarkEntry]:
-    """Resolve and sanity-check the config; returns the benchmark entries."""
+    """Resolve and sanity-check the config, every method's parameters
+    included, before any cell runs; returns the benchmark entries."""
     if not cfg.functions:
         raise ConfigError("no functions given", field="functions")
     if not cfg.methods:
@@ -164,8 +165,7 @@ def validate_config(cfg: ExperimentConfig) -> dict[str, BenchmarkEntry]:
         if m.key in seen_methods:
             raise ConfigError(f"duplicate method label {m.key!r}", field="methods")
         seen_methods.add(m.key)
-        if m.name not in available_methods():
-            raise ConfigError(f"unknown method {m.name!r}", field="methods")
+        method_config(m.name, m.params)
     return entries
 
 

@@ -10,26 +10,29 @@ parameter dataclasses, which also hold the defaults and check the values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from ..boltzmann import DEFAULT_KAPPA
-from ..errors import BudgetTooSmall, ConfigError
+from ..errors import ConfigError
 from ..objective import Objective
-from .base import IterationRecord, RunResult, check_number, derive_seed, split_streams
-from .cbo import cbo_run, consensus_point
-from .cmaes import CmaGaussian, cmaes_run, default_popsize, sample_gaussian
+from .base import IterationRecord, RunResult, derive_seed, split_streams
+from .cbo import CboParams, cbo_run, consensus_point
+from .cmaes import CmaesParams, CmaGaussian, cmaes_run, default_popsize, sample_gaussian
 from .hybrid import HybridConfig, sbs_run
-from .langevin import langevin_run
+from .langevin import LangevinParams, langevin_run
 from .sbs import FilterConfig, SbsConfig, pf_filter
-from .woa import woa_run
+from .woa import WoaParams, woa_run
 
 __all__ = [
+    "CboParams",
     "CmaGaussian",
+    "CmaesParams",
     "FilterConfig",
     "HybridConfig",
     "IterationRecord",
+    "LangevinParams",
     "RunResult",
     "SbsConfig",
+    "WoaParams",
     "available_methods",
     "cbo_run",
     "cmaes_run",
@@ -38,6 +41,7 @@ __all__ = [
     "derive_seed",
     "langevin_run",
     "logs_trajectories",
+    "method_config",
     "pf_filter",
     "run_method",
     "sample_gaussian",
@@ -47,113 +51,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CmaesParams:
-    """popsize None: 4 + floor(3 ln d); sigma0 None: 0.3 x the widest box side."""
-
-    popsize: int | None = None
-    sigma0: float | None = None
-
-    def __post_init__(self):
-        check_number(self, "popsize", int, optional=True)
-        check_number(self, "sigma0", float, optional=True, positive=True)
-
-
-@dataclass(frozen=True)
-class WoaParams:
-    """iterations None: as many as the budget covers after the first population."""
-
-    n_agents: int = 30
-    iterations: int | None = None
-
-    def __post_init__(self):
-        check_number(self, "n_agents", int, positive=True)
-        check_number(self, "iterations", int, optional=True)
-
-
-@dataclass(frozen=True)
-class CboParams:
-    """iterations None: as many as the budget covers after the first population."""
-
-    n_particles: int = 100
-    iterations: int | None = None
-    alpha: float = 30.0
-    lam_drift: float = 1.0
-    sigma_noise: float = 0.7
-    dt: float = 0.1
-
-    def __post_init__(self):
-        check_number(self, "n_particles", int, positive=True)
-        check_number(self, "iterations", int, optional=True)
-        check_number(self, "alpha", float)
-        check_number(self, "lam_drift", float)
-        check_number(self, "sigma_noise", float)
-        if check_number(self, "dt", float) < 0:
-            raise ConfigError("dt must be nonnegative", field="dt")
-
-
-@dataclass(frozen=True)
-class LangevinParams:
-    n_chains: int = 10
-    kappa: float = DEFAULT_KAPPA
-    eta: float = 1e-5
-
-    def __post_init__(self):
-        check_number(self, "n_chains", int)
-        check_number(self, "kappa", float)
-        check_number(self, "eta", float)
-
-
-def _population_iterations(budget: int, size: int, iterations: int | None) -> int:
-    """Iterations for a fixed-population method: given, or fit to budget."""
-    if iterations is not None:
-        return iterations
-    iterations = budget // size - 1
-    if iterations < 0:
-        raise BudgetTooSmall(f"budget {budget} below one population of {size}")
-    return iterations
-
-
-# The baseline adapters look the run functions up as module globals at call
-# time, so a caller that replaces one on this module (a tracer, a test) is
-# honoured.
-
-def _cmaes(obj, p: CmaesParams, budget, seed, *, collect_diagnostics, **_):
-    result, _ = cmaes_run(obj, budget, seed, popsize=p.popsize, sigma0=p.sigma0,
-                          collect_diagnostics=collect_diagnostics)
-    return result
-
-
-def _woa(obj, p: WoaParams, budget, seed, *, collect_diagnostics, **_):
-    iterations = _population_iterations(budget, p.n_agents, p.iterations)
-    result, _ = woa_run(obj, p.n_agents, iterations, seed, budget=budget,
-                        collect_diagnostics=collect_diagnostics)
-    return result
-
-
-def _cbo(obj, p: CboParams, budget, seed, *, collect_diagnostics, **_):
-    iterations = _population_iterations(budget, p.n_particles, p.iterations)
-    return cbo_run(obj, p.n_particles, iterations, seed, alpha=p.alpha,
-                   lam_drift=p.lam_drift, sigma_noise=p.sigma_noise, dt=p.dt,
-                   budget=budget, collect_diagnostics=collect_diagnostics)
-
-
-def _langevin(obj, p: LangevinParams, budget, seed, *, collect_diagnostics, **_):
-    return langevin_run(obj, n_chains=p.n_chains, kappa=p.kappa, eta=p.eta,
-                        budget=budget, seed=seed, collect_diagnostics=collect_diagnostics)
-
-
-# name -> (parameter dataclasses, run function). The first dataclass is the
-# method's parameter object; the others become its nested parts.
+# name -> (parameter dataclasses, name of the run function). The first
+# dataclass is the method's parameter object; the others become its nested
+# parts. Every run function is called as run(obj, params, budget, seed, *,
+# collect_diagnostics); cmaes_run and woa_run also return their final state.
 _METHODS = {
-    "sbs": ((SbsConfig,), sbs_run),
-    "sbs-pf": ((SbsConfig, FilterConfig), sbs_run),
-    "sbs-hybrid": ((SbsConfig, HybridConfig), sbs_run),
-    "sbs-pf-hybrid": ((SbsConfig, FilterConfig, HybridConfig), sbs_run),
-    "cma-es": ((CmaesParams,), _cmaes),
-    "woa": ((WoaParams,), _woa),
-    "cbo": ((CboParams,), _cbo),
-    "langevin": ((LangevinParams,), _langevin),
+    "sbs": ((SbsConfig,), "sbs_run"),
+    "sbs-pf": ((SbsConfig, FilterConfig), "sbs_run"),
+    "sbs-hybrid": ((SbsConfig, HybridConfig), "sbs_run"),
+    "sbs-pf-hybrid": ((SbsConfig, FilterConfig, HybridConfig), "sbs_run"),
+    "cma-es": ((CmaesParams,), "cmaes_run"),
+    "woa": ((WoaParams,), "woa_run"),
+    "cbo": ((CboParams,), "cbo_run"),
+    "langevin": ((LangevinParams,), "langevin_run"),
 }
 
 # SbsConfig field that holds each nested part
@@ -174,6 +84,28 @@ def logs_trajectories(name: str) -> bool:
     return _METHODS[name][0][0] is SbsConfig
 
 
+def method_config(name: str, params: dict | None = None):
+    """The parameter object of the named method, built from a flat dict.
+
+    ConfigError, naming the offending key, for an unknown method, an
+    unknown key or a value its dataclass rejects.
+    """
+    if name not in _METHODS:
+        raise ConfigError(f"unknown method {name!r}", field="method")
+    head, *nested = _METHODS[name][0]
+    params = dict(params or {})
+    accepted = {key for cls in (head, *nested) for key in _keys(cls)}
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ConfigError(f"unknown parameter {unknown[0]!r} for method {name!r}",
+                          field=unknown[0])
+
+    def take(cls: type) -> dict:
+        return {key: params[key] for key in _keys(cls) if key in params}
+
+    return head(**take(head), **{_NESTED[cls]: cls(**take(cls)) for cls in nested})
+
+
 def run_method(
     name: str,
     obj: Objective,
@@ -191,19 +123,13 @@ def run_method(
     track_ksd, log_every and benchmark only affect the sbs names; track_ksd
     adds a KSD to each diagnostics record, so it needs collect_diagnostics.
     """
-    if name not in _METHODS:
-        raise ConfigError(f"unknown method {name!r}", field="method")
-    (head, *nested), run = _METHODS[name]
-    params = dict(params or {})
-    accepted = {key for cls in (head, *nested) for key in _keys(cls)}
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise ConfigError(f"unknown parameter {unknown[0]!r} for method {name!r}",
-                          field=unknown[0])
-
-    def take(cls: type) -> dict:
-        return {key: params[key] for key in _keys(cls) if key in params}
-
-    config = head(**take(head), **{_NESTED[cls]: cls(**take(cls)) for cls in nested})
-    return run(obj, config, budget, seed, collect_diagnostics=collect_diagnostics,
-               track_ksd=track_ksd, log_every=log_every, benchmark=benchmark)
+    config = method_config(name, params)
+    instruments = {}
+    if isinstance(config, SbsConfig):
+        instruments = dict(track_ksd=track_ksd, log_every=log_every, benchmark=benchmark)
+    # looked up at call time, so a caller that replaces a run function on
+    # this module (a tracer, a test) is honoured
+    run = globals()[_METHODS[name][1]]
+    result = run(obj, config, budget, seed, collect_diagnostics=collect_diagnostics,
+                 **instruments)
+    return result[0] if isinstance(result, tuple) else result

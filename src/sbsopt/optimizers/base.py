@@ -37,26 +37,35 @@ def split_streams(seed: int, n_streams: int) -> list[np.random.Generator]:
 
 
 def check_number(config, name: str, kind: type, *, optional: bool = False,
-                 positive: bool = False) -> int | float | None:
+                 minimum: int | float | None = None, positive: bool = False) -> None:
     """Convert field `name` of the frozen dataclass `config` with kind (int or
-    float) in place and return it.
+    float) in place.
 
-    A value kind cannot convert, or with positive set one that is not
-    positive and finite, raises ConfigError naming the field. None passes
-    unchanged when the field is optional.
+    A value kind cannot convert, one that is not finite, one below minimum,
+    or with positive set one that is not above zero raises ConfigError
+    naming the field. None passes unchanged when the field is optional.
     """
     value = getattr(config, name)
     if value is None and optional:
-        return None
+        return
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}", field=name) from None
-    if positive and not (math.isfinite(converted) and converted > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}", field=name)
+    if not math.isfinite(converted):
+        raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
+    if positive and not converted > 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}", field=name)
+    if minimum is not None and converted < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}", field=name)
     object.__setattr__(config, name, converted)
-    return converted
+
+
+def population_iterations(budget: int, size: int, iterations: int | None) -> int:
+    """Iterations of a fixed-population method: given, or as many as budget
+    covers after the first population."""
+    return iterations if iterations is not None else budget // size - 1
 
 
 def improve_incumbent(points: np.ndarray, f: np.ndarray, best_x: np.ndarray,

@@ -11,12 +11,34 @@ Random streams: 0 initializes particles, 1 drives the diffusion noise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, ConfigError, NonFiniteValue
+from ..errors import BudgetTooSmall, NonFiniteValue
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import IterationRecord, RunResult, improve_incumbent, split_streams
+from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
+                   population_iterations, split_streams)
+
+
+@dataclass(frozen=True)
+class CboParams:
+    """iterations None: as many as the budget covers after the first population."""
+
+    n_particles: int = 100
+    iterations: int | None = None
+    alpha: float = 30.0
+    lam_drift: float = 1.0
+    sigma_noise: float = 0.7
+    dt: float = 0.1
+
+    def __post_init__(self):
+        check_number(self, "n_particles", int, minimum=2)
+        check_number(self, "iterations", int, optional=True, minimum=0)
+        check_number(self, "alpha", float)
+        check_number(self, "lam_drift", float)
+        check_number(self, "sigma_noise", float)
+        check_number(self, "dt", float, minimum=0.0)
 
 
 def consensus_point(positions: np.ndarray, f_values: np.ndarray, alpha: float) -> np.ndarray:
@@ -37,32 +59,25 @@ def consensus_point(positions: np.ndarray, f_values: np.ndarray, alpha: float) -
 
 def cbo_run(
     obj: Objective,
-    n_particles: int,
-    iterations: int,
+    params: CboParams,
+    budget: int,
     seed: int,
-    alpha: float = 30.0,
-    lam_drift: float = 1.0,
-    sigma_noise: float = 0.7,
-    dt: float = 0.1,
     *,
-    budget: int | None = None,
-    counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
 ) -> RunResult:
-    """Euler-Maruyama consensus dynamics under an optional evaluation budget.
+    """Euler-Maruyama consensus dynamics for params.iterations iterations,
+    stopping before any that would spend past budget.
 
     x_i <- x_i - lam_drift (x_i - v) dt + sigma_noise ||x_i - v|| sqrt(dt) xi_i,
     clamped to the box; best evaluated point is returned.
     """
-    if n_particles < 2:
-        raise ConfigError("CBO needs at least 2 particles", field="n_particles")
-    if iterations < 0:
-        raise ConfigError("iterations must be nonnegative", field="iterations")
-    counter = counter if counter is not None else EvalCounter()
-    if budget is not None and budget - counter.count < n_particles:
+    n_particles = params.n_particles
+    if budget < n_particles:
         raise BudgetTooSmall(
             f"budget {budget} below the initial population ({n_particles} evaluations)"
         )
+    iterations = population_iterations(budget, n_particles, params.iterations)
+    counter = EvalCounter()
     domain = obj.domain
     d = domain.d
 
@@ -73,15 +88,16 @@ def cbo_run(
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
     done = 0
-    sqrt_dt = math.sqrt(dt)
+    sqrt_dt = math.sqrt(params.dt)
     for t in range(1, iterations + 1):
-        if budget is not None and counter.count + n_particles > budget:
+        if counter.count + n_particles > budget:
             break
-        v = consensus_point(positions, fitness, alpha)
+        v = consensus_point(positions, fitness, params.alpha)
         gaps = positions - v
         noise = rng_noise.standard_normal((n_particles, d))
         scale = np.linalg.norm(gaps, axis=1, keepdims=True)
-        positions = positions - lam_drift * gaps * dt + sigma_noise * scale * sqrt_dt * noise
+        positions = (positions - params.lam_drift * gaps * params.dt
+                     + params.sigma_noise * scale * sqrt_dt * noise)
         positions = project_to_box(domain, positions)
         fitness = evaluate(obj, positions, counter)
         done = t

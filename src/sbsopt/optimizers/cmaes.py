@@ -19,11 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, ConfigError
+from ..errors import BudgetTooSmall
 from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
-from .base import IterationRecord, RunResult, improve_incumbent, split_streams
+from .base import IterationRecord, RunResult, check_number, improve_incumbent, split_streams
 
 _RESAMPLE_TRIES = 100
+
+
+@dataclass(frozen=True)
+class CmaesParams:
+    """popsize None: 4 + floor(3 ln d); sigma0 None: 0.3 x the widest box side."""
+
+    popsize: int | None = None
+    sigma0: float | None = None
+
+    def __post_init__(self):
+        check_number(self, "popsize", int, optional=True, minimum=2)
+        check_number(self, "sigma0", float, optional=True, positive=True)
 
 
 @dataclass
@@ -92,10 +104,9 @@ def _sample_offspring(
 
 def cmaes_run(
     obj: Objective,
+    params: CmaesParams,
     budget: int,
     seed: int,
-    popsize: int | None = None,
-    sigma0: float | None = None,
     *,
     counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
@@ -108,9 +119,7 @@ def cmaes_run(
     counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
     d = domain.d
-    lam = popsize if popsize is not None else default_popsize(d)
-    if lam < 2:
-        raise ConfigError("population size must be at least 2", field="popsize")
+    lam = params.popsize if params.popsize is not None else default_popsize(d)
     if budget - counter.count < lam:
         raise BudgetTooSmall(f"budget {budget} below one generation ({lam} evaluations)")
 
@@ -128,7 +137,9 @@ def cmaes_run(
 
     rng_init, rng_sample = split_streams(seed, 2)
     mean = uniform_sample(domain, 1, rng_init)[0]
-    sigma = sigma0 if sigma0 is not None else 0.3 * float(np.max(domain.widths))
+    sigma = params.sigma0
+    if sigma is None:
+        sigma = 0.3 * float(np.max(domain.widths))
     cov = np.eye(d)
     ps = np.zeros(d)
     pc = np.zeros(d)

@@ -21,9 +21,9 @@ import numpy as np
 from ..errors import BudgetTooSmall, ConfigError
 from ..objective import EvalCounter, Objective, project_to_box
 from .base import RunResult, check_number, derive_seed, split_streams
-from .cmaes import cmaes_run, default_popsize, sample_gaussian
+from .cmaes import CmaesParams, cmaes_run, default_popsize, sample_gaussian
 from .sbs import SbsConfig, _run_engine
-from .woa import woa_run
+from .woa import WoaParams, woa_run
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,23 @@ def _hybrid_init_full(
     n_particles: int,
     cmaes_budget: int,
     woa_iterations: int,
+    budget: int,
     seed: int,
     counter: EvalCounter,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run both init methods; returns (positions, incumbent_x, incumbent_f).
 
-    All evaluations are counted on counter.
+    All evaluations are counted on counter. WOA runs all woa_iterations
+    when budget covers them, as sbs_run checks.
     """
     cma_result, gaussian = cmaes_run(
-        obj, counter.count + cmaes_budget, derive_seed(seed, "hybrid-cma"), counter=counter
+        obj, CmaesParams(), counter.count + cmaes_budget, derive_seed(seed, "hybrid-cma"),
+        counter=counter,
     )
     # WOA needs 2 agents to interact; a 1-particle request still runs 2
     woa_result, woa_population = woa_run(
-        obj, max(2, n_particles), woa_iterations, derive_seed(seed, "hybrid-woa"),
-        counter=counter,
+        obj, WoaParams(max(2, n_particles), woa_iterations), budget,
+        derive_seed(seed, "hybrid-woa"), counter=counter,
     )
     if cma_result.best_f < woa_result.best_f:
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
@@ -122,7 +125,7 @@ def sbs_run(
             f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
         )
     positions, incumbent_x, incumbent_f = _hybrid_init_full(
-        obj, n_particles, hybrid.cmaes_budget, hybrid.woa_iterations, seed, counter
+        obj, n_particles, hybrid.cmaes_budget, hybrid.woa_iterations, budget, seed, counter
     )
 
     continuation = _run_engine(

@@ -13,10 +13,12 @@ Random streams: 0 initializes the chains, 1 drives the noise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, ConfigError
+from ..boltzmann import DEFAULT_KAPPA
+from ..errors import BudgetTooSmall
 from ..objective import (
     EvalCounter,
     Objective,
@@ -25,34 +27,40 @@ from ..objective import (
     project_to_box,
     uniform_sample,
 )
-from .base import IterationRecord, RunResult, improve_incumbent, split_streams
+from .base import IterationRecord, RunResult, check_number, improve_incumbent, split_streams
+
+
+@dataclass(frozen=True)
+class LangevinParams:
+    n_chains: int = 10
+    kappa: float = DEFAULT_KAPPA
+    eta: float = 1e-5
+
+    def __post_init__(self):
+        check_number(self, "n_chains", int, minimum=1)
+        check_number(self, "kappa", float, positive=True)
+        check_number(self, "eta", float, minimum=0.0)
 
 
 def langevin_run(
     obj: Objective,
-    n_chains: int,
-    kappa: float,
-    eta: float,
+    params: LangevinParams,
     budget: int,
     seed: int,
     *,
-    counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
 ) -> RunResult:
     """Run parallel Langevin chains until the budget is exhausted."""
-    if n_chains < 1:
-        raise ConfigError("need at least one chain", field="n_chains")
-    if eta < 0:
-        raise ConfigError("eta must be nonnegative", field="eta")
-    counter = counter if counter is not None else EvalCounter()
+    n_chains, kappa, eta = params.n_chains, params.kappa, params.eta
     domain = obj.domain
     d = domain.d
-    if budget - counter.count < 2 * d:
+    if budget < 2 * d:
         raise BudgetTooSmall(f"budget {budget} below one gradient step ({2 * d} evaluations)")
 
+    counter = EvalCounter()
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
-    scored = chains[: budget - counter.count]
+    scored = chains[:budget]
     best_x, best_f = improve_incumbent(scored, evaluate(obj, scored, counter),
                                        chains[0].copy(), np.inf)
 

@@ -56,8 +56,8 @@ class FilterConfig:
     def __post_init__(self):
         check_number(self, "q_value_percentile", float)
         check_number(self, "p_move_percentile", float)
-        check_number(self, "start_iteration", int)
-        check_number(self, "min_particles", int, optional=True)
+        check_number(self, "start_iteration", int, minimum=0)
+        check_number(self, "min_particles", int, optional=True, minimum=1)
         if not 0.0 < self.q_value_percentile <= 100.0:
             raise ConfigError(
                 "q_value_percentile must be in (0, 100]", field="q_value_percentile"
@@ -66,12 +66,6 @@ class FilterConfig:
             raise ConfigError(
                 "p_move_percentile must be in [0, 100)", field="p_move_percentile"
             )
-        if self.start_iteration < 0:
-            raise ConfigError(
-                "start_iteration must be nonnegative", field="start_iteration"
-            )
-        if self.min_particles is not None and self.min_particles < 1:
-            raise ConfigError("min_particles must be positive", field="min_particles")
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,7 @@ class SbsConfig:
         check_number(self, "step_size", float, positive=True)
         check_number(self, "sigma", float, optional=True, positive=True)
         check_number(self, "fd_step", float, optional=True, positive=True)
-        max_iterations = check_number(self, "max_iterations", int, optional=True)
-        if max_iterations is not None and max_iterations < 0:
-            raise ConfigError("max_iterations must be nonnegative", field="max_iterations")
+        check_number(self, "max_iterations", int, optional=True, minimum=0)
 
     @property
     def method(self) -> str:

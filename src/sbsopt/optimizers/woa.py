@@ -17,19 +17,32 @@ initialization consumes it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, ConfigError
+from ..errors import BudgetTooSmall
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import IterationRecord, RunResult, improve_incumbent, split_streams
+from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
+                   population_iterations, split_streams)
+
+
+@dataclass(frozen=True)
+class WoaParams:
+    """iterations None: as many as the budget covers after the first population."""
+
+    n_agents: int = 30
+    iterations: int | None = None
+
+    def __post_init__(self):
+        check_number(self, "n_agents", int, minimum=2)
+        check_number(self, "iterations", int, optional=True, minimum=0)
 
 
 def _move(
     positions: np.ndarray,
     best_x: np.ndarray,
     a: float,
-    spiral_shape: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One WOA move of every agent, before the clamp to the box.
@@ -65,7 +78,7 @@ def _move(
 
     spiral_l = -1.0 + 2.0 * u[spiral]
     # math.exp and math.cos, as numpy's may round differently
-    grow = np.array([math.exp(spiral_shape * l) for l in spiral_l.tolist()])
+    grow = np.array([math.exp(l) for l in spiral_l.tolist()])
     turn = np.array([math.cos(2.0 * math.pi * l) for l in spiral_l.tolist()])
     gap = np.abs(best_x - positions[spiral])
     moved[spiral] = gap * grow[:, None] * turn[:, None] + best_x
@@ -74,30 +87,26 @@ def _move(
 
 def woa_run(
     obj: Objective,
-    n_agents: int,
-    iterations: int,
+    params: WoaParams,
+    budget: int,
     seed: int,
     *,
-    spiral_shape: float = 1.0,
-    budget: int | None = None,
     counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
 ) -> tuple[RunResult, np.ndarray]:
-    """Run WOA for a fixed iteration count (optionally capped by a budget).
+    """Run WOA for params.iterations iterations, stopping before any that
+    would take counter past budget.
 
     Costs n_agents evaluations for the initial population and n_agents per
-    iteration. With budget given, stops before any iteration that would
-    exceed it.
+    iteration.
     """
-    if n_agents < 2:
-        raise ConfigError("WOA needs at least 2 agents", field="n_agents")
-    if iterations < 0:
-        raise ConfigError("iterations must be nonnegative", field="iterations")
+    n_agents = params.n_agents
     counter = counter if counter is not None else EvalCounter()
-    if budget is not None and budget - counter.count < n_agents:
+    if budget - counter.count < n_agents:
         raise BudgetTooSmall(
             f"budget {budget} below the initial population ({n_agents} evaluations)"
         )
+    iterations = population_iterations(budget - counter.count, n_agents, params.iterations)
     domain = obj.domain
 
     rng_init, rng_move = split_streams(seed, 2)
@@ -108,10 +117,10 @@ def woa_run(
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
     done = 0
     for t in range(1, iterations + 1):
-        if budget is not None and counter.count + n_agents > budget:
+        if counter.count + n_agents > budget:
             break
         a = 2.0 - 2.0 * t / iterations
-        moved = _move(positions, best_x, a, spiral_shape, rng_move)
+        moved = _move(positions, best_x, a, rng_move)
         positions = project_to_box(domain, moved)
         fitness = evaluate(obj, positions, counter)
         done = t

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boltzmann import check_sigma
 from .errors import NotTwoDimensional
-from .objective import Objective
+from .objective import EvalCounter, Objective, evaluate
 
 LOG_FORMAT = "sbsopt-trajectory-1"
 
@@ -127,15 +127,15 @@ def _lerp_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _heat_rects(log: TrajectoryLog, evaluator) -> list[str]:
+def _heat_rects(log: TrajectoryLog, objective: Objective) -> list[str]:
     lo = np.array(log.lower)
     hi = np.array(log.upper)
     centers0 = lo[0] + (np.arange(HEAT_CELLS) + 0.5) / HEAT_CELLS * (hi[0] - lo[0])
     centers1 = lo[1] + (np.arange(HEAT_CELLS) + 0.5) / HEAT_CELLS * (hi[1] - lo[1])
-    values = np.empty((HEAT_CELLS, HEAT_CELLS))
-    for i, cx in enumerate(centers0):
-        for j, cy in enumerate(centers1):
-            values[i, j] = evaluator(np.array([cx, cy]))
+    # cell (i, j) is row i * HEAT_CELLS + j, scored in one off-budget block
+    grid = np.stack(np.meshgrid(centers0, centers1, indexing="ij"), axis=-1)
+    values = evaluate(objective, grid.reshape(-1, 2), EvalCounter())
+    values = values.reshape(HEAT_CELLS, HEAT_CELLS)
     vmin, vmax = values.min(), values.max()
     span = vmax - vmin if vmax > vmin else 1.0
     cell = _PLOT_SIZE / HEAT_CELLS
@@ -191,7 +191,7 @@ def plot_trajectories(log: TrajectoryLog, out_path, objective: Objective | None 
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>',
     ]
-    parts.extend(_heat_rects(log, objective.evaluator))
+    parts.extend(_heat_rects(log, objective))
     for pid in sorted(paths):
         pts = paths[pid]
         color = f"hsl({(pid * 47) % 360},65%,42%)"

@@ -12,16 +12,18 @@ import numpy as np
 import pytest
 
 from sbsopt import (
-    AdamState,
     BoltzmannTarget,
+    CboParams,
+    CmaesParams,
     EvalCounter,
     ExperimentConfig,
     FilterConfig,
     FunctionSpec,
     HybridConfig,
+    LangevinParams,
     MethodSpec,
     SbsConfig,
-    adam_step,
+    WoaParams,
     cbo_run,
     cmaes_run,
     ecr,
@@ -41,7 +43,7 @@ from sbsopt import (
     woa_run,
     write_results,
 )
-from sbsopt.svgd import _forces, _iterate_with_parts
+from sbsopt.svgd import AdamState, _forces, _iterate_with_parts, adam_step
 
 from grid_oracle import density_on_grid, expectation_on_grid
 
@@ -270,19 +272,21 @@ class TestBaselineSanity:
 
     def test_cmaes_sphere(self):
         obj = make_benchmark("sphere", 2)
-        finals = [cmaes_run(obj, 10_000, seed=s)[0].best_f for s in range(10)]
+        finals = [cmaes_run(obj, CmaesParams(), 10_000, seed=s)[0].best_f
+                  for s in range(10)]
         assert float(np.median(finals)) < 1e-10
 
     def test_woa_ackley(self):
         obj = make_benchmark("ackley", 2)
-        finals = [woa_run(obj, 30, 500, seed=s)[0].best_f for s in range(10)]
+        finals = [woa_run(obj, WoaParams(30, 500), 30 * 501, seed=s)[0].best_f
+                  for s in range(10)]
         assert float(np.median([distance("ackley", f) for f in finals])) < 1e-3
 
     def test_cbo_sphere(self):
         obj = make_benchmark("sphere", 2)
         finals = [
-            cbo_run(obj, 100, 2000, seed=s, alpha=30.0, lam_drift=1.0,
-                    sigma_noise=0.7, dt=0.1).best_f
+            cbo_run(obj, CboParams(100, 2000, alpha=30.0, lam_drift=1.0,
+                                   sigma_noise=0.7, dt=0.1), 100 * 2001, seed=s).best_f
             for s in range(10)
         ]
         assert float(np.median([distance("sphere", f) for f in finals])) < 1e-2
@@ -290,8 +294,7 @@ class TestBaselineSanity:
     def test_langevin_sphere(self):
         obj = make_benchmark("sphere", 2)
         finals = [
-            langevin_run(obj, n_chains=10, kappa=1e3, eta=1e-5,
-                         budget=200_000, seed=s).best_f
+            langevin_run(obj, LangevinParams(10, 1e3, 1e-5), 200_000, seed=s).best_f
             for s in range(10)
         ]
         assert float(np.median([distance("sphere", f) for f in finals])) < 1e-2

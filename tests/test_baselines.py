@@ -1,5 +1,6 @@
 """Baseline optimizers: CMA-ES, WOA, CBO, Langevin."""
 
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 from sbsopt import (
     BoxDomain,
     BudgetTooSmall,
+    CboParams,
+    CmaesParams,
     ConfigError,
+    LangevinParams,
     NonFiniteValue,
     SbsConfig,
+    WoaParams,
     cbo_run,
     cmaes_run,
     langevin_run,
@@ -22,6 +27,7 @@ from sbsopt import (
     sbs_run,
     woa_run,
 )
+from sbsopt.cli import main
 from sbsopt.optimizers import available_methods, consensus_point, default_popsize
 from sbsopt.optimizers import cmaes as cmaes_module
 from sbsopt.optimizers.cmaes import _sample_offspring
@@ -32,24 +38,24 @@ class TestCmaes:
     def test_respects_budget(self):
         obj = make_benchmark("rastrigin", 2)
         for budget in (100, 1000, 5000):
-            result, _ = cmaes_run(obj, budget, seed=0)
+            result, _ = cmaes_run(obj, CmaesParams(), budget, seed=0)
             assert result.evals_used <= budget
 
     def test_one_generation_budget(self):
         obj = make_benchmark("sphere", 2)
         lam = default_popsize(2)
-        result, _ = cmaes_run(obj, lam, seed=0)
+        result, _ = cmaes_run(obj, CmaesParams(), lam, seed=0)
         assert result.evals_used == lam
 
     def test_budget_too_small(self):
         obj = make_benchmark("sphere", 2)
         with pytest.raises(BudgetTooSmall):
-            cmaes_run(obj, default_popsize(2) - 1, seed=0)
+            cmaes_run(obj, CmaesParams(), default_popsize(2) - 1, seed=0)
 
     def test_popsize_validation(self):
-        obj = make_benchmark("sphere", 2)
-        with pytest.raises(ConfigError):
-            cmaes_run(obj, 1000, seed=0, popsize=1)
+        with pytest.raises(ConfigError) as err:
+            CmaesParams(popsize=1)
+        assert err.value.field == "popsize"
 
     def test_default_popsize_formula(self):
         assert default_popsize(2) == 4 + int(3 * np.log(2))
@@ -57,17 +63,17 @@ class TestCmaes:
 
     def test_sphere_quality(self):
         obj = make_benchmark("sphere", 2)
-        finals = [cmaes_run(obj, 2000, seed=s)[0].best_f for s in range(5)]
+        finals = [cmaes_run(obj, CmaesParams(), 2000, seed=s)[0].best_f for s in range(5)]
         assert np.median(finals) < 1e-8
 
     def test_rosenbrock_quality(self):
         obj = make_benchmark("rosenbrock", 2)
-        finals = [cmaes_run(obj, 6000, seed=s)[0].best_f for s in range(5)]
+        finals = [cmaes_run(obj, CmaesParams(), 6000, seed=s)[0].best_f for s in range(5)]
         assert np.median(finals) < 1e-6
 
     def test_returned_gaussian_is_usable(self):
         obj = make_benchmark("sphere", 2)
-        result, gauss = cmaes_run(obj, 3000, seed=1)
+        result, gauss = cmaes_run(obj, CmaesParams(), 3000, seed=1)
         assert gauss.sigma > 0
         np.testing.assert_allclose(gauss.cov, gauss.cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(gauss.cov).min() > 0
@@ -76,66 +82,68 @@ class TestCmaes:
 
     def test_deterministic(self):
         obj = make_benchmark("ackley", 2)
-        a, _ = cmaes_run(obj, 1500, seed=7)
-        b, _ = cmaes_run(obj, 1500, seed=7)
+        a, _ = cmaes_run(obj, CmaesParams(), 1500, seed=7)
+        b, _ = cmaes_run(obj, CmaesParams(), 1500, seed=7)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert a.evals_used == b.evals_used
 
     def test_best_stays_in_domain(self):
         obj = make_benchmark("eggholder", 2)
-        result, _ = cmaes_run(obj, 2000, seed=3)
+        result, _ = cmaes_run(obj, CmaesParams(), 2000, seed=3)
         assert obj.domain.contains(result.best_x)
 
 
 class TestWoa:
     def test_zero_iterations_returns_best_initial(self):
         obj = make_benchmark("sphere", 2)
-        result, positions = woa_run(obj, 8, 0, seed=0)
+        result, positions = woa_run(obj, WoaParams(8, 0), 8, seed=0)
         assert result.evals_used == 8
         assert result.iterations_done == 0
         assert positions.shape == (8, 2)
 
     def test_needs_two_agents(self):
-        obj = make_benchmark("sphere", 2)
-        with pytest.raises(ConfigError):
-            woa_run(obj, 1, 10, seed=0)
+        with pytest.raises(ConfigError) as err:
+            WoaParams(n_agents=1, iterations=10)
+        assert err.value.field == "n_agents"
 
     def test_negative_iterations_rejected(self):
-        obj = make_benchmark("sphere", 2)
-        with pytest.raises(ConfigError):
-            woa_run(obj, 5, -1, seed=0)
+        with pytest.raises(ConfigError) as err:
+            WoaParams(n_agents=5, iterations=-1)
+        assert err.value.field == "iterations"
 
     def test_respects_budget(self):
         obj = make_benchmark("rastrigin", 2)
-        result, _ = woa_run(obj, 10, 1000, seed=0, budget=500)
+        result, _ = woa_run(obj, WoaParams(10, 1000), 500, seed=0)
         assert result.evals_used <= 500
 
     def test_budget_too_small(self):
         obj = make_benchmark("sphere", 2)
         with pytest.raises(BudgetTooSmall):
-            woa_run(obj, 10, 5, seed=0, budget=9)
+            woa_run(obj, WoaParams(10, 5), 9, seed=0)
 
     def test_sphere_quality(self):
         obj = make_benchmark("sphere", 2)
-        finals = [woa_run(obj, 20, 200, seed=s)[0].best_f for s in range(5)]
+        finals = [woa_run(obj, WoaParams(20, 200), 20 * 201, seed=s)[0].best_f
+                  for s in range(5)]
         assert np.median(finals) < 1e-6
 
     def test_deterministic(self):
         obj = make_benchmark("holdertable", 2)
-        a, pa = woa_run(obj, 12, 50, seed=4)
-        b, pb = woa_run(obj, 12, 50, seed=4)
+        a, pa = woa_run(obj, WoaParams(12, 50), 12 * 51, seed=4)
+        b, pb = woa_run(obj, WoaParams(12, 50), 12 * 51, seed=4)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         np.testing.assert_array_equal(pa, pb)
 
     def test_population_stays_in_domain(self):
         obj = make_benchmark("camel", 2)
-        _, positions = woa_run(obj, 10, 100, seed=5)
+        _, positions = woa_run(obj, WoaParams(10, 100), 10 * 101, seed=5)
         for x in positions:
             assert obj.domain.contains(x)
 
     def test_incumbent_improves_monotonically(self):
         obj = make_benchmark("ackley", 2)
-        result, _ = woa_run(obj, 10, 100, seed=6, collect_diagnostics=True)
+        result, _ = woa_run(obj, WoaParams(10, 100), 10 * 101, seed=6,
+                            collect_diagnostics=True)
         best = [rec.best_so_far for rec in result.diagnostics]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -165,7 +173,7 @@ def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
     return offspring, tries, clamped
 
 
-def oracle_move(positions, best_x, a, spiral_shape, rng):
+def oracle_move(positions, best_x, a, rng):
     """The agent-by-agent loop that woa._move replaced; also counts explorers."""
     n_agents = positions.shape[0]
     moved = np.empty_like(positions)
@@ -189,7 +197,7 @@ def oracle_move(positions, best_x, a, spiral_shape, rng):
         else:
             gap = np.abs(best_x - positions[i])
             moved[i] = (
-                gap * math.exp(spiral_shape * spiral_l)
+                gap * math.exp(spiral_l)
                 * math.cos(2.0 * math.pi * spiral_l)
                 + best_x
             )
@@ -263,9 +271,9 @@ class TestCmaesBlockSampling:
             clamped.append(n_clamped)
             return offspring
 
-        block, _ = cmaes_run(obj, 8000, 3, sigma0=100.0)
+        block, _ = cmaes_run(obj, CmaesParams(sigma0=100.0), 8000, 3)
         monkeypatch.setattr(cmaes_module, "_sample_offspring", loop_sampler)
-        loop, _ = cmaes_run(obj, 8000, 3, sigma0=100.0)
+        loop, _ = cmaes_run(obj, CmaesParams(sigma0=100.0), 8000, 3)
         assert sum(clamped) > 0
         assert (block.evals_used, block.iterations_done) == (7998, 1333)
         assert (loop.evals_used, loop.iterations_done) == (7998, 1333)
@@ -284,8 +292,8 @@ class TestWoaBlockMove:
         block_rng, loop_rng = twin_generators(d + n_agents)
         explorers = 0
         for _ in range(8):
-            got = _move(positions, best_x, a, 1.0, block_rng)
-            want, n_explorers = oracle_move(positions, best_x, a, 1.0, loop_rng)
+            got = _move(positions, best_x, a, block_rng)
+            want, n_explorers = oracle_move(positions, best_x, a, loop_rng)
             assert got.tobytes() == want.tobytes()
             explorers += n_explorers
             positions = np.clip(got, -5.0, 5.0)
@@ -324,79 +332,76 @@ class TestCbo:
 
     def test_sphere_quality(self):
         obj = make_benchmark("sphere", 2)
-        finals = [cbo_run(obj, 50, 500, seed=s).best_f for s in range(5)]
+        finals = [cbo_run(obj, CboParams(50, 500), 50 * 501, seed=s).best_f
+                  for s in range(5)]
         assert np.median(finals) < 1e-3
 
     def test_respects_budget(self):
         obj = make_benchmark("rastrigin", 2)
-        r = cbo_run(obj, 20, 1000, seed=0, budget=800)
+        r = cbo_run(obj, CboParams(20, 1000), 800, seed=0)
         assert r.evals_used <= 800
 
     def test_deterministic(self):
         obj = make_benchmark("levy", 2)
-        a = cbo_run(obj, 15, 50, seed=2)
-        b = cbo_run(obj, 15, 50, seed=2)
+        a = cbo_run(obj, CboParams(15, 50), 15 * 51, seed=2)
+        b = cbo_run(obj, CboParams(15, 50), 15 * 51, seed=2)
         assert a.best_x.tobytes() == b.best_x.tobytes()
 
     def test_best_stays_in_domain(self):
         obj = make_benchmark("dropwave", 2)
-        r = cbo_run(obj, 20, 100, seed=1)
+        r = cbo_run(obj, CboParams(20, 100), 20 * 101, seed=1)
         assert obj.domain.contains(r.best_x)
 
     def test_config_validation(self):
-        obj = make_benchmark("sphere", 2)
         with pytest.raises(ConfigError):
-            cbo_run(obj, 1, 10, seed=0)
+            CboParams(n_particles=1, iterations=10)
         with pytest.raises(ConfigError):
-            cbo_run(obj, 10, -2, seed=0)
+            CboParams(n_particles=10, iterations=-2)
 
 
 class TestLangevin:
     def test_zero_eta_stays_at_initial_states(self):
         # no drift and no noise: the best is the best initial sample
         obj = make_benchmark("sphere", 2)
-        r = langevin_run(obj, n_chains=4, kappa=1e3, eta=0.0, budget=500, seed=0)
-        r2 = langevin_run(obj, n_chains=4, kappa=1e3, eta=0.0, budget=10_000, seed=0)
+        r = langevin_run(obj, LangevinParams(4, 1e3, 0.0), 500, seed=0)
+        r2 = langevin_run(obj, LangevinParams(4, 1e3, 0.0), 10_000, seed=0)
         assert r.best_f == r2.best_f  # more budget cannot help without motion
 
     def test_constant_objective(self):
         obj = make_objective("flat", [-1.0, -1.0], [1.0, 1.0], lambda x: 4.0)
-        r = langevin_run(obj, n_chains=3, kappa=10.0, eta=1e-4, budget=300, seed=0)
+        r = langevin_run(obj, LangevinParams(3, 10.0, 1e-4), 300, seed=0)
         assert r.best_f == 4.0
 
     def test_respects_budget(self):
         obj = make_benchmark("rastrigin", 2)
         for budget in (50, 500, 5000):
-            r = langevin_run(obj, n_chains=5, kappa=1e3, eta=1e-5,
-                             budget=budget, seed=0)
+            r = langevin_run(obj, LangevinParams(5, 1e3, 1e-5), budget, seed=0)
             assert r.evals_used <= budget
 
     def test_budget_too_small(self):
         obj = make_benchmark("sphere", 2)
         with pytest.raises(BudgetTooSmall):
-            langevin_run(obj, n_chains=1, kappa=1.0, eta=1e-5, budget=3, seed=0)
+            langevin_run(obj, LangevinParams(1, 1.0, 1e-5), 3, seed=0)
 
     def test_sphere_quality(self):
         obj = make_benchmark("sphere", 2)
         finals = [
-            langevin_run(obj, n_chains=5, kappa=1e3, eta=1e-5,
-                         budget=30_000, seed=s).best_f
+            langevin_run(obj, LangevinParams(5, 1e3, 1e-5), 30_000, seed=s).best_f
             for s in range(5)
         ]
         assert np.median(finals) < 1e-4
 
     def test_deterministic(self):
         obj = make_benchmark("ackley", 2)
-        a = langevin_run(obj, n_chains=4, kappa=1e3, eta=1e-5, budget=2000, seed=6)
-        b = langevin_run(obj, n_chains=4, kappa=1e3, eta=1e-5, budget=2000, seed=6)
+        a = langevin_run(obj, LangevinParams(4, 1e3, 1e-5), 2000, seed=6)
+        b = langevin_run(obj, LangevinParams(4, 1e3, 1e-5), 2000, seed=6)
         assert a.best_x.tobytes() == b.best_x.tobytes()
 
     def test_config_validation(self):
-        obj = make_benchmark("sphere", 2)
         with pytest.raises(ConfigError):
-            langevin_run(obj, n_chains=0, kappa=1.0, eta=1e-5, budget=100, seed=0)
+            LangevinParams(n_chains=0, kappa=1.0, eta=1e-5)
         with pytest.raises(ConfigError):
-            langevin_run(obj, n_chains=2, kappa=1.0, eta=-1e-5, budget=100, seed=0)
+            LangevinParams(n_chains=2, kappa=1.0, eta=-1e-5)
 
 
 def half_nan_objective():
@@ -489,7 +494,7 @@ class TestRunMethod:
     def test_dispatch_matches_direct_call(self):
         obj = make_benchmark("rastrigin", 2)
         via_name = run_method("cma-es", obj, 1200, seed=5)
-        direct, _ = cmaes_run(obj, 1200, seed=5)
+        direct, _ = cmaes_run(obj, CmaesParams(), 1200, seed=5)
         assert via_name.best_x.tobytes() == direct.best_x.tobytes()
 
 
@@ -521,6 +526,59 @@ SAMPLE_VALUES = {
 }
 
 
+NAN = float("nan")
+INF = float("inf")
+
+# (method, key, value): each value is rejected when its method's parameter
+# object is built, before any evaluation
+BAD_VALUES = [
+    ("sbs", "n_particles", 0),
+    ("sbs", "n_particles", "many"),
+    ("sbs", "kappa", -1),
+    ("sbs", "kappa", INF),
+    ("sbs", "step_size", 0),
+    ("sbs", "sigma", -1),
+    ("sbs", "fd_step", 0.0),
+    ("sbs", "max_iterations", "x"),
+    ("sbs-pf", "q_value_percentile", 0.0),
+    ("sbs-pf", "p_move_percentile", 100.0),
+    ("sbs-pf", "start_iteration", "soon"),
+    ("sbs-pf", "min_particles", 0),
+    ("sbs-hybrid", "cmaes_budget", 0),
+    ("sbs-hybrid", "woa_iterations", None),
+    ("cma-es", "popsize", "x"),
+    ("cma-es", "sigma0", 0.0),
+    ("woa", "n_agents", 0),
+    ("woa", "iterations", "x"),
+    ("cbo", "n_particles", 0),
+    ("cbo", "alpha", "x"),
+    ("cbo", "dt", -0.1),
+    ("langevin", "n_chains", "x"),
+    ("langevin", "eta", "x"),
+    ("cma-es", "popsize", 1),
+    ("woa", "n_agents", 1),
+    ("woa", "iterations", -1),
+    ("cbo", "n_particles", 1),
+    ("cbo", "iterations", -1),
+    ("cbo", "alpha", NAN),
+    ("cbo", "alpha", INF),
+    ("cbo", "lam_drift", NAN),
+    ("cbo", "lam_drift", -INF),
+    ("cbo", "sigma_noise", NAN),
+    ("cbo", "sigma_noise", INF),
+    ("cbo", "dt", NAN),
+    ("cbo", "dt", INF),
+    ("langevin", "n_chains", 0),
+    ("langevin", "kappa", NAN),
+    ("langevin", "kappa", -5),
+    ("langevin", "kappa", 0),
+    ("langevin", "kappa", INF),
+    ("langevin", "eta", NAN),
+    ("langevin", "eta", INF),
+    ("langevin", "eta", -1e-5),
+]
+
+
 class TestConfigSurface:
     def test_pinned_methods_are_the_registry(self):
         assert set(METHOD_KEYS) == set(available_methods())
@@ -541,36 +599,20 @@ class TestConfigSurface:
                 run_method(method, obj, 2000, 0, {key: SAMPLE_VALUES.get(key, 0.9)})
             assert err.value.field == key
 
-    @pytest.mark.parametrize("method, key, value", [
-        ("sbs", "n_particles", 0),
-        ("sbs", "n_particles", "many"),
-        ("sbs", "kappa", -1),
-        ("sbs", "kappa", float("inf")),
-        ("sbs", "step_size", 0),
-        ("sbs", "sigma", -1),
-        ("sbs", "fd_step", 0.0),
-        ("sbs", "max_iterations", "x"),
-        ("sbs-pf", "q_value_percentile", 0.0),
-        ("sbs-pf", "p_move_percentile", 100.0),
-        ("sbs-pf", "start_iteration", "soon"),
-        ("sbs-pf", "min_particles", 0),
-        ("sbs-hybrid", "cmaes_budget", 0),
-        ("sbs-hybrid", "woa_iterations", None),
-        ("cma-es", "popsize", "x"),
-        ("cma-es", "sigma0", 0.0),
-        ("woa", "n_agents", 0),
-        ("woa", "iterations", "x"),
-        ("cbo", "n_particles", 0),
-        ("cbo", "alpha", "x"),
-        ("cbo", "dt", -0.1),
-        ("langevin", "n_chains", "x"),
-        ("langevin", "eta", "x"),
-    ])
+    @pytest.mark.parametrize("method, key, value", BAD_VALUES)
     def test_bad_value_is_a_config_error(self, method, key, value):
         obj = make_benchmark("sphere", 2)
         with pytest.raises(ConfigError) as err:
             run_method(method, obj, 1000, 0, {key: value})
         assert err.value.field == key
+
+    @pytest.mark.parametrize("method, key, value", BAD_VALUES)
+    def test_bad_value_exits_2(self, method, key, value, capsys):
+        code = main(["single", "--method", method, "--function", "sphere",
+                     "--budget", "1000", "--param", f"{key}={json.dumps(value)}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
 
 # the parameter that sizes each method's population

@@ -3,13 +3,14 @@
 import sbsopt
 
 EXPORTS = [
-    "AdamState", "BenchmarkEntry", "BoltzmannTarget", "BoxDomain", "BudgetExceeded",
-    "BudgetTooSmall", "ConfigError", "DEFAULT_KAPPA", "DEFAULT_STEP_SIZE",
-    "EvalCounter", "ExperimentConfig", "ExperimentTable", "FilterConfig",
-    "FunctionSpec", "HybridConfig", "IterationRecord", "MethodSpec", "NonFiniteValue",
-    "NotTwoDimensional", "Objective", "OutOfDomain", "RunResult", "SbsConfig",
-    "SbsError", "ShapeMismatch", "TrajectoryLog", "TrajectorySnapshot",
-    "UnsupportedDimension", "__version__", "adam_step", "available_methods",
+    "BenchmarkEntry", "BoltzmannTarget", "BoxDomain", "BudgetExceeded",
+    "BudgetTooSmall", "CboParams", "CmaesParams", "ConfigError", "DEFAULT_KAPPA",
+    "DEFAULT_STEP_SIZE", "EvalCounter", "ExperimentConfig", "ExperimentTable",
+    "FilterConfig", "FunctionSpec", "HybridConfig", "IterationRecord",
+    "LangevinParams", "MethodSpec", "NonFiniteValue", "NotTwoDimensional",
+    "Objective", "OutOfDomain", "RunResult", "SbsConfig", "SbsError",
+    "ShapeMismatch", "TrajectoryLog", "TrajectorySnapshot", "UnsupportedDimension",
+    "WoaParams", "__version__", "available_methods",
     "average_rank", "cbo_run", "cmaes_run", "derive_seed", "distance_to_minimum",
     "ecr", "evaluate", "fd_gradient", "ksd", "langevin_run", "lookup",
     "make_benchmark", "make_objective", "pf_filter", "plot_trajectories",
@@ -20,7 +21,7 @@ EXPORTS = [
 
 def test_all_is_pinned():
     assert sbsopt.__all__ == EXPORTS
-    assert len(EXPORTS) == 56
+    assert len(EXPORTS) == 58
 
 
 def test_every_export_resolves():

@@ -392,6 +392,33 @@ class TestCli:
         assert err.startswith("config error:") and "params" in err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_parameter_of_the_last_method_fails_before_any_cell(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_method", counting)
+        data = {
+            "functions": [{"name": "Rastrigin", "dim": 10}],
+            "methods": [{"name": "cma-es"}, {"name": "sbs"},
+                        {"name": "woa", "params": {"n_agents": 1}}],
+            "budget": 60_000,
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentConfig.from_dict(data))
+        assert err.value.field == "n_agents"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "n_agents" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_run_command_end_to_end(self, capsys, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({

@@ -5,11 +5,13 @@ import pytest
 
 from sbsopt import (
     BudgetTooSmall,
+    CmaesParams,
     ConfigError,
     EvalCounter,
     FilterConfig,
     HybridConfig,
     SbsConfig,
+    WoaParams,
     cmaes_run,
     derive_seed,
     make_benchmark,
@@ -47,10 +49,11 @@ class TestHybridInit:
         # the initial particles must then be the WOA population verbatim
         obj = make_benchmark("rastrigin", 2)
         seed = 4
-        woa_result, woa_pop = woa_run(obj, 10, 300, derive_seed(seed, "hybrid-woa"))
-        cma_result, _ = cmaes_run(obj, 12, derive_seed(seed, "hybrid-cma"))
+        woa_result, woa_pop = woa_run(obj, WoaParams(10, 300), 10 * 301,
+                                      derive_seed(seed, "hybrid-woa"))
+        cma_result, _ = cmaes_run(obj, CmaesParams(), 12, derive_seed(seed, "hybrid-cma"))
         assert not (cma_result.best_f < woa_result.best_f)  # WOA wins this setup
-        pts, *_ = _hybrid_init_full(obj, 10, 12, 300, seed, EvalCounter())
+        pts, *_ = _hybrid_init_full(obj, 10, 12, 300, 12 + 10 * 301, seed, EvalCounter())
         np.testing.assert_array_equal(pts, woa_pop[:10])
 
     def test_cma_winner_samples_its_gaussian(self):
@@ -58,10 +61,12 @@ class TestHybridInit:
         # particles are draws from its final search distribution
         obj = make_benchmark("rosenbrock", 2)
         seed = 7
-        cma_result, gauss = cmaes_run(obj, 1000, derive_seed(seed, "hybrid-cma"))
-        woa_result, _ = woa_run(obj, max(2, 200), 5, derive_seed(seed, "hybrid-woa"))
+        cma_result, gauss = cmaes_run(obj, CmaesParams(), 1000,
+                                      derive_seed(seed, "hybrid-cma"))
+        woa_result, _ = woa_run(obj, WoaParams(200, 5), 200 * 6,
+                                derive_seed(seed, "hybrid-woa"))
         assert cma_result.best_f < woa_result.best_f
-        pts, *_ = _hybrid_init_full(obj, 200, 1000, 5, seed, EvalCounter())
+        pts, *_ = _hybrid_init_full(obj, 200, 1000, 5, 1000 + 200 * 6, seed, EvalCounter())
         assert pts.shape == (200, 2)
         for x in pts:
             assert obj.domain.contains(x)
@@ -74,14 +79,15 @@ class TestHybridInit:
     def test_counts_both_phases(self):
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        _hybrid_init_full(obj, 5, 60, 20, seed=0, counter=counter)
+        _hybrid_init_full(obj, 5, 60, 20, budget=10**6, seed=0, counter=counter)
         assert counter.count == 60 + max(2, 5) * (20 + 1)
 
     def test_single_particle_request_is_valid(self):
         # WOA needs two agents, so a 1-particle init still runs with 2
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        pts, *_ = _hybrid_init_full(obj, 1, 60, 10, seed=1, counter=counter)
+        pts, *_ = _hybrid_init_full(obj, 1, 60, 10, budget=10**6, seed=1,
+                                     counter=counter)
         assert pts.shape == (1, 2)
         assert counter.count == 60 + 2 * 11
 
@@ -122,7 +128,8 @@ class TestHybridRun:
         r = sbs_run(obj, hybrid(10, cfg), init_cost, seed)
         assert r.iterations_done == 0
         assert r.evals_used == init_cost
-        woa_result, _ = woa_run(obj, 10, 300, derive_seed(seed, "hybrid-woa"))
+        woa_result, _ = woa_run(obj, WoaParams(10, 300), 10 * 301,
+                                derive_seed(seed, "hybrid-woa"))
         assert r.best_f == woa_result.best_f
 
     def test_init_spending_the_budget_still_reports_instruments(self):
@@ -142,8 +149,9 @@ class TestHybridRun:
     def test_continuation_never_loses_to_the_incumbent(self):
         obj = make_benchmark("sphere", 2)
         cfg = HybridConfig(cmaes_budget=150, woa_iterations=20)
-        cma_result, _ = cmaes_run(obj, 150, derive_seed(3, "hybrid-cma"))
-        woa_result, _ = woa_run(obj, 10, 20, derive_seed(3, "hybrid-woa"))
+        cma_result, _ = cmaes_run(obj, CmaesParams(), 150, derive_seed(3, "hybrid-cma"))
+        woa_result, _ = woa_run(obj, WoaParams(10, 20), 10 * 21,
+                                derive_seed(3, "hybrid-woa"))
         incumbent = min(cma_result.best_f, woa_result.best_f)
         r = sbs_run(obj, hybrid(10, cfg), 20_000, 3)
         assert r.best_f <= incumbent

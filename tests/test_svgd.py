@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from sbsopt import (
-    AdamState,
     BoltzmannTarget,
     DEFAULT_STEP_SIZE,
     EvalCounter,
     SbsConfig,
     ShapeMismatch,
-    adam_step,
     make_benchmark,
     make_objective,
     project_to_box,
     score,
 )
 from sbsopt.optimizers.sbs import _run_engine
-from sbsopt.svgd import _forces, _iterate_with_parts
+from sbsopt.svgd import AdamState, _forces, _iterate_with_parts, adam_step
 
 
 def forces(positions, target, sigma):
