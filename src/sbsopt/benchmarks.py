@@ -159,7 +159,6 @@ class BenchmarkEntry:
 
     name: str
     evaluator: Evaluator
-    default_dim: int
     dims_supported: frozenset[int] | None  # None: any d >= min_dim
     min_dim: int
     bounds: tuple[tuple[float, float], ...] | tuple[float, float]
@@ -225,28 +224,28 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
     BenchmarkEntry(
         # restricted form of the usual [-32.768, 32.768] hypercube; the
         # published definition allows a smaller domain
-        "Ackley", _ackley, 2, None, 1, (-5.0, 5.0),
+        "Ackley", _ackley, None, 1, (-5.0, 5.0),
         {0: 0.0}, {0: "zeros"},
     ),
     BenchmarkEntry(
-        "Branin", _branin, 2, frozenset({2}), 2, ((-5.0, 10.0), (0.0, 15.0)),
+        "Branin", _branin, frozenset({2}), 2, ((-5.0, 10.0), (0.0, 15.0)),
         {2: _BRANIN_F},
         {2: ((-_PI, 12.275), (_PI, 2.275), (3.0 * _PI, 2.475))},
     ),
     BenchmarkEntry(
-        "DropWave", _dropwave, 2, frozenset({2}), 2, (-5.12, 5.12),
+        "DropWave", _dropwave, frozenset({2}), 2, (-5.12, 5.12),
         {2: -1.0}, {2: ((0.0, 0.0),)},
     ),
     BenchmarkEntry(
-        "EggHolder", _eggholder, 2, frozenset({2}), 2, (-512.0, 512.0),
+        "EggHolder", _eggholder, frozenset({2}), 2, (-512.0, 512.0),
         {2: _EGGHOLDER_F}, {2: ((512.0, 404.2318052512796),)},
     ),
     BenchmarkEntry(
-        "GoldsteinPrice", _goldstein_price, 2, frozenset({2}), 2, (-2.0, 2.0),
+        "GoldsteinPrice", _goldstein_price, frozenset({2}), 2, (-2.0, 2.0),
         {2: 3.0}, {2: ((0.0, -1.0),)},
     ),
     BenchmarkEntry(
-        "Himmelblau", _himmelblau, 2, frozenset({2}), 2, (-5.0, 5.0),
+        "Himmelblau", _himmelblau, frozenset({2}), 2, (-5.0, 5.0),
         {2: 0.0},
         {2: (
             (3.0, 2.0),
@@ -256,7 +255,7 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
         )},
     ),
     BenchmarkEntry(
-        "HolderTable", _holder_table, 2, frozenset({2}), 2, (-10.0, 10.0),
+        "HolderTable", _holder_table, frozenset({2}), 2, (-10.0, 10.0),
         {2: _HOLDER_F},
         {2: (
             (8.05502348789846, 9.664590020886543),
@@ -266,21 +265,21 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
         )},
     ),
     BenchmarkEntry(
-        "Michalewicz", _michalewicz, 2, frozenset({2, 5, 10}), 2, (0.0, _PI),
+        "Michalewicz", _michalewicz, frozenset({2, 5, 10}), 2, (0.0, _PI),
         _MICHALEWICZ_F,
         {2: ((2.202905519986293, 1.5707963272256125),),
          5: (_MICHALEWICZ_X[:5],), 10: (_MICHALEWICZ_X,)},
     ),
     BenchmarkEntry(
-        "Rastrigin", _rastrigin, 2, None, 1, (-5.12, 5.12),
+        "Rastrigin", _rastrigin, None, 1, (-5.12, 5.12),
         {0: 0.0}, {0: "zeros"},
     ),
     BenchmarkEntry(
-        "Rosenbrock", _rosenbrock, 2, None, 2, (-5.0, 10.0),
+        "Rosenbrock", _rosenbrock, None, 2, (-5.0, 10.0),
         {0: 0.0}, {0: "ones"},
     ),
     BenchmarkEntry(
-        "Camel", _camel, 2, frozenset({2}), 2, ((-3.0, 3.0), (-2.0, 2.0)),
+        "Camel", _camel, frozenset({2}), 2, ((-3.0, 3.0), (-2.0, 2.0)),
         {2: _CAMEL_F},
         {2: (
             (0.08984200893527233, -0.712656403019058),
@@ -288,11 +287,11 @@ _ENTRIES: tuple[BenchmarkEntry, ...] = (
         )},
     ),
     BenchmarkEntry(
-        "Levy", _levy, 2, None, 1, (-10.0, 10.0),
+        "Levy", _levy, None, 1, (-10.0, 10.0),
         {0: 0.0}, {0: "ones"},
     ),
     BenchmarkEntry(
-        "Sphere", _sphere, 2, None, 1, (-5.12, 5.12),
+        "Sphere", _sphere, None, 1, (-5.12, 5.12),
         {0: 0.0}, {0: "zeros"},
     ),
 )
@@ -341,7 +340,7 @@ def make_benchmark(name: str, d: int) -> Objective:
     return obj
 
 
-def distance_to_minimum(entry: BenchmarkEntry, f_found: float, d: int | None = None) -> float:
-    """|f_found - f_star|: distance to the optimum in objective value."""
-    return abs(f_found - entry.f_star_for(d if d is not None else entry.default_dim))
+def distance_to_minimum(entry: BenchmarkEntry, f_found: float, d: int) -> float:
+    """|f_found - f_star|: distance to the optimum in objective value at dimension d."""
+    return abs(f_found - entry.f_star_for(d))
 

@@ -14,7 +14,7 @@ import sys
 from .benchmarks import distance_to_minimum, lookup, make_benchmark, registry
 from .boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd
 from .errors import ConfigError, SbsError
-from .harness import ExperimentConfig, run_experiment, write_results
+from .harness import ExperimentConfig, FunctionSpec, run_experiment, write_results
 from .objective import EvalCounter
 from .optimizers import available_methods, logs_trajectories, run_method
 from .trajectory import TrajectoryLog, plot_trajectories
@@ -62,14 +62,7 @@ def _cmd_bench_list(args) -> int:
 
 
 def _cmd_single(args) -> int:
-    try:
-        entry = lookup(args.function)
-    except KeyError:
-        raise ConfigError(f"unknown function {args.function!r}", field="function")
-    if not entry.supports(args.dim):
-        raise ConfigError(
-            f"function {args.function!r} does not support dim {args.dim}", field="dim"
-        )
+    FunctionSpec(args.function, args.dim)  # ConfigError for a bad name or dimension
     if args.log_trajectory and not logs_trajectories(args.method):
         raise ConfigError(f"method {args.method!r} records no trajectory",
                           field="log_trajectory")
@@ -90,7 +83,7 @@ def _cmd_single(args) -> int:
         "budget": args.budget,
         "seed": args.seed,
         "best_f": result.best_f,
-        "distance": distance_to_minimum(entry, result.best_f, args.dim),
+        "distance": distance_to_minimum(lookup(args.function), result.best_f, args.dim),
         "evals_used": result.evals_used,
         "iterations_done": result.iterations_done,
         "best_x": [float(v) for v in result.best_x],

@@ -5,6 +5,12 @@ repetition count. Every cell (method x function x repetition) gets its own
 seed derived from the base seed and the cell coordinates, so cells can be
 rerun in isolation. Outputs are a CSV of aggregate distances, a JSON
 summary with the comparison metrics, and optional per-run trajectory logs.
+
+The config checks itself when it is built: FunctionSpec resolves its
+benchmark and dimension, MethodSpec builds its method's parameter object,
+and ExperimentConfig checks its counts and rejects empty sections and
+duplicate keys. validate_config adds the one check that needs a method and
+a dimension together, so a bad config fails before its first cell runs.
 """
 
 from __future__ import annotations
@@ -27,11 +33,19 @@ ECR_CLIP = 100.0
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One optimizer column: registry name, parameters, display label."""
+    """One optimizer column: registry name, parameters, display label. Built
+    only from a params dict its method's parameter dataclasses accept."""
 
     name: str
     params: dict = field(default_factory=dict)
     label: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params of method {self.name!r} must be an object, "
+                              f"got {self.params!r}", field="params")
+        object.__setattr__(self, "params", dict(self.params))
+        method_config(self.name, self.params)
 
     @property
     def key(self) -> str:
@@ -40,13 +54,22 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One benchmark row: registry name and dimension."""
+    """One benchmark row: registry name and an integer dimension, which the
+    named benchmark must support."""
 
     name: str
     dim: int
 
     def __post_init__(self):
         check_number(self, "dim", int)
+        try:
+            entry = lookup(self.name)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0], field="function") from None
+        if not entry.supports(self.dim):
+            raise ConfigError(
+                f"function {self.name!r} does not support dim {self.dim}", field="dim"
+            )
 
     @property
     def key(self) -> str:
@@ -55,6 +78,9 @@ class FunctionSpec:
 
 @dataclass
 class ExperimentConfig:
+    """The whole experiment: budget and repetitions at least 1, log_every at
+    least 0, and each section non-empty with distinct keys."""
+
     functions: list[FunctionSpec]
     methods: list[MethodSpec]
     budget: int
@@ -62,6 +88,20 @@ class ExperimentConfig:
     base_seed: int = 0
     output_dir: str = "results"
     log_every: int = 0
+
+    def __post_init__(self):
+        check_number(self, "budget", int, minimum=1)
+        check_number(self, "repetitions", int, minimum=1)
+        check_number(self, "base_seed", int)
+        check_number(self, "log_every", int, minimum=0)
+        for section in ("functions", "methods"):
+            keys = [spec.key for spec in getattr(self, section)]
+            if not keys:
+                raise ConfigError(f"no {section} given", field=section)
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ConfigError(f"duplicate {section[:-1]} {key!r}", field=section)
+        self.output_dir = str(self.output_dir)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -72,31 +112,23 @@ class ExperimentConfig:
         for name, f in known.items():
             if f.default is MISSING and name not in data:
                 raise ConfigError(f"missing field {name!r}", field=name)
-        cfg = ExperimentConfig(**{name: data.get(name, f.default)
-                                  for name, f in known.items()})
+        values = {name: data.get(name, f.default) for name, f in known.items()}
         try:
-            cfg.functions = [
+            values["functions"] = [
                 FunctionSpec(name=str(f["name"]), dim=f["dim"])
-                for f in cfg.functions
+                for f in values["functions"]
             ]
-            cfg.methods = [
-                MethodSpec(
-                    name=str(m["name"]),
-                    params=_params_object(m),
-                    label=m.get("label"),
-                )
-                for m in cfg.methods
+            values["methods"] = [
+                MethodSpec(name=str(m["name"]), params=m.get("params", {}),
+                           label=m.get("label"))
+                for m in values["methods"]
             ]
         except KeyError as exc:
             raise ConfigError(f"missing field {exc.args[0]!r}", field=str(exc.args[0]))
         except TypeError:
             raise ConfigError("functions and methods must be lists of objects",
                               field="functions")
-        for name, f in known.items():
-            if f.type == "int":  # annotations are strings under postponed evaluation
-                check_number(cfg, name, int)
-        cfg.output_dir = str(cfg.output_dir)
-        return cfg
+        return ExperimentConfig(**values)
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
@@ -121,52 +153,16 @@ class ExperimentConfig:
         }
 
 
-def _params_object(method: dict) -> dict:
-    """A copy of a method entry's params, which must be an object."""
-    params = method.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"params of method {method['name']!r} must be an object, "
-                          f"got {params!r}", field="params")
-    return dict(params)
-
-
 def validate_config(cfg: ExperimentConfig) -> dict[str, BenchmarkEntry]:
-    """Resolve and sanity-check the config, every method's parameters
-    included, before any cell runs; returns the benchmark entries."""
-    if not cfg.functions:
-        raise ConfigError("no functions given", field="functions")
-    if not cfg.methods:
-        raise ConfigError("no methods given", field="methods")
-    if cfg.repetitions < 1:
-        raise ConfigError("repetitions must be at least 1", field="repetitions")
-    if cfg.budget < 1:
-        raise ConfigError("budget must be positive", field="budget")
-    if cfg.log_every < 0:
-        raise ConfigError("log_every must be nonnegative", field="log_every")
-
-    entries: dict[str, BenchmarkEntry] = {}
-    seen_functions = set()
-    for f in cfg.functions:
-        if f.key in seen_functions:
-            raise ConfigError(f"duplicate function {f.key!r}", field="functions")
-        seen_functions.add(f.key)
-        try:
-            entry = lookup(f.name)
-        except KeyError:
-            raise ConfigError(f"unknown function {f.name!r}", field="functions")
-        if not entry.supports(f.dim):
-            raise ConfigError(
-                f"function {f.name!r} does not support dim {f.dim}", field="functions"
-            )
-        entries[f.name] = entry
-
-    seen_methods = set()
+    """Check every warm-started method's cmaes_budget against every
+    function's dimension, the one check the specs cannot make alone, before
+    any cell runs; returns the benchmark entries by function name."""
     for m in cfg.methods:
-        if m.key in seen_methods:
-            raise ConfigError(f"duplicate method label {m.key!r}", field="methods")
-        seen_methods.add(m.key)
-        method_config(m.name, m.params)
-    return entries
+        hybrid = getattr(method_config(m.name, m.params), "hybrid", None)
+        if hybrid is not None:
+            for f in cfg.functions:
+                hybrid.check_dim(f.dim)
+    return {f.name: lookup(f.name) for f in cfg.functions}
 
 
 @dataclass
@@ -237,17 +233,12 @@ def average_rank(
     functions = list(mean_distances[methods[0]])
     totals = {m: 0.0 for m in methods}
     for fn in functions:
-        values = np.array([mean_distances[m][fn] for m in methods])
-        order = np.argsort(values, kind="stable")
-        i = 0
-        while i < len(methods):
-            j = i
-            while j + 1 < len(methods) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            shared = (i + j) / 2.0 + 1.0
-            for pos in range(i, j + 1):
-                totals[methods[order[pos]]] += shared
-            i = j + 1
+        values = [mean_distances[m][fn] for m in methods]
+        for m, v in zip(methods, values):
+            # the methods below v, then the mean 1-based position among v's ties
+            smaller = sum(1 for o in values if o < v)
+            tied = sum(1 for o in values if o == v)
+            totals[m] += smaller + (tied + 1) / 2.0
     avg = {m: totals[m] / len(functions) for m in methods}
     final = {m: 1 + sum(1 for o in methods if avg[o] < avg[m]) for m in methods}
     return avg, final
@@ -255,13 +246,17 @@ def average_rank(
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
     """Run every (method, function, repetition) cell, in config order, and
-    aggregate. The returned runs are sorted by cell coordinates.
+    aggregate. Each run is audited against the budget as it returns. The
+    returned runs are sorted by cell coordinates.
     """
     entries = validate_config(cfg)
 
     records = []
+    cells: dict[tuple[str, str], CellStats] = {}
+    mean_distances: dict[str, dict[str, float]] = {m.key: {} for m in cfg.methods}
     for m in cfg.methods:
         for f in cfg.functions:
+            cell = []
             for rep in range(cfg.repetitions):
                 seed = derive_seed(cfg.base_seed, m.key, f.name, f.dim, rep)
                 obj = make_benchmark(f.name, f.dim)
@@ -269,27 +264,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
                     m.name, obj, cfg.budget, seed, m.params,
                     log_every=cfg.log_every, benchmark=f.name,
                 )
+                if result.evals_used > cfg.budget:
+                    raise BudgetExceeded(
+                        f"budget audit failed: {m.key} on {f.key} "
+                        f"used {result.evals_used} > {cfg.budget}"
+                    )
                 distance = distance_to_minimum(entries[f.name], result.best_f, f.dim)
-                records.append(
-                    RunRecord(m.key, f.name, f.dim, rep, seed, result, distance)
-                )
-    records.sort(key=lambda r: (r.method, r.function, r.dim, r.repetition))
-
-    for rec in records:
-        if rec.result.evals_used > cfg.budget:
-            raise BudgetExceeded(
-                f"budget audit failed: {rec.method} on {rec.function}-{rec.dim}d "
-                f"used {rec.result.evals_used} > {cfg.budget}"
-            )
-
-    cells: dict[tuple[str, str], CellStats] = {}
-    mean_distances: dict[str, dict[str, float]] = {m.key: {} for m in cfg.methods}
-    for m in cfg.methods:
-        for f in cfg.functions:
-            cell = [
-                r for r in records
-                if r.method == m.key and r.function == f.name and r.dim == f.dim
-            ]
+                cell.append(RunRecord(m.key, f.name, f.dim, rep, seed, result, distance))
             distances = np.array([r.distance for r in cell])
             evals = np.array([r.result.evals_used for r in cell], dtype=float)
             stats = CellStats(
@@ -299,6 +280,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
             )
             cells[(m.key, f.key)] = stats
             mean_distances[m.key][f.key] = stats.mean_distance
+            records.extend(cell)
+    records.sort(key=lambda r: (r.method, r.function, r.dim, r.repetition))
 
     table_ecr = ecr(mean_distances)
     avg, final = average_rank(mean_distances)

@@ -38,12 +38,13 @@ def split_streams(seed: int, n_streams: int) -> list[np.random.Generator]:
 
 def check_number(config, name: str, kind: type, *, optional: bool = False,
                  minimum: int | float | None = None, positive: bool = False) -> None:
-    """Convert field `name` of the frozen dataclass `config` with kind (int or
-    float) in place.
+    """Convert field `name` of the dataclass `config` with kind (int or float)
+    in place.
 
-    A value kind cannot convert, one that is not finite, one below minimum,
-    or with positive set one that is not above zero raises ConfigError
-    naming the field. None passes unchanged when the field is optional.
+    A boolean, a value kind cannot convert or, for int, would change, one
+    that is not finite, one below minimum, or with positive set one that
+    is not above zero raises ConfigError naming the field. None passes
+    unchanged when the field is optional.
     """
     value = getattr(config, name)
     if value is None and optional:
@@ -51,8 +52,10 @@ def check_number(config, name: str, kind: type, *, optional: bool = False,
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or isinstance(value, bool) or kind is int and converted != value:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}", field=name) from None
+        raise ConfigError(f"{name} must be {noun}, got {value!r}", field=name)
     if not math.isfinite(converted):
         raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
     if positive and not converted > 0:

@@ -37,6 +37,17 @@ class HybridConfig:
         check_number(self, "cmaes_budget", int, positive=True)
         check_number(self, "woa_iterations", int, positive=True)
 
+    def check_dim(self, d: int) -> None:
+        """ConfigError unless cmaes_budget covers one CMA-ES generation in d
+        dimensions."""
+        lam = default_popsize(d)
+        if self.cmaes_budget < lam:
+            raise ConfigError(
+                f"cmaes_budget {self.cmaes_budget} is below one CMA-ES generation "
+                f"({lam} evaluations in {d} dimensions)",
+                field="cmaes_budget",
+            )
+
 
 def _hybrid_init_full(
     obj: Objective,
@@ -93,7 +104,7 @@ def sbs_run(
     start_iteration on. cfg.hybrid first picks the starting particles by
     the init phase above, whose incumbent stays the answer unless the
     continuation beats it; its cmaes_budget must cover one CMA-ES
-    generation (else ConfigError).
+    generation (HybridConfig.check_dim, else ConfigError).
     Diagnostics, the KSD and a trajectory snapshot every log_every
     iterations are off-budget instrumentation. The KSD goes only into the
     diagnostics records, so track_ksd does nothing without
@@ -109,13 +120,7 @@ def sbs_run(
         return _run_engine(obj, cfg, budget, seed, **instruments)
 
     hybrid = cfg.hybrid
-    lam = default_popsize(obj.domain.d)
-    if hybrid.cmaes_budget < lam:
-        raise ConfigError(
-            f"cmaes_budget {hybrid.cmaes_budget} is below one CMA-ES generation "
-            f"({lam} evaluations)",
-            field="cmaes_budget",
-        )
+    hybrid.check_dim(obj.domain.d)
     n_particles = cfg.n_particles
     counter = EvalCounter()
     woa_agents = max(2, n_particles)

@@ -576,6 +576,15 @@ BAD_VALUES = [
     ("langevin", "eta", NAN),
     ("langevin", "eta", INF),
     ("langevin", "eta", -1e-5),
+    ("sbs", "n_particles", 10.7),
+    ("sbs", "n_particles", True),
+    ("sbs-pf", "start_iteration", 2.5),
+    ("sbs-hybrid", "cmaes_budget", 100.5),
+    ("cma-es", "popsize", 6.5),
+    ("woa", "iterations", 3.5),
+    ("cbo", "iterations", True),
+    ("langevin", "n_chains", 2.5),
+    ("langevin", "kappa", True),
 ]
 
 

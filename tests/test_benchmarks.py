@@ -402,7 +402,7 @@ class TestMakeBenchmark:
     def test_distance_to_minimum(self):
         entry = lookup("branin")
         assert distance_to_minimum(entry, entry.f_star_for(2) + 0.25, 2) == pytest.approx(0.25)
-        assert distance_to_minimum(lookup("sphere"), 1e-9) == pytest.approx(1e-9)
+        assert distance_to_minimum(lookup("sphere"), 1e-9, 5) == pytest.approx(1e-9)
 
     def test_michalewicz_reference_values(self):
         entry = lookup("michalewicz")

@@ -158,33 +158,65 @@ class TestConfig:
 
     def test_validate_rejects_empty_sections(self):
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(functions=[]))
+            self.make_cfg(functions=[])
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(methods=[]))
+            self.make_cfg(methods=[])
 
     def test_validate_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(repetitions=0))
+            self.make_cfg(repetitions=0)
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(budget=0))
+            self.make_cfg(budget=0)
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(log_every=-1))
+            self.make_cfg(log_every=-1)
 
     def test_validate_rejects_duplicates(self):
-        cfg = self.make_cfg(functions=[FunctionSpec("Sphere", 2), FunctionSpec("Sphere", 2)])
         with pytest.raises(ConfigError):
-            validate_config(cfg)
-        cfg = self.make_cfg(methods=[MethodSpec("sbs"), MethodSpec("sbs")])
+            self.make_cfg(functions=[FunctionSpec("Sphere", 2), FunctionSpec("Sphere", 2)])
         with pytest.raises(ConfigError):
-            validate_config(cfg)
+            self.make_cfg(methods=[MethodSpec("sbs"), MethodSpec("sbs")])
 
     def test_validate_rejects_unknown_names(self):
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(functions=[FunctionSpec("Parabola", 2)]))
+            FunctionSpec("Parabola", 2)
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(methods=[MethodSpec("tabu-search")]))
+            MethodSpec("tabu-search")
         with pytest.raises(ConfigError):
-            validate_config(self.make_cfg(functions=[FunctionSpec("Branin", 7)]))
+            FunctionSpec("Branin", 7)
+
+    @pytest.mark.parametrize("spec, args, field", [
+        (FunctionSpec, ("Sphere", 2.5), "dim"),
+        (FunctionSpec, ("Sphere", True), "dim"),
+        (FunctionSpec, ("Sphere", 0), "dim"),
+        (MethodSpec, ("woa", ["n_agents", 5]), "params"),
+        (MethodSpec, ("woa", {"n_agents": 1}), "n_agents"),
+        (MethodSpec, ("woa", {"n_agents": 10.7}), "n_agents"),
+        (MethodSpec, ("tabu-search",), "method"),
+        (ExperimentConfig, ([FunctionSpec("Sphere", 2)], [MethodSpec("sbs")], 500.9),
+         "budget"),
+        (ExperimentConfig, ([FunctionSpec("Sphere", 2)], [MethodSpec("sbs")], 500, 1.5),
+         "repetitions"),
+        (ExperimentConfig, ([FunctionSpec("Sphere", 2)], [MethodSpec("sbs")], 500, 1,
+                            "x"), "base_seed"),
+    ])
+    def test_specs_reject_bad_values_when_built(self, spec, args, field):
+        with pytest.raises(ConfigError) as err:
+            spec(*args)
+        assert err.value.field == field
+
+    def test_validate_rejects_warm_start_below_one_cmaes_generation(self):
+        # one CMA-ES generation is 10 evaluations in 10 dimensions, 6 in 2
+        cfg = self.make_cfg(
+            functions=[FunctionSpec("Sphere", 2), FunctionSpec("Rastrigin", 10)],
+            methods=[MethodSpec("sbs-hybrid", {"cmaes_budget": 9})],
+        )
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == "cmaes_budget"
+        validate_config(self.make_cfg(
+            functions=[FunctionSpec("Sphere", 2)],
+            methods=[MethodSpec("sbs-hybrid", {"cmaes_budget": 9})],
+        ))
 
     def test_duplicate_method_allowed_with_labels(self):
         cfg = self.make_cfg(methods=[
@@ -312,6 +344,15 @@ class TestWriteResults:
         assert len(written) == 2 + len(logs)
 
 
+# (key, value) of an experiment config that is not an integer of the key's kind
+NON_NUMBERS = [
+    (key, "many") for key in ("budget", "repetitions", "base_seed", "log_every", "dim")
+] + [
+    ("dim", 2.5), ("budget", 500.9), ("repetitions", 1.5), ("base_seed", 0.5),
+    ("budget", True), ("dim", "2"),
+]
+
+
 class TestCli:
     def test_bench_list(self, capsys):
         assert main(["bench", "list"]) == 0
@@ -357,9 +398,10 @@ class TestCli:
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
-    @pytest.mark.parametrize("key", ["budget", "repetitions", "base_seed", "log_every",
-                                     "dim"])
-    def test_non_number_in_config_exits_2(self, key, capsys, tmp_path):
+    @pytest.mark.parametrize("key, value", NON_NUMBERS, ids=[
+        key if value == "many" else f"{key}-{value}" for key, value in NON_NUMBERS
+    ])
+    def test_non_number_in_config_exits_2(self, key, value, capsys, tmp_path):
         cfg = {
             "functions": [{"name": "Sphere", "dim": 2}],
             "methods": [{"name": "woa"}],
@@ -367,9 +409,9 @@ class TestCli:
             "output_dir": str(tmp_path / "out"),
         }
         if key == "dim":
-            cfg["functions"][0]["dim"] = "many"
+            cfg["functions"][0]["dim"] = value
         else:
-            cfg[key] = "many"
+            cfg[key] = value
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 2
@@ -416,6 +458,35 @@ class TestCli:
         cfg_path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "n_agents" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_warm_start_below_one_cmaes_generation_fails_before_any_cell(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_method", counting)
+        # one CMA-ES generation in 10 dimensions is 10 evaluations
+        data = {
+            "functions": [{"name": "Rastrigin", "dim": 10}],
+            "methods": [{"name": "cma-es"},
+                        {"name": "sbs-hybrid", "params": {"cmaes_budget": 9}}],
+            "budget": 60_000,
+            "repetitions": 2,
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentConfig.from_dict(data))
+        assert err.value.field == "cmaes_budget"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "cmaes_budget" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
 
