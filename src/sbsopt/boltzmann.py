@@ -63,38 +63,45 @@ def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | No
     return kmat, diff, sqdist
 
 
-def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list]:
-    """The particles cut into tiles, and the pairs of tiles whose kernel
-    block can hold a nonzero entry.
+def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The particles cut into tiles, the pairs of tiles whose kernel block
+    can hold a nonzero entry, and the particles whose kernel row is e_i.
 
-    Returns (tiles, pairs). The particles are sorted on coordinate 0 and cut
-    into tiles of TILE, each an index array in ascending order; pairs lists
-    (a, b), a < b, for each two tiles whose coordinate-0 ranges come within
-    WINDOW sigma. Every block left out is exactly zero: k underflows to 0.0
-    once ||x - y|| exceeds about 38.6 sigma, and the gap between two tiles'
-    ranges is a lower bound on every distance across them. With at most
-    TILE particles the one tile is slice(0, N), so the kernel is computed on
-    views, as one dense N x N block.
+    Returns (tiles, pairs, lone). The particles are sorted on coordinate 0;
+    lone, in ascending order, holds each one whose two neighbours in that
+    order both lie more than WINDOW sigma away, so that k(x_i, x_j) is
+    exactly 0.0 for every j != i. The rest are cut into tiles of TILE, each
+    an index array in ascending order; pairs lists (a, b), a < b, for each
+    two tiles whose coordinate-0 ranges come within WINDOW sigma. Every
+    block left out is exactly zero: k underflows to 0.0 once ||x - y||
+    exceeds about 38.6 sigma, and a coordinate-0 gap is a lower bound on
+    every distance across it. With at most TILE particles the one tile is
+    slice(0, N) and lone is empty, so the kernel is computed on views, as
+    one dense N x N block.
     """
     n = positions.shape[0]
     if n <= TILE:
-        return [slice(0, n)], []
+        return [slice(0, n)], [], np.empty(0, dtype=np.intp)
     order = np.argsort(positions[:, 0], kind="stable")
     x0 = positions[order, 0]
-    starts = range(0, n, TILE)
+    # below the normal range sigma**2 rounds coarsely and the cutoff moves,
+    # so there no particle is lone and every pair of tiles is kept
+    reach = WINDOW * sigma if sigma**2 >= np.finfo(float).tiny else np.inf
+    apart = np.diff(x0) > reach  # the exact gap; particles further out lie further
+    alone = np.r_[True, apart] & np.r_[apart, True]
+    lone = np.sort(order[alone])
+    order, x0 = order[~alone], x0[~alone]
+    starts = range(0, order.size, TILE)
     tiles = [np.sort(order[s:s + TILE]) for s in starts]
     lows = [x0[s] for s in starts]
-    highs = [x0[min(s + TILE, n) - 1] for s in starts]
-    # below the normal range sigma**2 rounds coarsely and the cutoff moves,
-    # so there every pair of tiles is kept
-    reach = WINDOW * sigma if sigma**2 >= np.finfo(float).tiny else np.inf
+    highs = [x0[min(s + TILE, order.size) - 1] for s in starts]
     pairs = []
     for a, high in enumerate(highs):
         for b in range(a + 1, len(tiles)):
             if lows[b] - high > reach:  # the exact gap; later tiles lie further
                 break
             pairs.append((a, b))
-    return tiles, pairs
+    return tiles, pairs, lone
 
 
 def ksd_from_parts(
@@ -116,10 +123,16 @@ def ksd_from_parts(
 
     A diagonal block (rows is cols) holds each of its pairs in both orders;
     a cross block stands for itself and its mirror image, so counts twice.
+    The lone particles come as a diagonal block whose kmat, diff and sqdist
+    are None: their block is the identity, so each adds
+    (s_i.s_i + d/sigma^2) / N^2.
     """
     n, d = scores.shape
     sig2 = sigma**2
     s_rows = scores[rows]
+    if kmat is None:
+        term_ss = np.einsum("id,id->", s_rows, s_rows)
+        return float((term_ss + len(s_rows) * d / sig2) / n**2)
     s_cols = s_rows if rows is cols else scores[cols]
     weight = 1.0 if rows is cols else 2.0
     term_ss = np.einsum("id,jd,ij->", s_rows, s_cols, kmat)
@@ -147,10 +160,12 @@ def ksd(
     check_sigma(sigma)
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
     scores = score(target, positions, counter)
-    tiles, pairs = kernel_tiles(sigma, positions)
+    tiles, pairs, lone = kernel_tiles(sigma, positions)
     total = 0.0
     for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
         others = None if rows is cols else positions[cols]
         parts = pairwise_kernel(sigma, positions[rows], others)
         total += ksd_from_parts(scores, rows, cols, *parts, sigma)
+    if lone.size:  # last, in the order of svgd._forces' visits
+        total += ksd_from_parts(scores, lone, lone, None, None, None, sigma)
     return total

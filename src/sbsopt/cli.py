@@ -17,6 +17,7 @@ from .errors import ConfigError, SbsError
 from .harness import ExperimentConfig, FunctionSpec, run_experiment, write_results
 from .objective import EvalCounter
 from .optimizers import available_methods, logs_trajectories, run_method
+from .optimizers.base import check_number
 from .trajectory import TrajectoryLog, plot_trajectories
 
 
@@ -63,6 +64,7 @@ def _cmd_bench_list(args) -> int:
 
 def _cmd_single(args) -> int:
     FunctionSpec(args.function, args.dim)  # ConfigError for a bad name or dimension
+    check_number(args, "budget", int, minimum=1)  # as ExperimentConfig does
     if args.log_trajectory and not logs_trajectories(args.method):
         raise ConfigError(f"method {args.method!r} records no trajectory",
                           field="log_trajectory")

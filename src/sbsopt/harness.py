@@ -9,8 +9,10 @@ summary with the comparison metrics, and optional per-run trajectory logs.
 The config checks itself when it is built: FunctionSpec resolves its
 benchmark and dimension, MethodSpec builds its method's parameter object,
 and ExperimentConfig checks its counts and rejects empty sections and
-duplicate keys. validate_config adds the one check that needs a method and
-a dimension together, so a bad config fails before its first cell runs.
+duplicates: two method keys alike, or two functions that name one registry
+entry at one dimension. validate_config adds the one check that needs a
+method and a dimension together, so a bad config fails before its first
+cell runs.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class FunctionSpec:
 @dataclass
 class ExperimentConfig:
     """The whole experiment: budget and repetitions at least 1, log_every at
-    least 0, and each section non-empty with distinct keys."""
+    least 0, and each section non-empty with distinct entries: method keys,
+    and benchmarks at a dimension, whatever the case or spacing of a name."""
 
     functions: list[FunctionSpec]
     methods: list[MethodSpec]
@@ -95,12 +98,16 @@ class ExperimentConfig:
         check_number(self, "base_seed", int)
         check_number(self, "log_every", int, minimum=0)
         for section in ("functions", "methods"):
-            keys = [spec.key for spec in getattr(self, section)]
-            if not keys:
+            specs = getattr(self, section)
+            if not specs:
                 raise ConfigError(f"no {section} given", field=section)
-            for i, key in enumerate(keys):
-                if key in keys[:i]:
-                    raise ConfigError(f"duplicate {section[:-1]} {key!r}", field=section)
+            # a function is its registry entry at a dimension, however spelled
+            same = [(lookup(s.name).name, s.dim) if section == "functions" else s.key
+                    for s in specs]
+            for i, spec in enumerate(specs):
+                if same[i] in same[:i]:
+                    raise ConfigError(f"duplicate {section[:-1]} {spec.key!r}",
+                                      field=section)
         self.output_dir = str(self.output_dir)
 
     @staticmethod

@@ -51,13 +51,17 @@ def _forces(
     phi*(x_i) = (1/N) sum_j [ s(x_j) k(x_i, x_j) + grad_{x_j} k(x_i, x_j) ].
 
     The sums run over the kernel blocks of kernel_tiles: each tile with
-    itself first, then each pair of tiles, added into both of its sides.
-    visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
-    block once, as it is made; rows is cols on a tile with itself.
+    itself first, then each pair of tiles, added into both of its sides. A
+    lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
+    repulsion exactly 0, the bits an identity row of a block gives, and no
+    block is made for it. visit(scores, rows, cols, kmat, diff, sqdist),
+    when given, sees every block once, as it is made; rows is cols on a
+    tile with itself. The lone particles come last, as one block with rows
+    is cols and kmat, diff and sqdist None (see ksd_from_parts).
     """
-    n = positions.shape[0]
+    n, d = positions.shape
     scores = score(target, positions, counter)
-    tiles, pairs = kernel_tiles(sigma, positions)
+    tiles, pairs, lone = kernel_tiles(sigma, positions)
     attraction, repulsion = [], []  # per tile, rows in tile order
     for tile in tiles:
         kmat, diff, sqdist = pairwise_kernel(sigma, positions[tile])
@@ -74,12 +78,18 @@ def _forces(
         repulsion[b] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
         if visit is not None:
             visit(scores, rows, cols, kmat, diff, sqdist)
+    if lone.size:
+        tiles = tiles + [lone]
+        attraction.append(scores[lone] / n)
+        repulsion.append(np.zeros((lone.size, d)))
+        if visit is not None:
+            visit(scores, lone, lone, None, None, None)
     return _untile(tiles, attraction), _untile(tiles, repulsion)
 
 
 def _untile(tiles: list, parts: list) -> np.ndarray:
     """Per-tile rows put back in particle order."""
-    if len(parts) == 1:  # the one tile holds every particle, in order
+    if len(parts) == 1:  # one tile, or the lone set, holds every particle in order
         return parts[0]
     out = np.empty((sum(len(t) for t in tiles), parts[0].shape[1]))
     out[np.concatenate(tiles)] = np.concatenate(parts)

@@ -176,6 +176,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             self.make_cfg(methods=[MethodSpec("sbs"), MethodSpec("sbs")])
 
+    @pytest.mark.parametrize("other", ["sphere", "SPHERE", " sphere"])
+    def test_rejects_one_benchmark_named_twice(self, other):
+        # one registry entry at one dimension, however spelled, is one row
+        with pytest.raises(ConfigError) as err:
+            self.make_cfg(functions=[FunctionSpec("Sphere", 2), FunctionSpec(other, 2)])
+        assert err.value.field == "functions"
+        cfg = self.make_cfg(functions=[FunctionSpec("Sphere", 2), FunctionSpec(other, 3)])
+        assert [f.key for f in cfg.functions] == ["Sphere-2d", f"{other}-3d"]
+
     def test_validate_rejects_unknown_names(self):
         with pytest.raises(ConfigError):
             FunctionSpec("Parabola", 2)
@@ -389,6 +398,24 @@ class TestCli:
     def test_single_unsupported_dim_exits_2(self, capsys):
         assert main(["single", "--method", "sbs", "--function", "branin",
                      "--dim", "3"]) == 2
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_single_budget_below_one_exits_2(self, capsys, budget):
+        for method in ("sbs", "woa"):
+            assert main(["single", "--method", method, "--function", "sphere",
+                         "--budget", budget]) == 2
+            assert "budget must be at least 1" in capsys.readouterr().err
+
+    def test_one_benchmark_spelled_two_ways_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "twice.json"
+        config.write_text(json.dumps({
+            "functions": [{"name": "sphere", "dim": 2}, {"name": "Sphere", "dim": 2}],
+            "methods": [{"name": "cma-es"}],
+            "budget": 500, "repetitions": 1, "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "duplicate function 'Sphere-2d'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_method_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -18,6 +18,7 @@ from sbsopt import (
     sbs_run,
     score,
 )
+from sbsopt import svgd
 from sbsopt.boltzmann import TILE, WINDOW, kernel_tiles, pairwise_kernel
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
 from sbsopt.svgd import _forces
@@ -190,13 +191,32 @@ def clustered(rng, n, sigma, d=2):
     return np.clip(pts, -4.5, 4.5)
 
 
+def scattered(rng, n, sigma, d=2):
+    """n particles uniform over the box, as a run starts, with a tenth of
+    them clustered: at a small sigma most of them are lone."""
+    pts = rng.uniform(-4.5, 4.5, size=(n, d))
+    pts[: n // 10] = clustered(rng, n // 10, sigma, d)
+    return pts
+
+
+def spread(n, sigma):
+    """n particles on coordinate 0, each one ulp more than WINDOW sigma from
+    the next, so that every one of them is lone."""
+    x0 = [1.0]
+    for _ in range(n - 1):
+        x0.append(np.nextafter(x0[-1] + WINDOW * sigma, np.inf))
+    return np.stack([x0, np.zeros(n)], axis=1)
+
+
 def outside_the_tiles(sigma, pts):
-    """The dense kernel's entries in no block that kernel_tiles lists."""
+    """The dense kernel's entries in no block that kernel_tiles lists, nor
+    on the diagonal of a lone particle."""
     n = pts.shape[0]
-    tiles, pairs = kernel_tiles(sigma, pts)
+    tiles, pairs, lone = kernel_tiles(sigma, pts)
     covered = np.zeros((n, n), dtype=bool)
     for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
         covered[np.ix_(rows, cols)] = covered[np.ix_(cols, rows)] = True
+    covered[lone, lone] = True
     return pairwise_kernel(sigma, pts)[0][~covered]
 
 
@@ -230,38 +250,82 @@ class TestTiledKernel:
     @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, None, 1e-3])
     def test_close_beyond_one_tile(self, n, sigma):
         sigma = sigma or 1.0 / n**2
-        pts = clustered(np.random.default_rng(n), n, sigma)
-        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
-        assert np.count_nonzero(kmat) > n  # particles interact across tiles
-        assert max_normalised(a, da) <= 1e-14
-        assert max_normalised(r, dr) <= 1e-14
-        assert stein == pytest.approx(dstein, rel=1e-14)
+        for points in (clustered, scattered):  # scattered: lone particles too
+            pts = points(np.random.default_rng(n), n, sigma)
+            (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+            assert np.count_nonzero(kmat) > n  # particles interact across tiles
+            assert max_normalised(a, da) <= 1e-14
+            assert max_normalised(r, dr) <= 1e-14
+            assert stein == pytest.approx(dstein, rel=1e-14)
 
     @pytest.mark.parametrize("n", [TILE + 1, 1000])
     def test_skipped_blocks_are_exactly_zero(self, n):
         sigma = 1e-3
-        pts = clustered(np.random.default_rng(7), n, sigma)
-        tiles, pairs = kernel_tiles(sigma, pts)
-        np.testing.assert_array_equal(np.sort(np.concatenate(tiles)), np.arange(n))
-        assert all(len(t) <= TILE and np.all(np.diff(t) > 0) for t in tiles)
-        assert all(a < b for a, b in pairs)
-        if n > 2 * TILE:  # some pairs of tiles are left out
-            assert len(pairs) < len(tiles) * (len(tiles) - 1) // 2
-        assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+        for points in (clustered, scattered):
+            pts = points(np.random.default_rng(7), n, sigma)
+            tiles, pairs, lone = kernel_tiles(sigma, pts)
+            everyone = np.concatenate(tiles + [lone])
+            np.testing.assert_array_equal(np.sort(everyone), np.arange(n))
+            assert all(len(t) <= TILE and np.all(np.diff(t) > 0) for t in tiles)
+            assert np.all(np.diff(lone) > 0)
+            assert all(a < b for a, b in pairs)
+            if n > 2 * TILE:  # some pairs of tiles are left out
+                assert len(pairs) < len(tiles) * (len(tiles) - 1) // 2
+            assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_one_tile_is_a_view(self):
-        pts = np.zeros((TILE, 2))
-        assert kernel_tiles(1.0, pts) == ([slice(0, TILE)], [])
+        # even particles far apart stay in the one tile: no lone set
+        tiles, pairs, lone = kernel_tiles(1e-3, spread(TILE, 1e-3))
+        assert tiles == [slice(0, TILE)] and pairs == [] and lone.size == 0
+
+    def test_a_neighbour_at_exactly_the_window_stays_tiled(self):
+        # sigma and WINDOW sigma are exact in binary, as is 1 + WINDOW sigma
+        sigma = 2.0**-20
+        pts = spread(TILE + 1, sigma)
+        pts[TILE, 0] = pts[TILE - 1, 0] + WINDOW * sigma
+        assert pts[TILE, 0] - pts[TILE - 1, 0] == WINDOW * sigma
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert [list(t) for t in tiles] == [[TILE - 1, TILE]] and pairs == []
+        np.testing.assert_array_equal(lone, np.arange(TILE - 1))
+        pts[TILE, 0] = np.nextafter(pts[TILE, 0], np.inf)  # one ulp beyond
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert tiles == [] and pairs == []
+        np.testing.assert_array_equal(lone, np.arange(TILE + 1))
+
+    @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, 1e-3])
+    def test_coincident_particles_are_never_lone(self, sigma):
+        pts = spread(TILE + 3, sigma)
+        pts[[5, 9]] = pts[7]  # three at one point, the rest spread out
+        pts[TILE + 2] = pts[TILE + 1]  # and two at the far end
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert [list(t) for t in tiles] == [[5, 7, 9, TILE + 1, TILE + 2]]
+        assert lone.size == TILE - 2 and not {5, 7, 9, TILE + 1, TILE + 2} & set(lone)
+        assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+
+    def test_every_particle_lone_gets_its_own_score(self):
+        # beyond one tile with no near pair: each kernel row is e_i
+        n = TILE + 44
+        sigma = 1.0 / n**2
+        pts = spread(n, sigma)
+        assert kernel_tiles(sigma, pts)[2].size == n
+        target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
+        attraction, repulsion = _forces(pts, target, sigma, EvalCounter())
+        scores = score(target, pts, EvalCounter())
+        np.testing.assert_array_equal(attraction, scores / n)
+        assert np.all(repulsion == 0.0)
+        assert ksd(pts, target, sigma, EvalCounter()) == pytest.approx(
+            dense_parts(sigma, pts, scores)[2], rel=1e-14)
 
     def test_keeps_a_one_ulp_pair_across_a_tile_boundary(self):
         # at sigma = 1e-17 two particles one ulp apart at x_0 = 1 have
-        # k = exp(-246) > 0; 255 others sort first, so they fall in two tiles
+        # k = exp(-246) > 0; the 255 others sort first and are lone, so the
+        # pair is the one tile
         sigma = 1e-17
         pts = np.zeros((TILE + 1, 2))
         pts[:TILE - 1, 0] = np.linspace(-4.0, -1.0, TILE - 1)
         pts[TILE - 1, 0] = 1.0
         pts[TILE, 0] = np.nextafter(1.0, 2.0)
-        assert kernel_tiles(sigma, pts)[1] == [(0, 1)]
+        assert [list(t) for t in kernel_tiles(sigma, pts)[0]] == [[TILE - 1, TILE]]
         (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
         assert 0.0 < kmat[TILE - 1, TILE] < 1e-100
         assert r[TILE, 0] > 0.0 and r[TILE - 1, 0] < 0.0
@@ -276,19 +340,24 @@ class TestTiledKernel:
         pts[:TILE - 1, 0] = np.linspace(-4.0, -1.0, TILE - 1)
         pts[TILE, 0] = 41 * sigma
         assert 41 > WINDOW and pairwise_kernel(sigma, pts[TILE - 1:])[0][0, 1] > 0.0
-        assert kernel_tiles(sigma, pts)[1] == [(0, 1)]
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert pairs == [(0, 1)] and lone.size == 0  # no particle is lone
         with np.errstate(over="ignore"):  # far pairs: exp(-inf) = 0
             assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_run_ksd_matches_ksd_of_the_entering_state(self):
-        n = TILE + 44
         obj = make_benchmark("ackley", 2)
-        cfg = SbsConfig(n_particles=n, sigma=0.05, max_iterations=1)
-        r = sbs_run(obj, cfg, 10**6, 2, collect_diagnostics=True, track_ksd=True,
-                    log_every=1)
-        entering = r.trajectory.snapshots[0].positions
-        want = ksd(entering, BoltzmannTarget(obj, kappa=cfg.kappa), 0.05, EvalCounter())
-        assert r.diagnostics[0].ksd == want
+        # no particle is lone at the first sigma; at the second over a
+        # quarter are, beside three tiles and two pairs of them
+        for n, sigma in ((TILE + 44, 0.05), (3 * TILE, 2e-4)):
+            cfg = SbsConfig(n_particles=n, sigma=sigma, max_iterations=1)
+            r = sbs_run(obj, cfg, 10**6, 2, collect_diagnostics=True, track_ksd=True,
+                        log_every=1)
+            entering = r.trajectory.snapshots[0].positions
+            tiles, pairs, lone = kernel_tiles(sigma, entering)
+            assert (lone.size > n // 4 and len(pairs) == 2) == (sigma < 0.05)
+            want = ksd(entering, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
+            assert r.diagnostics[0].ksd == want
 
     def test_twenty_thousand_particles_in_bounded_memory(self):
         # the dense kernel would hold 20000^2 (d + 2) floats, about 12.8 GB
@@ -301,3 +370,20 @@ class TestTiledKernel:
             tracemalloc.stop()
         assert r.iterations_done == 2 and np.isfinite(r.best_f)
         assert peak < 100e6
+
+    def test_twenty_thousand_scattered_particles_make_almost_no_blocks(self, monkeypatch):
+        # at the default bandwidth nearly every particle is lone; full tiles
+        # would compute about N TILE kernel entries
+        n = 20_000
+        entries = []
+
+        def counted(sigma, positions, others=None):
+            parts = pairwise_kernel(sigma, positions, others)
+            entries.append(parts[0].size)
+            return parts
+
+        monkeypatch.setattr(svgd, "pairwise_kernel", counted)
+        r = sbs_run(make_benchmark("ackley", 2), SbsConfig(n_particles=n, max_iterations=1),
+                    100_000, 0)
+        assert r.iterations_done == 1
+        assert sum(entries) < n * TILE // 1000
