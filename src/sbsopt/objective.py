@@ -139,12 +139,13 @@ def fd_gradient(
     step = h if h is not None else 1e-6 * np.maximum(1.0, np.abs(points))
     up = np.minimum(points + step, obj.domain.upper)
     down = np.maximum(points - step, obj.domain.lower)
-    coord = np.arange(d)
-    # probes[k, i, 0] is point k with coordinate i moved up, probes[k, i, 1] down
-    probes = np.repeat(points[:, None, None, :], d, axis=1).repeat(2, axis=2)
-    probes[:, coord, 0, coord] = up
-    probes[:, coord, 1, coord] = down
-    f = evaluate(obj, probes.reshape(-1, d), counter).reshape(n, d, 2)
+    # rows 2dk + 2i and 2dk + 2i + 1 are point k with coordinate i moved up
+    # and down: in the (n, 2d^2) view, entries i(2d + 1) and d + i(2d + 1)
+    probes = np.repeat(points, 2 * d, axis=0)
+    flat = probes.reshape(n, 2 * d * d)
+    flat[:, ::2 * d + 1] = up
+    flat[:, d::2 * d + 1] = down
+    f = evaluate(obj, probes, counter).reshape(n, d, 2)
     if not np.isfinite(f).all():
         k = np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0]
         raise NonFiniteValue(f"{obj.name}: non-finite probe near {points[k]}")

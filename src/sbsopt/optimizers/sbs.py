@@ -5,10 +5,13 @@ Budget convention: every objective evaluation counts, including the 2d
 finite-difference probes behind each particle's score. One iteration of N
 live particles therefore costs 2dN evaluations, plus N more on iterations
 that filter (the filter needs current f-values, which are then reused to
-pick the final answer). On non-filtering iterations the loop keeps N
-evaluations in reserve so the final argmin over particles is always
-affordable. Diagnostics and trajectory logging use a separate uncounted
-meter so instrumentation never changes what the algorithm does or spends.
+pick the final answer). At or below min_particles live particles the filter
+cannot remove one and is not run, but those N evaluations are still made
+and charged, so the arithmetic is the same. On non-filtering iterations the
+loop keeps N evaluations in reserve so the final argmin over particles is
+always affordable. Diagnostics and trajectory logging use a separate
+uncounted meter so instrumentation never changes what the algorithm does or
+spends.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ class FilterConfig:
 
     A particle is removed when its f-value is above the q-th percentile AND
     its last displacement is below the p-th percentile (both strict). When
-    min_particles is None it resolves to max(5, N // 20) at run start.
+    min_particles is None it resolves to max(5, N // 20) at run start. At or
+    below min_particles live particles the rule cannot remove one (the floor
+    keeps the best min_particles, which is all of them), so the run does not
+    apply it; its N evaluations per iteration are still made and charged.
 
     The default percentiles are calibrated on Ackley-2d so that stuck
     particles are removed fast enough to cut the evaluation bill well below
@@ -157,7 +163,8 @@ def pf_filter(
         raise ConfigError("min_particles must be resolved before filtering",
                           field="min_particles")
 
-    moves = np.linalg.norm(positions - prev_positions, axis=1)
+    step = positions - prev_positions
+    moves = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's formula
     f_threshold = _percentile(f_values, cfg.q_value_percentile)
     move_threshold = _percentile(moves, cfg.p_move_percentile)
     removed = (f_values > f_threshold) & (moves < move_threshold)
@@ -281,6 +288,8 @@ def _run_engine(
         last_f = None
         if will_filter:
             last_f = evaluate(obj, positions, counter)
+        # at or below its floor the filter keeps every particle, so it is not run
+        if will_filter and n_live > fcfg.min_particles:
             keep = pf_filter(positions, prev_positions, last_f, fcfg)
             if keep.size < n_live:
                 positions = positions[keep]

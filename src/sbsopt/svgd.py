@@ -108,7 +108,12 @@ def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * direction**2
     m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
     v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # lr * m_hat / (sqrt(v_hat) + eps), in place on the two fresh arrays
+    denom = np.sqrt(v_hat, out=v_hat)
+    denom += ADAM_EPS
+    m_hat *= lr
+    m_hat /= denom
+    return m_hat
 
 
 def _iterate_with_parts(

@@ -12,6 +12,7 @@ from sbsopt import (
     OutOfDomain,
     evaluate,
     fd_gradient,
+    lookup,
     make_benchmark,
     make_objective,
     project_to_box,
@@ -146,17 +147,21 @@ class TestBlockEvaluate:
 
 
 class TestBlockFdGradient:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    # d = 1 is the edge of the strided probe slices: the stride 2d + 1 = 3
+    # spans a row of only 2 probe slots
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        name=st.sampled_from(["ackley", "rastrigin", "rosenbrock", "levy", "michalewicz"]),
+        data=st.data(),
+        d=st.sampled_from([1, 2, 3, 5, 10]),
         n=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         on_edge=st.booleans(),
         h=st.sampled_from([None, 1e-3, 0.5]),
     )
-    def test_block_equals_point_loop(self, name, n, seed, on_edge, h):
-        d = 5 if name == "michalewicz" else 3
-        obj = make_benchmark(name, d)
+    def test_block_equals_point_loop(self, data, d, n, seed, on_edge, h):
+        names = ["ackley", "rastrigin", "rosenbrock", "levy", "michalewicz"]
+        names = [name for name in names if lookup(name).supports(d)]
+        obj = make_benchmark(data.draw(st.sampled_from(names)), d)
         rng = np.random.default_rng(seed)
         points = uniform_sample(obj.domain, n, rng)
         if on_edge:
@@ -173,21 +178,25 @@ class TestBlockFdGradient:
         assert one.tobytes() == loop.tobytes()
 
     def test_probe_order_matches_the_point_loop(self):
-        block_calls, loop_calls = [], []
-
         def recorder(calls):
             def f(x):
                 calls.append(x.copy())
                 return float(np.sin(x).sum())
             return f
 
-        points = np.array([[0.2, -0.7, 1.0], [0.5, 0.0, -1.0]])
-        block_obj = make_objective("rec", [-1.0] * 3, [1.0] * 3, recorder(block_calls))
-        loop_obj = make_objective("rec", [-1.0] * 3, [1.0] * 3, recorder(loop_calls))
-        block = fd_gradient(block_obj, points, EvalCounter())
-        loop = np.array([fd_gradient_loop(loop_obj, x, EvalCounter()) for x in points])
-        np.testing.assert_array_equal(np.array(block_calls), np.array(loop_calls))
-        assert block.tobytes() == loop.tobytes()
+        # d = 1 is the edge of the strided probe slices (see above)
+        for d in (1, 2, 3, 10):
+            block_calls, loop_calls = [], []
+            # interior points and points on the bounds, where probes are clamped
+            points = np.resize([0.2, -0.7, 1.0, 0.5, 0.0, -1.0, 0.3], (3, d))
+            box = [-1.0] * d, [1.0] * d
+            block_obj = make_objective("rec", *box, recorder(block_calls))
+            loop_obj = make_objective("rec", *box, recorder(loop_calls))
+            block = fd_gradient(block_obj, points, EvalCounter())
+            loop = np.array([fd_gradient_loop(loop_obj, x, EvalCounter()) for x in points])
+            assert len(block_calls) == len(loop_calls) == 2 * d * 3
+            np.testing.assert_array_equal(np.array(block_calls), np.array(loop_calls))
+            assert block.tobytes() == loop.tobytes()
 
     def test_non_finite_probe_in_a_block_counts_every_probe(self):
         obj = make_objective("hole", [-1.0], [1.0], lambda x: 1.0 / x[0] if x[0] < 0.5 else np.inf)

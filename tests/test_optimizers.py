@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsopt import (
     BudgetExceeded,
@@ -104,6 +106,29 @@ class TestPfFilter:
             assert int(np.argmin(f)) in keep
             assert keep.size >= min(cfg.min_particles, n)
             assert np.all(np.diff(keep) > 0)  # sorted, unique
+
+    # the engine does not run the filter at or below its floor, on this fact
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        floor=st.integers(1, 12),
+        d=st.integers(1, 3),
+        q=st.one_of(st.just(100.0), st.floats(0.0, 100.0, exclude_min=True)),
+        p=st.one_of(st.just(0.0), st.floats(0.0, 100.0, exclude_max=True)),
+    )
+    def test_keeps_everyone_at_or_below_the_floor(self, data, floor, d, q, p):
+        n = data.draw(st.integers(1, floor))
+        # few distinct values, so that ties are common
+        value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+        f = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        coord = st.one_of(st.sampled_from([0.0, 0.5, -2.0]), st.floats(-1e6, 1e6))
+        prev = np.array(data.draw(st.lists(coord, min_size=n * d, max_size=n * d)))
+        pos = np.array(data.draw(st.lists(coord, min_size=n * d, max_size=n * d)))
+        cfg = FilterConfig(q_value_percentile=q, p_move_percentile=p,
+                           start_iteration=0, min_particles=floor)
+        keep = pf_filter(pos.reshape(n, d), prev.reshape(n, d), f, cfg)
+        np.testing.assert_array_equal(keep, np.arange(n))
 
     def test_requires_resolved_min_particles(self):
         cfg = FilterConfig()  # min_particles=None is only legal pre-resolution
@@ -333,6 +358,34 @@ class TestSbsPfRun:
         for budget in (1000, 3000, 9000):
             r = sbs_run(obj, SbsConfig(n_particles=25, filter=FilterConfig()), budget, 0)
             assert r.evals_used <= budget
+
+    def test_filter_is_not_run_at_its_floor(self, monkeypatch):
+        # Ackley-2d, 40 particles: the resolved floor is max(5, 40 // 20) = 5,
+        # reached after about 75 of the 131 iterations
+        obj, d, budget, seed = make_benchmark("ackley", 2), 2, 10_000, 9
+        calls = []
+
+        def recording(positions, prev_positions, f_values, cfg):
+            calls.append((len(positions), cfg.min_particles))
+            return pf_filter(positions, prev_positions, f_values, cfg)
+
+        monkeypatch.setattr(sbs_module, "pf_filter", recording)
+        fcfg = FilterConfig()
+        r = sbs_run(obj, SbsConfig(n_particles=40, filter=fcfg), budget, seed,
+                    collect_diagnostics=True)
+        monkeypatch.undo()
+        live = [rec.live for rec in r.diagnostics]
+        assert live.count(5) > 10 and calls
+        assert all(floor == 5 and n > 5 for n, floor in calls)
+        # the floor's iterations still make and charge their N evaluations
+        entering = [40] + live[:-1]
+        filtering = [n for i, n in enumerate(entering, 1) if i >= fcfg.start_iteration]
+        final = 0 if r.iterations_done >= fcfg.start_iteration else live[-1]
+        assert r.evals_used == 2 * d * sum(entering) + sum(filtering) + final
+        explicit = sbs_run(obj, SbsConfig(n_particles=40,
+                                          filter=FilterConfig(min_particles=5)),
+                           budget, seed)
+        assert (explicit.best_f, explicit.evals_used) == (r.best_f, r.evals_used)
 
     def test_min_particles_explicit_floor(self):
         obj = make_benchmark("ackley", 2)

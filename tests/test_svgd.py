@@ -15,7 +15,8 @@ from sbsopt import (
     score,
 )
 from sbsopt.optimizers.sbs import _run_engine
-from sbsopt.svgd import AdamState, _forces, _iterate_with_parts, adam_step
+from sbsopt.svgd import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, _forces,
+                         _iterate_with_parts, adam_step)
 
 
 def forces(positions, target, sigma):
@@ -190,6 +191,27 @@ class TestAdam:
         state = AdamState.fresh(3, 2)
         with pytest.raises(ShapeMismatch):
             adam_step(state, np.zeros((2, 2)), 0.1)
+
+    def test_in_place_step_is_a_fresh_array_with_the_expression_bits(self):
+        # the displacement is computed in place; it must still be its own
+        # array, and carry the bits of lr * m_hat / (sqrt(v_hat) + eps)
+        rng = np.random.default_rng(11)
+        state = AdamState.fresh(6, 3)
+        for t in range(1, 41):
+            g = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-8, 8, size=(6, 3))
+            g[t % 6] = 0.0  # a row with no direction: 0 / (0 + eps)
+            lr = float(rng.choice([1e-3, 0.03, 0.5]))
+            step = adam_step(state, g, lr)
+            assert state.t == t
+            m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+            v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+            want = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert step.tobytes() == want.tobytes(), t
+            assert not np.shares_memory(step, state.m)
+            assert not np.shares_memory(step, state.v)
+            m, v = state.m.copy(), state.v.copy()
+            step[...] = np.nan
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 class TestSvgdIterate:
