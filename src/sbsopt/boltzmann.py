@@ -43,7 +43,8 @@ def score(target: BoltzmannTarget, x: np.ndarray, counter: EvalCounter) -> np.nd
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> None:
-    """Raise ValueError unless the kernel width is positive and finite."""
+    """Raise ValueError unless the kernel width (or another step length,
+    named by name) is positive and finite."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"{name} must be positive and finite, got {sigma!r}")
 
@@ -61,6 +62,19 @@ def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | No
     sqdist = np.einsum("ijk,ijk->ij", diff, diff)
     kmat = np.exp(-sqdist / (2.0 * sigma**2))
     return kmat, diff, sqdist
+
+
+def is_identity(kmat: np.ndarray) -> bool:
+    """Whether a block of pairwise_kernel with no others is exactly the
+    identity, so that each of its rows is a lone particle's row e_i.
+
+    Its diagonal holds exp(-0) = 1 for finite positions (NaN when one is not,
+    or when sigma**2 underflows to 0), so a count of nonzero entries equal to
+    the row count, with a trace equal to it too, leaves every off-diagonal
+    entry exactly 0.0.
+    """
+    n = len(kmat)
+    return np.count_nonzero(kmat) == n and kmat.trace() == n
 
 
 def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.ndarray]:
@@ -123,9 +137,11 @@ def ksd_from_parts(
 
     A diagonal block (rows is cols) holds each of its pairs in both orders;
     a cross block stands for itself and its mirror image, so counts twice.
-    The lone particles come as a diagonal block whose kmat, diff and sqdist
-    are None: their block is the identity, so each adds
-    (s_i.s_i + d/sigma^2) / N^2.
+    The lone particles, and a diagonal block that is exactly the identity
+    (see is_identity), come with kmat, diff and sqdist None: each of their
+    rows adds (s_i.s_i + d/sigma^2) / N^2. That is the value the dense terms
+    give such a block, summed in another order, so it can differ from them
+    in the last bits.
     """
     n, d = scores.shape
     sig2 = sigma**2
@@ -155,7 +171,10 @@ def ksd(
 
     Scores are computed once per particle (2d evaluations each). Nonnegative
     up to floating-point rounding because the Stein kernel is PSD. sigma
-    must be positive and finite (ValueError otherwise).
+    must be positive and finite (ValueError otherwise). The blocks, and the
+    order they are summed in, are those svgd._forces visits: a diagonal
+    block that is exactly the identity takes the lone particles' formula,
+    so a run's KSD record equals this value of its entering state.
     """
     check_sigma(sigma)
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
@@ -165,6 +184,8 @@ def ksd(
     for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
         others = None if rows is cols else positions[cols]
         parts = pairwise_kernel(sigma, positions[rows], others)
+        if rows is cols and is_identity(parts[0]):
+            parts = (None, None, None)
         total += ksd_from_parts(scores, rows, cols, *parts, sigma)
     if lone.size:  # last, in the order of svgd._forces' visits
         total += ksd_from_parts(scores, lone, lone, None, None, None, sigma)

@@ -110,7 +110,7 @@ def _cmd_diag_ksd(args) -> int:
         raise SbsError("trajectory log names no benchmark; cannot rebuild the target")
     obj = make_benchmark(log.benchmark, log.dim)
     kappa = log.kappa if log.kappa is not None else DEFAULT_KAPPA
-    target = BoltzmannTarget(objective=obj, kappa=kappa)
+    target = BoltzmannTarget(objective=obj, kappa=kappa, fd_step=log.fd_step)
     print("iteration  live  ksd")
     for snap in log.snapshots:
         value = ksd(snap.positions, target, snap.sigma, EvalCounter())

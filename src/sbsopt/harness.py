@@ -36,13 +36,23 @@ ECR_CLIP = 100.0
 @dataclass(frozen=True)
 class MethodSpec:
     """One optimizer column: registry name, parameters, display label. Built
-    only from a params dict its method's parameter dataclasses accept."""
+    only from a params dict its method's parameter dataclasses accept. A
+    label names a results.csv field and trajectory files, so it must be a
+    non-empty string without ',', '/', '\\' or a line break."""
 
     name: str
     params: dict = field(default_factory=dict)
     label: str | None = None
 
     def __post_init__(self):
+        label = self.label
+        if label is not None and not (
+            isinstance(label, str)
+            and label.splitlines() == [label]  # not empty, no line break
+            and not any(c in label for c in ",/\\")
+        ):
+            raise ConfigError(f"method label {label!r} must be a non-empty string "
+                              "without ',', '/', '\\' or a line break", field="label")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params of method {self.name!r} must be an object, "
                               f"got {self.params!r}", field="params")

@@ -238,6 +238,7 @@ def _run_engine(
             upper=[float(v) for v in domain.upper],
             kappa=cfg.kappa,
             benchmark=benchmark,
+            fd_step=cfg.fd_step,
         )
 
     def snapshot(iteration: int, sigma: float, f_vals: np.ndarray | None) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import BoltzmannTarget, kernel_tiles, pairwise_kernel, score
+from .boltzmann import BoltzmannTarget, is_identity, kernel_tiles, pairwise_kernel, score
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -54,17 +54,30 @@ def _forces(
     itself first, then each pair of tiles, added into both of its sides. A
     lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
     repulsion exactly 0, the bits an identity row of a block gives, and no
-    block is made for it. visit(scores, rows, cols, kmat, diff, sqdist),
-    when given, sees every block once, as it is made; rows is cols on a
-    tile with itself. The lone particles come last, as one block with rows
-    is cols and kmat, diff and sqdist None (see ksd_from_parts).
+    block is made for it. A tile whose block with itself is exactly the
+    identity (is_identity; in a 10-d run at the default bandwidth, the one
+    tile of 100 particles) gets the same treatment, with no kernel products.
+    visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
+    block once, as it is made; rows is cols on a tile with itself, and
+    kmat, diff and sqdist are None on an identity tile. The lone particles
+    come last, as one such block (see ksd_from_parts).
     """
-    n, d = positions.shape
+    n = positions.shape[0]
     scores = score(target, positions, counter)
     tiles, pairs, lone = kernel_tiles(sigma, positions)
     attraction, repulsion = [], []  # per tile, rows in tile order
+
+    def identity_rows(rows) -> None:
+        attraction.append(scores[rows] / n)
+        repulsion.append(np.zeros_like(attraction[-1]))
+        if visit is not None:
+            visit(scores, rows, rows, None, None, None)
+
     for tile in tiles:
         kmat, diff, sqdist = pairwise_kernel(sigma, positions[tile])
+        if is_identity(kmat):
+            identity_rows(tile)
+            continue
         attraction.append(kmat @ scores[tile] / n)
         repulsion.append(np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n)
         if visit is not None:
@@ -80,10 +93,7 @@ def _forces(
             visit(scores, rows, cols, kmat, diff, sqdist)
     if lone.size:
         tiles = tiles + [lone]
-        attraction.append(scores[lone] / n)
-        repulsion.append(np.zeros((lone.size, d)))
-        if visit is not None:
-            visit(scores, lone, lone, None, None, None)
+        identity_rows(lone)
     return _untile(tiles, attraction), _untile(tiles, repulsion)
 
 

@@ -44,7 +44,13 @@ class TrajectorySnapshot:
 
 @dataclass
 class TrajectoryLog:
-    """Metadata and snapshots of one particle-based run."""
+    """Metadata and snapshots of one particle-based run.
+
+    kappa and fd_step are the run's Boltzmann target settings, so that a
+    diagnostic rebuilds the target the run scored with; None means the
+    default (older files hold no fd_step). A set fd_step must be positive
+    and finite.
+    """
 
     method: str
     objective_name: str
@@ -53,7 +59,12 @@ class TrajectoryLog:
     upper: list[float]
     kappa: float | None = None
     benchmark: str | None = None
+    fd_step: float | None = None
     snapshots: list[TrajectorySnapshot] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.fd_step is not None:
+            check_sigma(self.fd_step, "log fd_step")
 
     def append(self, snapshot: TrajectorySnapshot) -> None:
         self.snapshots.append(snapshot)
@@ -66,6 +77,7 @@ class TrajectoryLog:
             "benchmark": self.benchmark,
             "dim": self.dim,
             "kappa": self.kappa,
+            "fd_step": self.fd_step,
             "lower": list(self.lower),
             "upper": list(self.upper),
             "snapshots": [
@@ -92,6 +104,7 @@ class TrajectoryLog:
             upper=[float(v) for v in data["upper"]],
             kappa=data.get("kappa"),
             benchmark=data.get("benchmark"),
+            fd_step=data.get("fd_step"),
         )
         for s in data["snapshots"]:
             log.append(

@@ -207,6 +207,13 @@ class TestConfig:
          "repetitions"),
         (ExperimentConfig, ([FunctionSpec("Sphere", 2)], [MethodSpec("sbs")], 500, 1,
                             "x"), "base_seed"),
+        (MethodSpec, ("sbs", {}, "sbs, tuned"), "label"),
+        (MethodSpec, ("sbs", {}, ""), "label"),
+        (MethodSpec, ("sbs", {}, "sbs/tuned"), "label"),
+        (MethodSpec, ("sbs", {}, "sbs\\tuned"), "label"),
+        (MethodSpec, ("sbs", {}, "sbs\ntuned"), "label"),
+        (MethodSpec, ("sbs", {}, "sbs\r"), "label"),
+        (MethodSpec, ("sbs", {}, 5), "label"),
     ])
     def test_specs_reject_bad_values_when_built(self, spec, args, field):
         with pytest.raises(ConfigError) as err:
@@ -415,6 +422,32 @@ class TestCli:
         }))
         assert main(["run", "--config", str(config)]) == 2
         assert "duplicate function 'Sphere-2d'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("label", ["sbs, tuned", "", "sbs/tuned"])
+    def test_label_that_breaks_the_outputs_exits_2_before_any_cell(
+        self, label, monkeypatch, capsys, tmp_path
+    ):
+        # at the parent these wrote an 8-field csv row, an empty method
+        # column, and (trajectory files) raised after every cell had run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_method", counting)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "functions": [{"name": "Sphere", "dim": 2}],
+            "methods": [{"name": "cma-es"},
+                        {"name": "sbs", "params": {"n_particles": 5}, "label": label}],
+            "budget": 500, "repetitions": 1, "log_every": 2,
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "label" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
     def test_unknown_method_is_a_usage_error(self, capsys):

@@ -10,6 +10,7 @@ from sbsopt import (
     ConfigError,
     EvalCounter,
     HybridConfig,
+    NonFiniteValue,
     SbsConfig,
     TrajectorySnapshot,
     ksd,
@@ -19,9 +20,9 @@ from sbsopt import (
     score,
 )
 from sbsopt import svgd
-from sbsopt.boltzmann import TILE, WINDOW, kernel_tiles, pairwise_kernel
+from sbsopt.boltzmann import TILE, WINDOW, is_identity, kernel_tiles, pairwise_kernel
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
-from sbsopt.svgd import _forces
+from sbsopt.svgd import AdamState, _forces, _iterate_with_parts
 
 
 def k(sigma, x, y):
@@ -233,6 +234,15 @@ def max_normalised(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def lone_ksd(sigma, pts):
+    """The KSD of particles whose kernel is the identity, on tiled_and_dense's
+    target: sum_i (s_i.s_i + d / sigma^2) / N^2, summed as for lone ones."""
+    target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
+    scores = score(target, pts, EvalCounter())
+    n, d = pts.shape
+    return float((np.einsum("id,id->", scores, scores) + n * d / sigma**2) / n**2)
+
+
 class TestTiledKernel:
     """The tiled exact-cutoff kernel against the dense N x N oracle."""
 
@@ -241,10 +251,15 @@ class TestTiledKernel:
     def test_bit_equal_up_to_one_tile(self, n, sigma):
         sigma = sigma or 1.0 / n**2
         pts = clustered(np.random.default_rng(n), n, sigma, d=3)
-        (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
+        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
         np.testing.assert_array_equal(a, da)
         np.testing.assert_array_equal(r, dr)
-        assert stein == dstein
+        if np.count_nonzero(kmat) == n:  # the identity: n = 1, and n = 2 at 1e-10
+            assert n == 1 or sigma == HYBRID_SIGMA
+            assert stein == pytest.approx(dstein, rel=1e-14)
+            assert stein == lone_ksd(sigma, pts)
+        else:
+            assert stein == dstein
 
     @pytest.mark.parametrize("n", [TILE + 1, 600, 4 * TILE])
     @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, None, 1e-3])
@@ -387,3 +402,112 @@ class TestTiledKernel:
                     100_000, 0)
         assert r.iterations_done == 1
         assert sum(entries) < n * TILE // 1000
+
+
+def isolated(near=False):
+    """100 points uniform in 10-d, as flow-diag's run starts: at sigma 1e-4
+    every pair lies more than 40 sigma apart, so the kernel is the identity.
+    With near, point 7 sits 10 sigma from point 3."""
+    pts = np.random.default_rng(12).uniform(-4.5, 4.5, size=(100, 10))
+    if near:
+        pts[7] = pts[3] + 10 * 1e-4 / np.sqrt(10)
+    return pts
+
+
+def blocks_seen(sigma, pts):
+    """(rows, cols, kmat) of every block _forces visits, in order."""
+    target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
+    seen = []
+    _forces(pts, target, sigma, EvalCounter(),
+            lambda scores, rows, cols, kmat, diff, sqdist: seen.append((rows, cols, kmat)))
+    return seen
+
+
+class TestIdentityBlock:
+    """A tile whose block with itself is exactly the identity gets the lone
+    particles' treatment: the direction keeps the dense bits, and the KSD
+    takes the lone formula, equal to the dense one up to its last bits."""
+
+    def test_isolated_particles_keep_the_dense_direction(self):
+        sigma = 1e-4
+        pts = isolated()
+        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+        assert np.count_nonzero(kmat) == 100
+        np.testing.assert_array_equal(a, da)
+        np.testing.assert_array_equal(r, dr)
+        assert (a + r).tobytes() == (da + dr).tobytes()
+        assert stein == pytest.approx(dstein, rel=1e-14)
+        assert stein == lone_ksd(sigma, pts)
+
+    def test_a_near_pair_takes_the_dense_block(self):
+        sigma = 1e-4
+        pts = isolated(near=True)
+        (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+        assert np.count_nonzero(kmat) == 102 and kmat[3, 7] > 0.0
+        np.testing.assert_array_equal(a, da)
+        np.testing.assert_array_equal(r, dr)
+        assert r[7].any()
+        assert stein == dstein
+
+    def test_visit_sees_no_kernel_exactly_on_identity_blocks(self):
+        sigma = 1e-4
+        # beyond one tile: coordinate 0 steps 10 sigma, so no particle is lone
+        # and neighbouring tiles pair up, while coordinate 1 keeps each
+        # particle over 40 sigma from the others; one pair in the middle tile
+        # is 10 sigma apart, and five particles far out on coordinate 0 are lone
+        n = 2 * TILE + 10
+        steps = np.arange(n)
+        pts = np.stack([-2.0 + 10 * sigma * steps, -2.0 + 100 * sigma * (steps % 4)], 1)
+        pts[TILE + 5, 1] = pts[TILE + 6, 1]
+        pts = np.concatenate([pts, np.stack([3.0 + 0.1 * np.arange(5), np.zeros(5)], 1)])
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert len(tiles) == 3 and pairs == [(0, 1), (1, 2)] and lone.size == 5
+        assert [kmat is None for _, _, kmat in blocks_seen(sigma, pts)] == [
+            True, False, True, False, False, True]
+        for points in (isolated(), isolated(near=True), pts):
+            for rows, cols, kmat in blocks_seen(sigma, points):
+                dense = pairwise_kernel(sigma, points[rows], points[cols])[0]
+                identity = rows is cols and np.array_equal(dense, np.eye(len(dense)))
+                assert (kmat is None) == identity
+        (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
+        assert max_normalised(a, da) <= 1e-14 and max_normalised(r, dr) <= 1e-14
+        assert stein == pytest.approx(dstein, rel=1e-14)
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_a_non_finite_score_raises_on_both_paths(self, near):
+        # finite values whose gradient times kappa overflows to -inf
+        steep = make_objective("steep", [-5.0] * 10, [5.0] * 10, lambda p: 1e306 * p[0])
+        target = BoltzmannTarget(steep, kappa=1e3)
+        pts = isolated(near)
+        assert is_identity(pairwise_kernel(1e-4, pts)[0]) != near
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf, and 0 * -inf
+            assert np.isneginf(score(target, pts, EvalCounter())[:, 0]).all()
+            with pytest.raises(NonFiniteValue):
+                _iterate_with_parts(pts, target, 1e-4, 0.03, AdamState.fresh(100, 10),
+                                    EvalCounter())
+
+    def test_an_underflowing_sigma_squared_is_not_the_identity(self):
+        # sigma**2 rounds to 0, so the diagonal is exp(-0 / 0) = NaN and the
+        # dense block makes the direction NaN, as it does at every N
+        sigma = 1e-170
+        assert sigma**2 == 0.0
+        target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # -x / 0, and 0 / 0
+            kmat = pairwise_kernel(sigma, isolated())[0]
+            assert np.isnan(kmat.diagonal()).all() and np.count_nonzero(kmat) == 100
+            assert not is_identity(kmat)
+            with pytest.raises(NonFiniteValue):
+                _iterate_with_parts(isolated(), target, sigma, 0.03,
+                                    AdamState.fresh(100, 10), EvalCounter())
+
+    def test_run_ksd_matches_ksd_of_the_entering_state(self):
+        # flow-diag's run: N = 100 on Rastrigin-10d at sigma 1e-4
+        obj = make_benchmark("rastrigin", 10)
+        cfg = SbsConfig(max_iterations=5)
+        r = sbs_run(obj, cfg, 10**6, 0, collect_diagnostics=True, track_ksd=True,
+                    log_every=1)
+        target = BoltzmannTarget(obj, kappa=cfg.kappa)
+        assert len(r.diagnostics) == 5
+        for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
+            assert is_identity(pairwise_kernel(snap.sigma, snap.positions)[0])
+            assert rec.ksd == ksd(snap.positions, target, snap.sigma, EvalCounter())

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from sbsopt import (
+    BoltzmannTarget,
+    EvalCounter,
     NotTwoDimensional,
     SbsConfig,
     TrajectoryLog,
     TrajectorySnapshot,
+    ksd,
     make_benchmark,
     plot_trajectories,
     sbs_run,
@@ -76,6 +79,42 @@ class TestSerialization:
             TrajectoryLog.load(path)
         assert main(["diag", "ksd", str(path)]) == 1
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-3, float("inf")])
+    def test_bad_fd_step_rejected_on_load(self, fd_step, tmp_path, capsys):
+        path = tmp_path / "log.json"
+        data = small_log().to_dict()
+        data["fd_step"] = fd_step
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="fd_step"):
+            TrajectoryLog.load(path)
+        assert main(["diag", "ksd", str(path)]) == 1
+        assert "fd_step" in capsys.readouterr().err
+
+    def test_a_log_without_fd_step_loads_with_the_default(self):
+        data = small_log().to_dict()
+        assert data.pop("fd_step") is None
+        assert TrajectoryLog.from_dict(data).fd_step is None
+
+    @pytest.mark.parametrize("fd_step", [None, 0.01])
+    def test_diag_ksd_rebuilds_the_target_of_the_run(self, fd_step, tmp_path, capsys):
+        # snapshot t is the state entering iteration t + 1, whose KSD record
+        # is records[t]; at fd_step 0.01 the default step reads 0.1% off
+        obj = make_benchmark("ackley", 2)
+        cfg = SbsConfig(n_particles=20, fd_step=fd_step, max_iterations=8)
+        r = sbs_run(obj, cfg, 10**5, 0, collect_diagnostics=True, track_ksd=True,
+                    log_every=1, benchmark="Ackley")
+        path = tmp_path / "log.json"
+        r.trajectory.save(path)
+        log = TrajectoryLog.load(path)
+        assert log.fd_step == fd_step and len(log.snapshots) == 9
+        target = BoltzmannTarget(obj, kappa=log.kappa, fd_step=log.fd_step)
+        for snap, rec in zip(log.snapshots, r.diagnostics):
+            assert ksd(snap.positions, target, snap.sigma, EvalCounter()) == rec.ksd
+        assert main(["diag", "ksd", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[2] for row in rows[:8]] == [
+            f"{rec.ksd:.10g}" for rec in r.diagnostics]
 
     def test_unknown_format_rejected(self):
         data = small_log().to_dict()
