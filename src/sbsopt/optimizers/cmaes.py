@@ -134,6 +134,10 @@ def cmaes_run(
     cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((d + 2.0) ** 2 + mueff))
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (d + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+    ps_gain = math.sqrt(cs * (2.0 - cs) * mueff)
+    pc_gain = math.sqrt(cc * (2.0 - cc) * mueff)
+    hsig_bound = (1.4 + 2.0 / (d + 1.0)) * chi_n
+    column_weights = weights[:, None]
 
     rng_init, rng_sample = split_streams(seed, 2)
     mean = uniform_sample(domain, 1, rng_init)[0]
@@ -154,10 +158,11 @@ def cmaes_run(
         eigvals, basis = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-30)
         scales = np.sqrt(eigvals)
+        widest = scales.max()
         if (
-            not np.isfinite(sigma)
-            or sigma * scales.max() < 1e-250
-            or scales.max() / scales.min() > 1e14
+            not math.isfinite(sigma)
+            or sigma * widest < 1e-250
+            or widest / scales.min() > 1e14
         ):
             break
 
@@ -173,14 +178,14 @@ def cmaes_run(
         y_w = weights @ ys
         mean = mean + sigma * y_w
 
-        inv_sqrt = basis @ np.diag(1.0 / scales) @ basis.T
-        ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * (inv_sqrt @ y_w)
-        ps_norm = float(np.linalg.norm(ps))
+        inv_sqrt = (basis * (1.0 / scales)) @ basis.T
+        ps = (1.0 - cs) * ps + ps_gain * (inv_sqrt @ y_w)
+        ps_norm = math.sqrt(ps @ ps)  # np.linalg.norm's own formula
         correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * generation))
-        hsig = 1.0 if ps_norm / correction < (1.4 + 2.0 / (d + 1.0)) * chi_n else 0.0
-        pc = (1.0 - cc) * pc + hsig * math.sqrt(cc * (2.0 - cc) * mueff) * y_w
+        hsig = 1.0 if ps_norm / correction < hsig_bound else 0.0
+        pc = (1.0 - cc) * pc + hsig * pc_gain * y_w
 
-        rank_mu = ys.T @ (weights[:, None] * ys)
+        rank_mu = ys.T @ (column_weights * ys)
         cov = (
             (1.0 - c1 - cmu) * cov
             + c1 * (np.outer(pc, pc) + (1.0 - hsig) * cc * (2.0 - cc) * cov)

@@ -241,13 +241,14 @@ def _run_engine(
             fd_step=cfg.fd_step,
         )
 
-    def snapshot(iteration: int, sigma: float, f_vals: np.ndarray | None) -> None:
+    def snapshot(iteration: int, f_vals: np.ndarray | None) -> None:
+        # sigma is the bandwidth the next iteration uses on these particles
         if f_vals is None:
             f_vals = evaluate(obj, positions, instrument)
         log.append(
             TrajectorySnapshot(
                 iteration=iteration,
-                sigma=sigma,
+                sigma=cfg.bandwidth(positions.shape[0]),
                 ids=list(original_ids),
                 positions=positions.copy(),
                 f_values=f_vals,
@@ -255,7 +256,7 @@ def _run_engine(
         )
 
     if log is not None:
-        snapshot(0, cfg.bandwidth(n_particles), None)
+        snapshot(0, None)
 
     track_ksd = track_ksd and records is not None  # the KSD only goes into records
     ksd_parts: list[float] = []
@@ -311,10 +312,10 @@ def _run_engine(
                                 ksd_value)
             )
         if logged:
-            snapshot(iteration, sigma, seen_f)
+            snapshot(iteration, seen_f)
 
     if log is not None and log.snapshots[-1].iteration != iteration:
-        snapshot(iteration, cfg.bandwidth(positions.shape[0]), seen_f)
+        snapshot(iteration, seen_f)
 
     if last_f is None:
         if budget - counter.count >= positions.shape[0]:

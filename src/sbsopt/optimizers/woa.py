@@ -5,11 +5,10 @@ to 0 over the run, each agent flips a fair coin between encircling and the
 logarithmic spiral (shape b=1), and encircling switches to a random agent
 when |A| >= 1. Positions are clamped to the box after every move.
 
-Random streams: 0 initializes the population, 1 drives the per-agent draws.
-Each iteration draws, agent by agent, r1, r2, the coin p and the spiral
-parameter l (four doubles), then the random partner's index when that agent
-explores. Moves are computed for the whole population at once from those
-draws, with the same stream and results as an agent-by-agent loop.
+Random streams: 0 initializes the population, 1 drives the moves. Each
+iteration draws one (n_agents, 4) block of doubles, a row per agent: r1, r2,
+the coin p and the spiral parameter l. While a >= 1 it then draws one
+partner index per agent, which only the agents that explore use.
 The final population is returned alongside the incumbent because hybrid
 initialization consumes it.
 """
@@ -47,42 +46,28 @@ def _move(
 ) -> np.ndarray:
     """One WOA move of every agent, before the clamp to the box.
 
-    Agent i encircles best_x or, when its coin p < 0.5 and |A| >= 1, a
-    random partner; otherwise it follows the spiral around best_x. Below
-    a = 1, |A| <= a < 1 and no agent explores, so the whole population's
-    draws come from one call.
+    Agent i encircles best_x or, when its coin p < 0.5 and |A| >= 1, its
+    partner; otherwise it follows the spiral around best_x. Both moves are
+    computed for every agent and the coin picks one. Below a = 1,
+    |A| <= a < 1, so no agent explores and no partner is drawn.
     """
     n_agents = positions.shape[0]
-    partner = [0] * n_agents
-    if a < 1.0:
-        draws = rng.random((n_agents, 4))
-    else:
-        rows = []
-        for i in range(n_agents):
-            row = rng.random(4).tolist()
-            rows.append(row)
-            r1, _, p, _ = row
-            if p < 0.5 and abs(2.0 * a * r1 - a) >= 1.0:
-                partner[i] = int(rng.integers(n_agents))
-        draws = np.array(rows)
-    r1, r2, p, u = draws.T
+    r1, r2, p, u = rng.random((n_agents, 4)).T
     amp = 2.0 * a * r1 - a
     encircle = p < 0.5
-    spiral = ~encircle
-    explore = encircle & (np.abs(amp) >= 1.0)
+    target = best_x
+    if a >= 1.0:
+        partner = rng.integers(n_agents, size=n_agents)
+        explore = encircle & (np.abs(amp) >= 1.0)
+        target = np.where(explore[:, None], positions[partner], best_x)
+    circled = target - amp[:, None] * np.abs((2.0 * r2)[:, None] * target - positions)
 
-    moved = np.empty_like(positions)
-    target = np.where(explore[:, None], positions[np.array(partner)], best_x)[encircle]
-    gap = np.abs((2.0 * r2[encircle])[:, None] * target - positions[encircle])
-    moved[encircle] = target - amp[encircle, None] * gap
-
-    spiral_l = -1.0 + 2.0 * u[spiral]
-    # math.exp and math.cos, as numpy's may round differently
-    grow = np.array([math.exp(l) for l in spiral_l.tolist()])
-    turn = np.array([math.cos(2.0 * math.pi * l) for l in spiral_l.tolist()])
-    gap = np.abs(best_x - positions[spiral])
-    moved[spiral] = gap * grow[:, None] * turn[:, None] + best_x
-    return moved
+    spiral_l = -1.0 + 2.0 * u
+    # math.exp and math.cos: numpy's own may round differently on another CPU
+    grow = np.fromiter(map(math.exp, spiral_l.tolist()), float, n_agents)
+    turn = np.fromiter(map(math.cos, (2.0 * math.pi * spiral_l).tolist()), float, n_agents)
+    spiralled = np.abs(best_x - positions) * grow[:, None] * turn[:, None] + best_x
+    return np.where(encircle[:, None], circled, spiralled)
 
 
 def woa_run(

@@ -93,6 +93,16 @@ class TestCmaes:
         assert obj.domain.contains(result.best_x)
 
 
+# median best_f of woa at 20k (30 agents) over seeds 0-23, when each agent
+# drew its doubles and partner index one at a time
+WOA_MEDIANS = {
+    ("rosenbrock", 5): 0.04191572846920797,
+    ("ackley", 2): 4.440892098500626e-16,
+    ("levy", 2): 6.081851658433197e-06,
+    ("rastrigin", 10): 0.0,
+}
+
+
 class TestWoa:
     def test_zero_iterations_returns_best_initial(self):
         obj = make_benchmark("sphere", 2)
@@ -126,6 +136,14 @@ class TestWoa:
         finals = [woa_run(obj, WoaParams(20, 200), 20 * 201, seed=s)[0].best_f
                   for s in range(5)]
         assert np.median(finals) < 1e-6
+
+    @pytest.mark.parametrize("function, dim", list(WOA_MEDIANS))
+    def test_quality_over_seeds_holds_after_the_block_draws(self, function, dim):
+        # the median over 24 seeds may be at most 10x the median of the
+        # agent-by-agent stream that the block draws replaced
+        obj = make_benchmark(function, dim)
+        finals = [woa_run(obj, WoaParams(), 20_000, seed=s)[0].best_f for s in range(24)]
+        assert np.median(finals) <= 10.0 * WOA_MEDIANS[function, dim]
 
     def test_deterministic(self):
         obj = make_benchmark("holdertable", 2)
@@ -173,33 +191,26 @@ def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
     return offspring, tries, clamped
 
 
-def oracle_move(positions, best_x, a, rng):
-    """The agent-by-agent loop that woa._move replaced; also counts explorers."""
+def reference_move(positions, best_x, a, rng):
+    """woa._move agent by agent from the same two draws; also counts explorers."""
     n_agents = positions.shape[0]
+    draws = rng.random((n_agents, 4)).tolist()
+    partners = rng.integers(n_agents, size=n_agents) if a >= 1.0 else None
     moved = np.empty_like(positions)
     explorers = 0
-    for i in range(n_agents):
-        r1 = rng.random()
-        r2 = rng.random()
+    for i, (r1, r2, p, u) in enumerate(draws):
         amp = 2.0 * a * r1 - a
-        attract = 2.0 * r2
-        p = rng.random()
-        spiral_l = -1.0 + 2.0 * rng.random()
+        spiral_l = -1.0 + 2.0 * u
         if p < 0.5:
-            if abs(amp) < 1.0:
-                gap = np.abs(attract * best_x - positions[i])
-                moved[i] = best_x - amp * gap
-            else:
+            target = best_x
+            if abs(amp) >= 1.0:
                 explorers += 1
-                other = positions[rng.integers(n_agents)]
-                gap = np.abs(attract * other - positions[i])
-                moved[i] = other - amp * gap
+                target = positions[partners[i]]
+            moved[i] = target - amp * np.abs(2.0 * r2 * target - positions[i])
         else:
             gap = np.abs(best_x - positions[i])
             moved[i] = (
-                gap * math.exp(spiral_l)
-                * math.cos(2.0 * math.pi * spiral_l)
-                + best_x
+                gap * math.exp(spiral_l) * math.cos(2.0 * math.pi * spiral_l) + best_x
             )
     return moved, explorers
 
@@ -293,7 +304,7 @@ class TestWoaBlockMove:
         explorers = 0
         for _ in range(8):
             got = _move(positions, best_x, a, block_rng)
-            want, n_explorers = oracle_move(positions, best_x, a, loop_rng)
+            want, n_explorers = reference_move(positions, best_x, a, loop_rng)
             assert got.tobytes() == want.tobytes()
             explorers += n_explorers
             positions = np.clip(got, -5.0, 5.0)

@@ -18,8 +18,19 @@ suspecting the code.
 A second table pins one run per method with non-default parameters, so
 that every parameter key keeps reaching the run it configures, and two
 runs on paths the first table never takes: CMA-ES clamping offspring and
-WOA with two agents. All were recorded before CMA-ES and WOA drew and
-moved their populations in blocks.
+WOA with two agents.
+
+Ten rows were re-recorded when WOA began to draw each iteration's
+randomness in two blocks (a row of four doubles per agent, then, while
+a >= 1, a partner index per agent) instead of agent by agent, which changed
+which partner each explorer takes. They are the woa rows on Ackley-2d and
+Rosenbrock-5d; sbs-hybrid and sbs-pf-hybrid on Ackley-2d and Rastrigin-10d,
+whose warm start runs WOA; and, in the second table, both woa rows and the
+sbs-hybrid Rosenbrock and sbs-pf-hybrid Ackley rows. In the first table,
+woa on Rastrigin-10d (still 0) and both hybrids on Rosenbrock-5d kept their
+values. Every other row was recorded before CMA-ES and WOA moved their
+populations in blocks and has kept its bits since. tests/test_baselines.py
+checks WOA's quality over many seeds against the stream it replaced.
 """
 
 import pytest
@@ -39,16 +50,16 @@ PARAMS = {
 GOLDEN = {
     ("sbs", "ackley", 2): (7940, 99, "0x1.4a3e85fa92371p+1"),
     ("sbs-pf", "ackley", 2): (7980, 205, "0x1.4a3b10f225529p+1"),
-    ("sbs-hybrid", "ackley", 2): (7998, 92, "0x1.01fe1c766e200p-8"),
-    ("sbs-pf-hybrid", "ackley", 2): (7968, 187, "0x1.5c7117e4e8200p-8"),
+    ("sbs-hybrid", "ackley", 2): (7998, 92, "0x1.41f68be3cf200p-8"),
+    ("sbs-pf-hybrid", "ackley", 2): (7953, 135, "0x1.675198e259200p-8"),
     ("cma-es", "ackley", 2): (7998, 1333, "0x1.0000000000000p-51"),
-    ("woa", "ackley", 2): (7980, 265, "0x1.0000000000000p-51"),
+    ("woa", "ackley", 2): (7980, 265, "0x1.2000000000000p-48"),
     ("cbo", "ackley", 2): (8000, 79, "0x1.b70ed97962000p-12"),
     ("langevin", "ackley", 2): (8000, 160, "0x1.4a3b485c22ec1p+1"),
     ("sbs", "rastrigin", 10): (7620, 19, "0x1.c62a52f8d6e2cp+5"),
     ("sbs-pf", "rastrigin", 10): (7737, 19, "0x1.c555126bfacb8p+5"),
-    ("sbs-hybrid", "rastrigin", 10): (7840, 18, "0x1.332ecfae12940p+0"),
-    ("sbs-pf-hybrid", "rastrigin", 10): (7895, 30, "0x1.0536a90facb40p+0"),
+    ("sbs-hybrid", "rastrigin", 10): (7840, 18, "0x1.d4ea11e3f3c78p+3"),
+    ("sbs-pf-hybrid", "rastrigin", 10): (7958, 19, "0x1.c02b4e8d619f0p+3"),
     ("cma-es", "rastrigin", 10): (8000, 800, "0x1.dd947c8472af0p+3"),
     ("woa", "rastrigin", 10): (7980, 265, "0x0.0p+0"),
     ("cbo", "rastrigin", 10): (8000, 79, "0x1.06e3d76ad4ec0p+6"),
@@ -58,7 +69,7 @@ GOLDEN = {
     ("sbs-hybrid", "rosenbrock", 5): (7840, 36, "0x1.7beb953ea1b42p+1"),
     ("sbs-pf-hybrid", "rosenbrock", 5): (7920, 34, "0x1.9bba781fb9830p+1"),
     ("cma-es", "rosenbrock", 5): (8000, 1000, "0x0.0p+0"),
-    ("woa", "rosenbrock", 5): (7980, 265, "0x1.2b58930febeecp-8"),
+    ("woa", "rosenbrock", 5): (7980, 265, "0x1.87e2c667eb5c4p+1"),
     ("cbo", "rosenbrock", 5): (8000, 79, "0x1.27090d8cc36dap+2"),
     ("langevin", "rosenbrock", 5): (7996, 73, "0x1.14db030d6c6fdp+15"),
 }
@@ -83,15 +94,15 @@ GOLDEN_PARAMS = {
         (7976, 125, "0x1.fd6b240560780p+2"),
     ("sbs-hybrid", "rosenbrock", 5, (("n_particles", 10), ("cmaes_budget", 300),
                                      ("woa_iterations", 15))):
-        (7966, 75, "0x1.177d024beebd2p+0"),
+        (7966, 75, "0x1.99a1d9e989f69p-3"),
     ("sbs-pf-hybrid", "ackley", 2, (("n_particles", 25), ("cmaes_budget", 150),
                                     ("woa_iterations", 30), ("start_iteration", 2),
                                     ("sigma", 0.01))):
-        (7970, 105, "0x1.820205c800000p-22"),
+        (8000, 98, "0x1.d4a3053364000p-13"),
     ("cma-es", "rastrigin", 10, (("popsize", 12), ("sigma0", 0.5))):
         (7992, 666, "0x1.dd9452296b630p+3"),
     ("woa", "rosenbrock", 5, (("n_agents", 12), ("iterations", 100))):
-        (1212, 100, "0x1.fd522c66bb24cp+1"),
+        (1212, 100, "0x1.f94c00836d380p+1"),
     ("cbo", "ackley", 2, (("n_particles", 40), ("iterations", 50), ("alpha", 10.0),
                           ("lam_drift", 0.5), ("sigma_noise", 0.9), ("dt", 0.05))):
         (2040, 50, "0x1.a25ef4069f248p-2"),
@@ -102,7 +113,7 @@ GOLDEN_PARAMS = {
     ("cma-es", "ackley", 2, (("sigma0", 100.0),)):
         (7998, 1333, "0x1.0000000000000p-51"),
     ("woa", "rosenbrock", 5, (("n_agents", 2),)):
-        (8000, 3999, "0x1.fe83b362bf6d4p+1"),
+        (8000, 3999, "0x1.fb966bf7b58ccp+1"),
 }
 
 

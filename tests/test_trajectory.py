@@ -8,6 +8,7 @@ import pytest
 from sbsopt import (
     BoltzmannTarget,
     EvalCounter,
+    FilterConfig,
     NotTwoDimensional,
     SbsConfig,
     TrajectoryLog,
@@ -115,6 +116,19 @@ class TestSerialization:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split()[2] for row in rows[:8]] == [
             f"{rec.ksd:.10g}" for rec in r.diagnostics]
+
+    def test_filtered_snapshots_carry_the_next_iterations_sigma(self):
+        # snapshot t holds the survivors of the filter at iteration t, which
+        # iteration t + 1 (records[t]) flows with the bandwidth of their count
+        obj = make_benchmark("ackley", 2)
+        cfg = SbsConfig(n_particles=40, max_iterations=30, filter=FilterConfig())
+        r = sbs_run(obj, cfg, 10**5, 0, collect_diagnostics=True, track_ksd=True,
+                    log_every=1)
+        counts = [len(snap.ids) for snap in r.trajectory.snapshots]
+        assert counts[0] == 40 and counts[-1] < 40
+        target = BoltzmannTarget(obj, kappa=cfg.kappa, fd_step=cfg.fd_step)
+        for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
+            assert ksd(snap.positions, target, snap.sigma, EvalCounter()) == rec.ksd
 
     def test_unknown_format_rejected(self):
         data = small_log().to_dict()
