@@ -3,8 +3,10 @@
 A config names functions, methods, a per-run evaluation budget, and the
 repetition count. Every cell (method x function x repetition) gets its own
 seed derived from the base seed and the cell coordinates, so cells can be
-rerun in isolation. Outputs are a CSV of aggregate distances, a JSON
-summary with the comparison metrics, and optional per-run trajectory logs.
+rerun in isolation or run in worker processes, one per usable CPU, with
+the same results as one after another. Outputs are a CSV of aggregate
+distances, a JSON summary with the comparison metrics, and optional per-run
+trajectory logs.
 
 The config checks itself when it is built: FunctionSpec resolves its
 benchmark and dimension, MethodSpec builds its method's parameter object,
@@ -18,6 +20,7 @@ cell runs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -261,13 +264,82 @@ def average_rank(
     return avg, final
 
 
+def _run_cell(spec: tuple) -> RunResult:
+    """One cell's run from its plain spec: (method, function, dim, budget,
+    seed, params, log_every). Module-level and fed only plain values, so a
+    worker process of any start method can run it."""
+    method, function, dim, budget, seed, params, log_every = spec
+    return run_method(method, make_benchmark(function, dim), budget, seed, params,
+                      log_every=log_every, benchmark=function)
+
+
+# The calls a cell makes, as this module imported them. A caller that
+# replaces one here (a tracer, a test double) observes only the cells that
+# run in this process.
+_CELL_CALLS = (make_benchmark, run_method)
+
+
+def _default_workers(cells: int) -> int:
+    """One worker per CPU this process may use, at most one per cell. One,
+    so no pool, while a replaced run_method or make_benchmark observes the
+    cells here, or where workers would not fork: a spawned or forkserver
+    worker re-imports the main script, which breaks a script that calls
+    run_experiment without an `if __name__ == "__main__":` guard."""
+    if (make_benchmark, run_method) != _CELL_CALLS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cells, cpus)
+    if workers > 1:
+        import multiprocessing
+
+        # read the default start method without fixing it
+        method = (multiprocessing.get_start_method(allow_none=True)
+                  or multiprocessing.get_all_start_methods()[0])
+        if method != "fork":
+            return 1
+    return workers
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
-    """Run every (method, function, repetition) cell, in config order, and
-    aggregate. Each run is audited against the budget as it returns. The
-    returned runs are sorted by cell coordinates.
+    """Run every (method, function, repetition) cell and aggregate.
+
+    The cells run in worker processes, one per CPU this process may use
+    and at most one per cell (`taskset` limits them). They run in this
+    process instead with one CPU, where workers would not start by fork, or
+    while a replaced run_method or make_benchmark observes them. Each worker
+    gets only the cell's plain spec; this process audits each run against
+    the budget, in config order, and builds the table from the same values
+    in the same order, so the table and the files written from it are
+    byte-identical for any worker count. A failing cell raises what the
+    cells run one after another raise first in config order, after the
+    pool is shut down. The returned runs are sorted by cell coordinates.
     """
     entries = validate_config(cfg)
+    specs = [
+        (m.name, f.name, f.dim, cfg.budget,
+         derive_seed(cfg.base_seed, m.key, f.name, f.dim, rep), m.params, cfg.log_every)
+        for m in cfg.methods for f in cfg.functions for rep in range(cfg.repetitions)
+    ]
+    workers = _default_workers(len(specs))
+    if workers == 1:
+        return _tabulate(cfg, entries, specs, map(_run_cell, specs))
+    from concurrent.futures import ProcessPoolExecutor
 
+    pool = ProcessPoolExecutor(workers)
+    try:
+        return _tabulate(cfg, entries, specs, pool.map(_run_cell, specs, chunksize=1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _tabulate(cfg: ExperimentConfig, entries: dict[str, BenchmarkEntry],
+              specs: list[tuple], results) -> ExperimentTable:
+    """The table of the cells' results, taken in config order: each run is
+    audited against the budget as it is taken."""
+    done = zip(specs, results)
     records = []
     cells: dict[tuple[str, str], CellStats] = {}
     mean_distances: dict[str, dict[str, float]] = {m.key: {} for m in cfg.methods}
@@ -275,12 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentTable:
         for f in cfg.functions:
             cell = []
             for rep in range(cfg.repetitions):
-                seed = derive_seed(cfg.base_seed, m.key, f.name, f.dim, rep)
-                obj = make_benchmark(f.name, f.dim)
-                result = run_method(
-                    m.name, obj, cfg.budget, seed, m.params,
-                    log_every=cfg.log_every, benchmark=f.name,
-                )
+                (_, _, _, _, seed, _, _), result = next(done)
                 if result.evals_used > cfg.budget:
                     raise BudgetExceeded(
                         f"budget audit failed: {m.key} on {f.key} "

@@ -2,12 +2,20 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sbsopt import (
     BudgetExceeded,
+    BudgetTooSmall,
     ConfigError,
     ExperimentConfig,
     FunctionSpec,
@@ -255,6 +263,19 @@ class TestDeriveSeed:
         assert derive_seed("x", "y") != derive_seed("y", "x")
 
 
+# a test double patched into the harness reaches the workers only by fork;
+# the default start method is read without fixing it
+fork_only = pytest.mark.skipif(
+    (multiprocessing.get_start_method(allow_none=True)
+     or multiprocessing.get_all_start_methods()[0]) != "fork",
+    reason="only forked workers inherit a test double")
+
+
+def use_workers(monkeypatch, workers):
+    """Run the harness's cells in `workers` processes, 1 meaning in-process."""
+    monkeypatch.setattr(harness, "_default_workers", lambda cells: workers)
+
+
 def tiny_config(out_dir, log_every=0):
     return ExperimentConfig(
         functions=[FunctionSpec("Sphere", 2), FunctionSpec("Camel", 2)],
@@ -308,6 +329,162 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run_method", over_budget)
         with pytest.raises(BudgetExceeded, match="budget audit failed"):
             run_experiment(tiny_config(tmp_path))
+
+    @fork_only
+    def test_budget_audit_raises_typed_error_from_workers(self, tmp_path, monkeypatch):
+        def over_budget(*args, **kwargs):
+            result = run_method(*args, **kwargs)
+            return dataclasses.replace(result, evals_used=result.evals_used + 600)
+
+        monkeypatch.setattr(harness, "run_method", over_budget)
+        use_workers(monkeypatch, 2)
+        with pytest.raises(BudgetExceeded,
+                           match="budget audit failed: sbs-5 on Sphere-2d used"):
+            run_experiment(tiny_config(tmp_path))
+        assert multiprocessing.active_children() == []
+
+
+def run_fingerprint(rec):
+    """Everything a run record holds, in comparable form."""
+    res = rec.result
+    log = None if res.trajectory is None else json.dumps(res.trajectory.to_dict())
+    return (rec.method, rec.function, rec.dim, rec.repetition, rec.seed, rec.distance,
+            res.best_x.tobytes(), res.best_f, res.evals_used, res.iterations_done,
+            res.diagnostics, log)
+
+
+def written_bytes(out_dir):
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+class TestWorkers:
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"  # one directory, as summary.json names it
+        cfg = tiny_config(out, log_every=3)
+        cfg.methods.insert(1, MethodSpec(
+            "sbs-hybrid", {"n_particles": 5, "cmaes_budget": 60, "woa_iterations": 10}))
+        outputs = []
+        for workers in (1, 2):
+            shutil.rmtree(out, ignore_errors=True)
+            use_workers(monkeypatch, workers)
+            table = run_experiment(cfg)
+            assert multiprocessing.active_children() == []
+            write_results(table, cfg)
+            outputs.append((table.cells, table.ecr, table.avg_rank, table.final_rank,
+                            [run_fingerprint(r) for r in table.runs],
+                            written_bytes(out)))
+        assert outputs[0] == outputs[1]
+        files = outputs[0][-1]
+        assert {"results.csv", "summary.json",
+                "trajectories/sbs-hybrid_Camel_2d_rep2.json"} <= set(files)
+
+    def test_failing_cell_raises_what_one_worker_raises_first(self, tmp_path,
+                                                              monkeypatch):
+        # every cell fails when it starts, each with its own message:
+        # 5 evaluations cover neither a WOA init nor a CMA-ES generation
+        cfg = ExperimentConfig(
+            functions=[FunctionSpec("Sphere", 2), FunctionSpec("Rastrigin", 10)],
+            methods=[MethodSpec("cma-es"), MethodSpec("woa")],
+            budget=5, repetitions=2, output_dir=str(tmp_path),
+        )
+        raised = []
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            with pytest.raises(BudgetTooSmall) as err:
+                run_experiment(cfg)
+            assert multiprocessing.active_children() == []
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1]
+        assert "(6 evaluations)" in raised[0][1]  # cma-es on Sphere-2d
+
+    @fork_only
+    def test_first_failure_in_config_order_wins_over_faster_ones(self, tmp_path,
+                                                                  monkeypatch):
+        first = derive_seed(0, "sbs-5", "Sphere", 2, 0)
+
+        def failing(method, obj, budget, seed, *args, **kwargs):
+            if seed == first:
+                time.sleep(0.5)  # the other worker fails every later cell first
+            raise ValueError(f"cell with seed {seed}")
+
+        monkeypatch.setattr(harness, "run_method", failing)
+        use_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match=f"^cell with seed {first}$"):
+            run_experiment(tiny_config(tmp_path))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_of_any_start_method_give_the_same_table(self, method, tmp_path):
+        # a fresh interpreter, so it may pick its start method; the pool is
+        # forced, as by default cells start no spawned or forkserver worker
+        done = run_script(tmp_path, "-c", (
+            "import multiprocessing\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "from sbsopt import harness\n"
+            + TINY_SCRIPT_CONFIG +
+            "tables = []\n"
+            "for w in (1, 2):\n"
+            "    harness._default_workers = lambda cells: w\n"
+            "    tables.append(harness.run_experiment(cfg))\n"
+            "runs = [[(r.seed, r.result.best_x.tobytes(), r.result.best_f,\n"
+            "          r.result.evals_used) for r in t.runs] for t in tables]\n"
+            "assert runs[0] == runs[1] and tables[0].cells == tables[1].cells\n"
+            "assert multiprocessing.active_children() == []\n"
+        ))
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_unguarded_script_runs_its_cells_in_process(self, method, tmp_path):
+        # a spawned or forkserver worker would re-run this script's top level
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "from sbsopt import run_experiment\n"
+            + TINY_SCRIPT_CONFIG +
+            "table = run_experiment(cfg)\n"
+            "assert len(table.runs) == 4\n"
+            "assert multiprocessing.active_children() == []\n"
+            "assert 'concurrent.futures.process' not in sys.modules  # no pool\n",
+            encoding="utf-8")
+        done = run_script(tmp_path, str(script))
+        assert done.returncode == 0, done.stderr
+
+    def test_default_is_one_forked_worker_per_usable_cpu_unless_observed(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False: "fork")
+        assert harness._default_workers(1000) == 3
+        assert harness._default_workers(2) == 2
+        assert harness._default_workers(1) == 1
+        for method in ("spawn", "forkserver"):
+            monkeypatch.setattr(multiprocessing, "get_start_method",
+                                lambda allow_none=False: method)
+            assert harness._default_workers(1000) == 1
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False: "fork")
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: None)
+        assert harness._default_workers(1000) == 1
+
+
+TINY_SCRIPT_CONFIG = (
+    "from sbsopt import ExperimentConfig\n"
+    "cfg = ExperimentConfig.from_dict(dict(\n"
+    "    functions=[dict(name='Sphere', dim=2)],\n"
+    "    methods=[dict(name='sbs', params=dict(n_particles=5)),\n"
+    "             dict(name='cma-es')],\n"
+    "    budget=600, repetitions=2, output_dir='out'))\n"
+)
+
+
+def run_script(cwd, *args):
+    """Run python with `args` in a fresh interpreter that imports this sbsopt."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestWriteResults:
