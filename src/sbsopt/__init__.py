@@ -17,12 +17,7 @@ from .benchmarks import (
     make_benchmark,
     registry,
 )
-from .boltzmann import (
-    DEFAULT_KAPPA,
-    BoltzmannTarget,
-    ksd,
-    score,
-)
+from .boltzmann import DEFAULT_KAPPA, BoltzmannTarget, score
 from .errors import (
     BudgetExceeded,
     BudgetTooSmall,
@@ -75,7 +70,7 @@ from .optimizers import (
     split_streams,
     woa_run,
 )
-from .svgd import DEFAULT_STEP_SIZE
+from .svgd import DEFAULT_STEP_SIZE, ksd
 from .trajectory import TrajectoryLog, TrajectorySnapshot, plot_trajectories
 
 __all__ = [

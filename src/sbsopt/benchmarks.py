@@ -16,9 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedDimension
-from .objective import BoxDomain, Objective
-
-Evaluator = Callable[[np.ndarray], float]
+from .objective import BoxDomain, Evaluator, Objective
 
 _PI = math.pi
 

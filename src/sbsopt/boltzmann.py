@@ -1,5 +1,5 @@
-"""Boltzmann target: score function, tiled RBF kernel, and the KSD
-diagnostic.
+"""Boltzmann target: score function, tiled RBF kernel, and one kernel
+block's share of the KSD diagnostic.
 
 The target density is m(x) = exp(-kappa f(x)) / Z on the box domain. Its
 normalizer cancels in the log-gradient, so the score is just -kappa grad f,
@@ -54,8 +54,7 @@ def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | No
 
     k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). Returns (K, diff, sqdist) with
     diff[i, j] = x_i - y_j over the rows x of positions and the rows y of
-    others (positions again when None). Shared by the SVGD update and the
-    KSD diagnostic so both see identical floating-point values.
+    others (positions again when None).
     """
     others = positions if others is None else others
     diff = positions[:, None, :] - others[None, :, :]
@@ -128,8 +127,7 @@ def ksd_from_parts(
     sigma: float,
 ) -> float:
     """One kernel block's share of the KSD V-statistic, from the scores of
-    all N particles and the parts of the block of tiles rows and cols (see
-    kernel_tiles).
+    all N particles and the parts of a block that svgd._forces visits.
 
     V = (1/N^2) sum_ij [ s_i.s_j k_ij + s_i.(x_i-x_j) k_ij / sigma^2
                          + s_j.(x_j-x_i) k_ij / sigma^2
@@ -137,11 +135,9 @@ def ksd_from_parts(
 
     A diagonal block (rows is cols) holds each of its pairs in both orders;
     a cross block stands for itself and its mirror image, so counts twice.
-    The lone particles, and a diagonal block that is exactly the identity
-    (see is_identity), come with kmat, diff and sqdist None: each of their
-    rows adds (s_i.s_i + d/sigma^2) / N^2. That is the value the dense terms
-    give such a block, summed in another order, so it can differ from them
-    in the last bits.
+    A block with kmat, diff and sqdist None is the identity: each of its
+    rows adds (s_i.s_i + d/sigma^2) / N^2, the dense terms' value summed in
+    another order, so it can differ from them in the last bits.
     """
     n, d = scores.shape
     sig2 = sigma**2
@@ -159,34 +155,3 @@ def ksd_from_parts(
     term_cross = 2.0 * np.sum(s_dot_diff * kmat) / sig2
     term_trace = np.sum(kmat * (d / sig2 - sqdist / sig2**2))
     return float((weight * term_ss + term_cross + weight * term_trace) / n**2)
-
-
-def ksd(
-    particles: np.ndarray,
-    target: BoltzmannTarget,
-    sigma: float,
-    counter: EvalCounter,
-) -> float:
-    """Empirical KSD of the particle set against the Boltzmann target.
-
-    Scores are computed once per particle (2d evaluations each). Nonnegative
-    up to floating-point rounding because the Stein kernel is PSD. sigma
-    must be positive and finite (ValueError otherwise). The blocks, and the
-    order they are summed in, are those svgd._forces visits: a diagonal
-    block that is exactly the identity takes the lone particles' formula,
-    so a run's KSD record equals this value of its entering state.
-    """
-    check_sigma(sigma)
-    positions = np.atleast_2d(np.asarray(particles, dtype=float))
-    scores = score(target, positions, counter)
-    tiles, pairs, lone = kernel_tiles(sigma, positions)
-    total = 0.0
-    for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
-        others = None if rows is cols else positions[cols]
-        parts = pairwise_kernel(sigma, positions[rows], others)
-        if rows is cols and is_identity(parts[0]):
-            parts = (None, None, None)
-        total += ksd_from_parts(scores, rows, cols, *parts, sigma)
-    if lone.size:  # last, in the order of svgd._forces' visits
-        total += ksd_from_parts(scores, lone, lone, None, None, None, sigma)
-    return total

@@ -12,12 +12,13 @@ import json
 import sys
 
 from .benchmarks import distance_to_minimum, lookup, make_benchmark, registry
-from .boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd
+from .boltzmann import DEFAULT_KAPPA, BoltzmannTarget
 from .errors import ConfigError, SbsError
 from .harness import ExperimentConfig, FunctionSpec, run_experiment, write_results
 from .objective import EvalCounter
 from .optimizers import available_methods, logs_trajectories, run_method
 from .optimizers.base import check_number
+from .svgd import ksd
 from .trajectory import TrajectoryLog, plot_trajectories
 
 

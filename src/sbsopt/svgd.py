@@ -1,5 +1,6 @@
-"""SVGD engine: the update direction as attraction plus repulsion, and
-Adam stepping of the particles along it."""
+"""SVGD engine: the update direction as attraction plus repulsion, the KSD
+over the same kernel blocks, and Adam stepping of the particles along the
+direction."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import BoltzmannTarget, is_identity, kernel_tiles, pairwise_kernel, score
+from .boltzmann import (BoltzmannTarget, check_sigma, is_identity, kernel_tiles,
+                        ksd_from_parts, pairwise_kernel, score)
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -60,16 +62,16 @@ def _forces(
     visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
     block once, as it is made; rows is cols on a tile with itself, and
     kmat, diff and sqdist are None on an identity tile. The lone particles
-    come last, as one such block (see ksd_from_parts).
+    come last, as one such block.
     """
     n = positions.shape[0]
     scores = score(target, positions, counter)
     tiles, pairs, lone = kernel_tiles(sigma, positions)
-    attraction, repulsion = [], []  # per tile, rows in tile order
+    attraction, repulsion = np.empty_like(scores), np.empty_like(scores)
 
     def identity_rows(rows) -> None:
-        attraction.append(scores[rows] / n)
-        repulsion.append(np.zeros_like(attraction[-1]))
+        attraction[rows] = scores[rows] / n
+        repulsion[rows] = 0.0
         if visit is not None:
             visit(scores, rows, rows, None, None, None)
 
@@ -78,32 +80,44 @@ def _forces(
         if is_identity(kmat):
             identity_rows(tile)
             continue
-        attraction.append(kmat @ scores[tile] / n)
-        repulsion.append(np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n)
+        attraction[tile] = kmat @ scores[tile] / n
+        repulsion[tile] = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
         if visit is not None:
             visit(scores, tile, tile, kmat, diff, sqdist)
     for a, b in pairs:
         rows, cols = tiles[a], tiles[b]
         kmat, diff, sqdist = pairwise_kernel(sigma, positions[rows], positions[cols])
-        attraction[a] += kmat @ scores[cols] / n
-        attraction[b] += kmat.T @ scores[rows] / n
-        repulsion[a] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
-        repulsion[b] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
+        attraction[rows] += kmat @ scores[cols] / n
+        attraction[cols] += kmat.T @ scores[rows] / n
+        repulsion[rows] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
+        repulsion[cols] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
         if visit is not None:
             visit(scores, rows, cols, kmat, diff, sqdist)
     if lone.size:
-        tiles = tiles + [lone]
         identity_rows(lone)
-    return _untile(tiles, attraction), _untile(tiles, repulsion)
+    return attraction, repulsion
 
 
-def _untile(tiles: list, parts: list) -> np.ndarray:
-    """Per-tile rows put back in particle order."""
-    if len(parts) == 1:  # one tile, or the lone set, holds every particle in order
-        return parts[0]
-    out = np.empty((sum(len(t) for t in tiles), parts[0].shape[1]))
-    out[np.concatenate(tiles)] = np.concatenate(parts)
-    return out
+def ksd(
+    particles: np.ndarray,
+    target: BoltzmannTarget,
+    sigma: float,
+    counter: EvalCounter,
+) -> float:
+    """Empirical KSD of the particle set against the Boltzmann target.
+
+    Scores are computed once per particle (2d evaluations each). Nonnegative
+    up to floating-point rounding because the Stein kernel is PSD. sigma
+    must be positive and finite (ValueError otherwise). The shares of
+    ksd_from_parts are summed over the blocks _forces visits, in its order,
+    so a run's KSD record equals this value of its entering state.
+    """
+    check_sigma(sigma)
+    positions = np.atleast_2d(np.asarray(particles, dtype=float))
+    shares: list[float] = []
+    _forces(positions, target, sigma, counter,
+            lambda *block: shares.append(ksd_from_parts(*block, sigma)))
+    return sum(shares)
 
 
 def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:

@@ -25,8 +25,9 @@ LOG_FORMAT = "sbsopt-trajectory-1"
 class TrajectorySnapshot:
     """Live particle state after one iteration (iteration 0 = initial).
 
-    sigma, the kernel width the run used, must be positive and finite: a
-    log read from a file is checked here before any diagnostic uses it.
+    sigma, the kernel width the run used, must be positive and finite, and
+    positions and f_values must hold one row and one value per id: a log
+    read from a file is checked here before any diagnostic uses it.
     """
 
     iteration: int
@@ -40,6 +41,13 @@ class TrajectorySnapshot:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.f_values = np.asarray(self.f_values, dtype=float)
         self.ids = [int(i) for i in self.ids]
+        n = len(self.ids)
+        if self.positions.ndim != 2 or len(self.positions) != n:
+            raise ValueError(f"snapshot positions have shape {self.positions.shape}, "
+                             f"expected one row for each of {n} ids")
+        if self.f_values.shape != (n,):
+            raise ValueError(f"snapshot f_values have shape {self.f_values.shape}, "
+                             f"expected one value for each of {n} ids")
 
 
 @dataclass
@@ -67,6 +75,10 @@ class TrajectoryLog:
             check_sigma(self.fd_step, "log fd_step")
 
     def append(self, snapshot: TrajectorySnapshot) -> None:
+        """Add a snapshot; ValueError unless its positions are dim wide."""
+        width = snapshot.positions.shape[1]
+        if width != self.dim:
+            raise ValueError(f"snapshot positions are {width} wide, the log has dim {self.dim}")
         self.snapshots.append(snapshot)
 
     def to_dict(self) -> dict:

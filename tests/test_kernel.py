@@ -19,7 +19,7 @@ from sbsopt import (
     sbs_run,
     score,
 )
-from sbsopt import svgd
+from sbsopt import boltzmann, svgd
 from sbsopt.boltzmann import TILE, WINDOW, is_identity, kernel_tiles, pairwise_kernel
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
 from sbsopt.svgd import AdamState, _forces, _iterate_with_parts
@@ -373,6 +373,29 @@ class TestTiledKernel:
             assert (lone.size > n // 4 and len(pairs) == 2) == (sigma < 0.05)
             want = ksd(entering, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
             assert r.diagnostics[0].ksd == want
+
+    def test_ksd_makes_the_blocks_of_the_direction(self, monkeypatch):
+        # ksd() sums the blocks of the one walk in svgd._forces: one per tile
+        # and per pair of tiles, none for the lone set, and no walk of its own
+        obj = make_benchmark("ackley", 2)
+        sigma = 2e-4
+        cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
+        pts = sbs_run(obj, cfg, 10**6, 2, log_every=1).trajectory.snapshots[0].positions
+        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        assert len(tiles) == 3 and len(pairs) == 2 and lone.size > 0
+        made = []
+
+        def counted(sigma, positions, others=None):
+            made.append(len(positions))
+            return pairwise_kernel(sigma, positions, others)
+
+        def second_walk(*args, **kwargs):
+            raise AssertionError("a kernel block made outside svgd._forces")
+
+        monkeypatch.setattr(svgd, "pairwise_kernel", counted)
+        monkeypatch.setattr(boltzmann, "pairwise_kernel", second_walk)
+        ksd(pts, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
+        assert len(made) == len(tiles) + len(pairs)
 
     def test_twenty_thousand_particles_in_bounded_memory(self):
         # the dense kernel would hold 20000^2 (d + 2) floats, about 12.8 GB

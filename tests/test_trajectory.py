@@ -130,6 +130,27 @@ class TestSerialization:
         for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
             assert ksd(snap.positions, target, snap.sigma, EvalCounter()) == rec.ksd
 
+    @pytest.mark.parametrize("field, corrupt", [
+        # a third column in a 2-d log, which the picture would silently drop
+        ("wide", lambda s: s.update(positions=[p + [0.0] for p in s["positions"]])),
+        # 2 ids over 4 position rows would plot 2 paths, or print "live 2"
+        # next to a KSD of 4 particles
+        ("ids", lambda s: s.update(ids=s["ids"][:2])),
+        ("f_values", lambda s: s.update(f_values=s["f_values"][:3])),
+    ], ids=["wide", "ids", "f_values"])
+    def test_bad_shapes_rejected_on_load(self, field, corrupt, tmp_path, capsys):
+        path = tmp_path / "log.json"
+        data = small_log().to_dict()
+        corrupt(data["snapshots"][1])
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
+            TrajectoryLog.load(path)
+        out = tmp_path / "plot.svg"
+        assert main(["plot", str(path), "-o", str(out)]) == 1
+        assert not out.exists()
+        assert main(["diag", "ksd", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
     def test_unknown_format_rejected(self):
         data = small_log().to_dict()
         data["format"] = "something-else"
