@@ -70,13 +70,18 @@ class MethodSpec:
 @dataclass(frozen=True)
 class FunctionSpec:
     """One benchmark row: registry name and an integer dimension, which the
-    named benchmark must support."""
+    named benchmark must support. The name, as spelled, enters cell seeds,
+    results.csv and trajectory files, so it may not start or end with
+    whitespace."""
 
     name: str
     dim: int
 
     def __post_init__(self):
         check_number(self, "dim", int)
+        if self.name != self.name.strip():
+            raise ConfigError(f"function name {self.name!r} starts or ends with whitespace",
+                              field="function")
         try:
             entry = lookup(self.name)
         except KeyError as exc:
@@ -95,7 +100,7 @@ class FunctionSpec:
 class ExperimentConfig:
     """The whole experiment: budget and repetitions at least 1, log_every at
     least 0, and each section non-empty with distinct entries: method keys,
-    and benchmarks at a dimension, whatever the case or spacing of a name."""
+    and benchmarks at a dimension, whatever the case of a name."""
 
     functions: list[FunctionSpec]
     methods: list[MethodSpec]
@@ -114,7 +119,7 @@ class ExperimentConfig:
             specs = getattr(self, section)
             if not specs:
                 raise ConfigError(f"no {section} given", field=section)
-            # a function is its registry entry at a dimension, however spelled
+            # a function is its registry entry at a dimension, in any case
             same = [(lookup(s.name).name, s.dim) if section == "functions" else s.key
                     for s in specs]
             for i, spec in enumerate(specs):

@@ -86,13 +86,31 @@ def improve_incumbent(points: np.ndarray, f: np.ndarray, best_x: np.ndarray,
     return best_x, best_f
 
 
+def fold_block(result: RunResult, points: np.ndarray, f: np.ndarray,
+               live: int | None = None) -> None:
+    """Fold one scored block into a running result in place.
+
+    The incumbent moves by improve_incumbent's rule. Given live, the size
+    of the population the block scored, the block also ends an iteration:
+    iterations_done grows by one and, when diagnostics are collected, the
+    iteration's record is appended.
+    """
+    result.best_x, result.best_f = improve_incumbent(points, f, result.best_x, result.best_f)
+    if live is not None:
+        result.iterations_done += 1
+        if result.diagnostics is not None:
+            result.diagnostics.append(IterationRecord(
+                result.iterations_done, float(np.fmin.reduce(f)), result.best_f, live))
+
+
 @dataclass
 class IterationRecord:
     """One diagnostics row per iteration.
 
-    min_f and live describe the particle state leaving the iteration;
-    ksd, when tracked, is measured on the state entering it (it reuses the
-    scores the update direction already paid for).
+    min_f and live describe the particle state leaving the iteration, and
+    min_f skips NaN values (it is NaN only when every value is); ksd, when
+    tracked, is measured on the state entering it (it reuses the scores the
+    update direction already paid for).
     """
 
     iteration: int

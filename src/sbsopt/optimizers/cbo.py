@@ -17,8 +17,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, NonFiniteValue
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
-                   population_iterations, split_streams)
+from .base import RunResult, check_number, fold_block, population_iterations, split_streams
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,11 @@ def cbo_run(
 
     rng_init, rng_noise = split_streams(seed, 2)
     positions = uniform_sample(domain, n_particles, rng_init)
+    result = RunResult(best_x=positions[0].copy(), best_f=np.inf, evals_used=0,
+                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
     fitness = evaluate(obj, positions, counter)
-    best_x, best_f = improve_incumbent(positions, fitness, positions[0].copy(), np.inf)
+    fold_block(result, positions, fitness)
 
-    records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    done = 0
     sqrt_dt = math.sqrt(params.dt)
     for t in range(1, iterations + 1):
         if counter.count + n_particles > budget:
@@ -100,18 +99,7 @@ def cbo_run(
                      + params.sigma_noise * scale * sqrt_dt * noise)
         positions = project_to_box(domain, positions)
         fitness = evaluate(obj, positions, counter)
-        done = t
+        fold_block(result, positions, fitness, n_particles)
 
-        best_x, best_f = improve_incumbent(positions, fitness, best_x, best_f)
-        if records is not None:
-            records.append(
-                IterationRecord(t, float(np.fmin.reduce(fitness)), best_f, n_particles)
-            )
-
-    return RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=done,
-        diagnostics=records,
-    )
+    result.evals_used = counter.count
+    return result

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
-from .base import IterationRecord, RunResult, check_number, improve_incumbent, split_streams
+from .base import RunResult, check_number, fold_block, split_streams
 
 _RESAMPLE_TRIES = 100
 
@@ -88,17 +88,13 @@ def _sample_offspring(
         if inside.all():
             offspring[filled:] = candidates
             return offspring
-        rows = np.arange(inside.size)
-        last_inside = np.maximum.accumulate(np.where(inside, rows, -1))
-        # misses in a row up to each try, 0 on a try inside the box
-        streak = np.where(last_inside >= 0, rows - last_inside, rows + 1 + failures)
-        taken = np.flatnonzero(streak % _RESAMPLE_TRIES == 0)
-        chosen = candidates[taken]
-        offspring[filled:filled + taken.size] = np.where(
-            inside[taken, None], chosen, np.clip(chosen, domain.lower, domain.upper)
-        )
-        filled += taken.size
-        failures = int(streak[-1]) % _RESAMPLE_TRIES
+        for candidate, hit in zip(candidates, inside.tolist()):
+            failures = 0 if hit else failures + 1
+            if hit or failures == _RESAMPLE_TRIES:
+                offspring[filled] = (candidate if hit else
+                                     np.clip(candidate, domain.lower, domain.upper))
+                filled += 1
+                failures = 0
     return offspring
 
 
@@ -148,10 +144,8 @@ def cmaes_run(
     ps = np.zeros(d)
     pc = np.zeros(d)
 
-    best_x = mean.copy()
-    best_f = np.inf
-    records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    generation = 0
+    result = RunResult(best_x=mean.copy(), best_f=np.inf, evals_used=0, iterations_done=0,
+                       diagnostics=[] if collect_diagnostics else None)
 
     while counter.count + lam <= budget:
         cov = (cov + cov.T) / 2.0
@@ -168,9 +162,7 @@ def cmaes_run(
 
         offspring = _sample_offspring(mean, sigma, basis, scales, lam, domain, rng_sample)
         fitness = evaluate(obj, offspring, counter)
-        generation += 1
-
-        best_x, best_f = improve_incumbent(offspring, fitness, best_x, best_f)
+        fold_block(result, offspring, fitness, lam)
 
         order = np.argsort(fitness, kind="stable")[:mu]
         selected = offspring[order]
@@ -181,7 +173,7 @@ def cmaes_run(
         inv_sqrt = (basis * (1.0 / scales)) @ basis.T
         ps = (1.0 - cs) * ps + ps_gain * (inv_sqrt @ y_w)
         ps_norm = math.sqrt(ps @ ps)  # np.linalg.norm's own formula
-        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * generation))
+        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * result.iterations_done))
         hsig = 1.0 if ps_norm / correction < hsig_bound else 0.0
         pc = (1.0 - cc) * pc + hsig * pc_gain * y_w
 
@@ -193,16 +185,5 @@ def cmaes_run(
         )
         sigma = sigma * math.exp(min(1.0, (cs / damps) * (ps_norm / chi_n - 1.0)))
 
-        if records is not None:
-            records.append(
-                IterationRecord(generation, float(np.fmin.reduce(fitness)), best_f, lam)
-            )
-
-    result = RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=generation,
-        diagnostics=records,
-    )
+    result.evals_used = counter.count
     return result, CmaGaussian(mean=mean, sigma=sigma, cov=cov)

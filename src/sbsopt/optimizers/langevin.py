@@ -27,7 +27,7 @@ from ..objective import (
     project_to_box,
     uniform_sample,
 )
-from .base import IterationRecord, RunResult, check_number, improve_incumbent, split_streams
+from .base import RunResult, check_number, fold_block, split_streams
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,13 @@ def langevin_run(
     counter = EvalCounter()
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
+    result = RunResult(best_x=chains[0].copy(), best_f=np.inf, evals_used=0,
+                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
     scored = chains[:budget]
-    best_x, best_f = improve_incumbent(scored, evaluate(obj, scored, counter),
-                                       chains[0].copy(), np.inf)
+    fold_block(result, scored, evaluate(obj, scored, counter))
 
     noise_scale = math.sqrt(2.0 * eta)
     step_cost = 2 * d + 1
-    records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    sweeps = 0
     exhausted = False
     while not exhausted:
         # the chains the budget can still step this sweep, as one block
@@ -82,19 +81,10 @@ def langevin_run(
         )
         chains[:k] = project_to_box(domain, proposal)
         f = evaluate(obj, chains[:k], counter)
-        best_x, best_f = improve_incumbent(chains[:k], f, best_x, best_f)
-        sweep_min = np.fmin.reduce(f, initial=np.inf)
-        if np.isfinite(sweep_min):
-            sweeps += 1
-            if records is not None:
-                records.append(IterationRecord(sweeps, float(sweep_min), best_f, n_chains))
-        else:
-            exhausted = True
+        # a sweep with no finite value ends the run and is not counted
+        finite = bool(np.isfinite(np.fmin.reduce(f)))
+        fold_block(result, chains[:k], f, n_chains if finite else None)
+        exhausted = exhausted or not finite
 
-    return RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=sweeps,
-        diagnostics=records,
-    )
+    result.evals_used = counter.count
+    return result

@@ -305,7 +305,7 @@ def _run_engine(
         if seen_f is None and (records is not None or logged):
             seen_f = evaluate(obj, positions, instrument)
         if records is not None:
-            min_f = float(seen_f.min())
+            min_f = float(np.fmin.reduce(seen_f))
             best_so_far = min(best_so_far, min_f)
             records.append(
                 IterationRecord(iteration, min_f, best_so_far, positions.shape[0],

@@ -22,8 +22,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
-                   population_iterations, split_streams)
+from .base import RunResult, check_number, fold_block, population_iterations, split_streams
 
 
 @dataclass(frozen=True)
@@ -96,31 +95,17 @@ def woa_run(
 
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(domain, n_agents, rng_init)
-    fitness = evaluate(obj, positions, counter)
-    best_x, best_f = improve_incumbent(positions, fitness, positions[0].copy(), np.inf)
+    result = RunResult(best_x=positions[0].copy(), best_f=np.inf, evals_used=0,
+                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
+    fold_block(result, positions, evaluate(obj, positions, counter))
 
-    records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    done = 0
     for t in range(1, iterations + 1):
         if counter.count + n_agents > budget:
             break
         a = 2.0 - 2.0 * t / iterations
-        moved = _move(positions, best_x, a, rng_move)
+        moved = _move(positions, result.best_x, a, rng_move)
         positions = project_to_box(domain, moved)
-        fitness = evaluate(obj, positions, counter)
-        done = t
+        fold_block(result, positions, evaluate(obj, positions, counter), n_agents)
 
-        best_x, best_f = improve_incumbent(positions, fitness, best_x, best_f)
-        if records is not None:
-            records.append(
-                IterationRecord(t, float(np.fmin.reduce(fitness)), best_f, n_agents)
-            )
-
-    result = RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=done,
-        diagnostics=records,
-    )
+    result.evals_used = counter.count
     return result, positions.copy()

@@ -166,6 +166,26 @@ class TestWoa:
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
 
+POPULATION = {"cma-es": default_popsize(3), "woa": WoaParams().n_agents,
+              "cbo": CboParams().n_particles, "langevin": LangevinParams().n_chains}
+
+
+@pytest.mark.parametrize("method", list(POPULATION))
+@pytest.mark.parametrize("function, budget", [("rastrigin", 20_000), ("rosenbrock", 3_000)])
+def test_baseline_records_follow_the_run(method, function, budget):
+    """One record per iteration, numbered 1..n, over the whole population,
+    with a best_so_far that never rises and ends at the answer."""
+    r = run_method(method, make_benchmark(function, 3), budget, 2, collect_diagnostics=True)
+    records = r.diagnostics
+    assert r.iterations_done > 0
+    assert len(records) == r.iterations_done
+    assert [rec.iteration for rec in records] == list(range(1, r.iterations_done + 1))
+    best = [rec.best_so_far for rec in records]
+    assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+    assert best[-1] == r.best_f
+    assert {rec.live for rec in records} == {POPULATION[method]}
+
+
 def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
     """The one-offspring-at-a-time loop that _sample_offspring replaced.
 
@@ -438,10 +458,12 @@ class TestNonFiniteValues:
         obj = make_objective("halfnan", [-5.0, -5.0], [5.0, 5.0],
                              lambda p: math.nan if p[0] > 4.95 else -p[0])
         cfg = SbsConfig(n_particles=200, max_iterations=1, step_size=0.1)
-        r = sbs_run(obj, cfg, 10_000, seed=5)
+        r = sbs_run(obj, cfg, 10_000, seed=5, collect_diagnostics=True)
         assert r.iterations_done == 1
         assert np.isfinite(r.best_f) and r.best_x[0] <= 4.95
         assert r.best_f == -r.best_x[0] and r.best_f < -4.8
+        # the record skips NaN too
+        assert r.diagnostics[-1].min_f == r.diagnostics[-1].best_so_far == r.best_f
 
     def test_langevin_raises_at_a_nan_probe(self):
         with pytest.raises(NonFiniteValue):
