@@ -5,6 +5,23 @@ hybrid initialization, which is why the run returns the final search
 Gaussian alongside the incumbent. Box constraints are handled by resampling
 an out-of-box offspring up to 100 times, then clamping.
 
+A run ends when the budget cannot cover the next generation, when the
+search Gaussian degenerates (sigma not finite, sigma times its widest axis
+below 1e-250, or an axis ratio above 1e14), or when its values have gone
+flat: Hansen's EqualFunValues/TolFun rule (The CMA Evolution Strategy: A
+Tutorial, appendix B.3) with a tolerance of zero. That rule stops after
+the generation in which the best values of the last 10 + ceil(30 d /
+lambda) generations, that one included, and all lambda values of that
+generation are one number; a generation holding a NaN never counts. A
+run whose values wobble between a few adjacent doubles never passes that
+rule, so a second one backs it: the run also ends once its best value has
+not improved for 15 such windows. Either rule can miss a last-bit
+improvement that a longer run would find: on 444 measured runs best_f
+ended higher on 21, by at most 1.5e-14. A nonzero tolerance, TolX and
+Stagnation moved answers further, so they are left out. The stops are
+the same inside a hybrid's warm start, whose unspent slice the SVGD
+continuation then spends.
+
 Random streams: 0 draws the initial mean, 1 drives offspring sampling.
 Offspring are drawn as if one at a time: each try is one
 standard_normal(d) row, offspring k takes tries until one lands in the box
@@ -24,6 +41,11 @@ from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sam
 from .base import RunResult, check_number, fold_block, split_streams
 
 _RESAMPLE_TRIES = 100
+# the flat-value window is 10 + ceil(30 d / lambda) generations (Hansen, B.3)
+_FLAT_BASE = 10
+_FLAT_PER_DIM = 30
+# windows without a new best value after which a run ends, flat or not
+_STALL_WINDOWS = 15
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,9 @@ def cmaes_run(
     """Run CMA-ES under an evaluation budget.
 
     Returns the incumbent plus the final Gaussian so a caller can keep
-    sampling from where the search ended.
+    sampling from where the search ended. The run can stop before the
+    budget is spent (see the module docstring); evals_used says how much
+    of it was.
     """
     counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
@@ -134,6 +158,7 @@ def cmaes_run(
     pc_gain = math.sqrt(cc * (2.0 - cc) * mueff)
     hsig_bound = (1.4 + 2.0 / (d + 1.0)) * chi_n
     column_weights = weights[:, None]
+    flat_window = _FLAT_BASE + math.ceil(_FLAT_PER_DIM * d / lam)
 
     rng_init, rng_sample = split_streams(seed, 2)
     mean = uniform_sample(domain, 1, rng_init)[0]
@@ -146,6 +171,11 @@ def cmaes_run(
 
     result = RunResult(best_x=mean.copy(), best_f=np.inf, evals_used=0, iterations_done=0,
                        diagnostics=[] if collect_diagnostics else None)
+    # generations in a row, this one included, whose best is last_low; a
+    # NaN best (min propagates NaN) equals nothing, so it ends every streak
+    last_low = math.nan
+    flat = 0
+    stalled = 0  # generations in a row that did not lower result.best_f
 
     while counter.count + lam <= budget:
         cov = (cov + cov.T) / 2.0
@@ -162,7 +192,9 @@ def cmaes_run(
 
         offspring = _sample_offspring(mean, sigma, basis, scales, lam, domain, rng_sample)
         fitness = evaluate(obj, offspring, counter)
+        incumbent = result.best_f
         fold_block(result, offspring, fitness, lam)
+        stalled = 0 if result.best_f < incumbent else stalled + 1
 
         order = np.argsort(fitness, kind="stable")[:mu]
         selected = offspring[order]
@@ -184,6 +216,13 @@ def cmaes_run(
             + cmu * rank_mu
         )
         sigma = sigma * math.exp(min(1.0, (cs / damps) * (ps_norm / chi_n - 1.0)))
+
+        low = float(fitness.min())
+        flat = flat + 1 if low == last_low else 1
+        last_low = low
+        if (flat >= flat_window and low == float(fitness.max())
+                or stalled >= _STALL_WINDOWS * flat_window):
+            break
 
     result.evals_used = counter.count
     return result, CmaGaussian(mean=mean, sigma=sigma, cov=cov)

@@ -8,6 +8,14 @@ decouples the particles into parallel Adam descents with a residual
 repulsion only between near-coincident particles. The reported best covers
 the entire run, init phase included.
 
+CMA-ES stops inside its slice by the same rules as a standalone run,
+including the stops once its values have gone flat or its best value has
+stalled (cmaes.py). The evaluations of the slice it leaves unspent are not
+lost: WOA runs its fixed schedule after it, and the continuation runs on
+to the whole budget. The init-cost check in sbs_run still counts the full
+slice, so whether a budget is large enough never depends on where CMA-ES
+stops.
+
 Sub-run seeds derive from the run seed with the tags "hybrid-cma",
 "hybrid-woa", and "hybrid-sample" (for Gaussian sampling).
 """

@@ -306,8 +306,8 @@ class TestCmaesBlockSampling:
         monkeypatch.setattr(cmaes_module, "_sample_offspring", loop_sampler)
         loop, _ = cmaes_run(obj, CmaesParams(sigma0=100.0), 8000, 3)
         assert sum(clamped) > 0
-        assert (block.evals_used, block.iterations_done) == (7998, 1333)
-        assert (loop.evals_used, loop.iterations_done) == (7998, 1333)
+        assert (block.evals_used, block.iterations_done) == (1122, 187)
+        assert (loop.evals_used, loop.iterations_done) == (1122, 187)
         assert block.best_x.tobytes() == loop.best_x.tobytes()
         assert block.best_f == loop.best_f
 
@@ -333,6 +333,137 @@ class TestWoaBlockMove:
             assert explorers == 0
         elif a > 1.0:
             assert explorers > 0
+
+
+def flat_window(d, lam):
+    """Hansen's EqualFunValues window, in generations."""
+    return 10 + math.ceil(30 * d / lam)
+
+
+def first_flat_generation(blocks, window):
+    """Index of the first generation that ends a flat window, or None.
+
+    The oracle of the stop: the generation and the window - 1 before it hold
+    no NaN, their lowest values are one number, and every value of the
+    generation is that number.
+    """
+    for g in range(window - 1, len(blocks)):
+        recent = blocks[g - window + 1:g + 1]
+        if any(np.isnan(b).any() for b in recent):
+            continue
+        low = recent[-1].min()
+        if all(b.min() == low for b in recent) and (recent[-1] == low).all():
+            return g
+    return None
+
+
+def first_stalled_generation(blocks, patience):
+    """Index of the first generation that ends `patience` generations in a
+    row without a new lowest value (NaN never is one), or None."""
+    best, stalled = math.inf, 0
+    for g, block in enumerate(blocks):
+        low = np.fmin.reduce(block)
+        best, stalled = (low, 0) if low < best else (best, stalled + 1)
+        if stalled >= patience:
+            return g
+    return None
+
+
+def first_stop(blocks, d, lam):
+    """The generation at which either of CMA-ES's value-based stops fires."""
+    window = flat_window(d, lam)
+    stops = [first_flat_generation(blocks, window),
+             first_stalled_generation(blocks, 15 * window)]
+    return min((g for g in stops if g is not None), default=None)
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """The value blocks cmaes_run scores, one per generation, in order."""
+    blocks = []
+    score = cmaes_module.evaluate
+
+    def recording(obj, points, counter):
+        f = score(obj, points, counter)
+        blocks.append(f.copy())
+        return f
+
+    monkeypatch.setattr(cmaes_module, "evaluate", recording)
+    return blocks
+
+
+class TestCmaesFlatStop:
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_constant_objective_stops_after_one_window(self, d, generations):
+        obj = make_objective("flat", -np.ones(d), np.ones(d), lambda x: 1.0)
+        lam = default_popsize(d)
+        result, _ = cmaes_run(obj, CmaesParams(), 100_000, seed=0)
+        assert result.iterations_done == len(generations) == flat_window(d, lam)
+        assert result.evals_used == lam * flat_window(d, lam)
+        assert result.best_f == 1.0
+
+    def test_a_generation_holding_nan_never_counts(self, generations):
+        # constant 1 on the left half of the box, NaN on the right: the mean
+        # drifts left, and generations near the edge hold NaN
+        obj = make_objective("half-nan", [-1.0, -1.0], [1.0, 1.0],
+                             lambda x: math.nan if x[0] > 0.0 else 1.0)
+        window = flat_window(2, default_popsize(2))
+        result, _ = cmaes_run(obj, CmaesParams(), 20_000, seed=0)
+        holding_nan = [g for g, b in enumerate(generations) if np.isnan(b).any()]
+        # a NaN generation fell after the first window, and the stop came a
+        # whole NaN-free window after the last one
+        assert window < holding_nan[-1] + 1 < result.iterations_done
+        assert result.iterations_done == holding_nan[-1] + 1 + window
+        assert first_flat_generation(generations, window) == result.iterations_done - 1
+        assert result.best_f == 1.0
+
+    @pytest.mark.parametrize("function, dim, params", [
+        ("sphere", 2, {}), ("ackley", 2, {}), ("levy", 2, {}), ("rosenbrock", 5, {}),
+        ("rastrigin", 10, {"popsize": 12, "sigma0": 0.5}), ("rastrigin", 10, {}),
+    ])
+    def test_stops_at_the_first_flat_or_stalled_window(self, function, dim, params,
+                                                      generations):
+        budget = 40_000
+        result, _ = cmaes_run(make_benchmark(function, dim), CmaesParams(**params),
+                              budget, seed=1)
+        lam = params.get("popsize", default_popsize(dim))
+        assert result.evals_used == lam * result.iterations_done < budget
+        assert result.iterations_done == len(generations)
+        assert first_stop(generations, dim, lam) == result.iterations_done - 1
+
+    def test_a_wobbling_run_stops_once_its_best_has_stalled(self, generations):
+        # seed 1's values settle onto a few adjacent doubles by generation
+        # ~310 and never go flat; its last new best comes at generation 355,
+        # and the stall stop ends the run 15 windows (600 generations) later
+        d, lam = 10, default_popsize(10)
+        window = flat_window(d, lam)
+        result, _ = cmaes_run(make_benchmark("rastrigin", d), CmaesParams(), 60_000, seed=1)
+        assert first_flat_generation(generations, window) is None
+        assert first_stalled_generation(generations, 15 * window) == len(generations) - 1
+        assert result.evals_used < 15_000
+        assert result.best_f == 11.939498609481333
+
+    @pytest.mark.parametrize("function, dim", [("rastrigin", 10), ("rosenbrock", 5)])
+    def test_every_seed_stops_well_inside_a_large_budget(self, function, dim):
+        # what a run costs no longer depends on whether its values go flat
+        used = [run_method("cma-es", make_benchmark(function, dim), 60_000, seed).evals_used
+                for seed in range(6)]
+        assert max(used) < 15_000
+
+    def test_ackley_stops_long_before_a_large_budget(self):
+        r = run_method("cma-es", make_benchmark("ackley", 2), 200_000, 0)
+        assert r.evals_used < 5000
+        assert r.best_f == 4.440892098500626e-16
+
+    def test_experiment_summary_shows_evaluations_below_the_budget(self, tmp_path):
+        config = {"functions": [{"name": "Ackley", "dim": 2}], "methods": [{"name": "cma-es"}],
+                  "budget": 50_000, "repetitions": 2, "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        (cell,) = summary["cells"].values()
+        assert cell["mean_evals"] < 5000
 
 
 class TestCbo:

@@ -146,6 +146,25 @@ class TestHybridRun:
         assert snap.iteration == 0 and snap.ids == list(range(10))
         np.testing.assert_array_equal(snap.f_values, obj.evaluator(snap.positions))
 
+    def test_cmaes_stop_leaves_the_rest_of_its_slice_to_the_continuation(self):
+        # CMA-ES's values go flat on Ackley-2d about halfway through a
+        # 2000-evaluation slice; the continuation spends what it left
+        obj = make_benchmark("ackley", 2)
+        seed, n, d, budget = 0, 10, 2, 6000
+        cfg = HybridConfig(cmaes_budget=2000, woa_iterations=20)
+        cma_result, _ = cmaes_run(obj, CmaesParams(), 2000, derive_seed(seed, "hybrid-cma"))
+        assert cma_result.evals_used < 2000 - default_popsize(d)
+        init_spent = cma_result.evals_used + n * (20 + 1)
+        counter = EvalCounter()
+        _hybrid_init_full(obj, n, 2000, 20, budget, seed, counter)
+        assert counter.count == init_spent
+
+        r = sbs_run(obj, hybrid(n, cfg), budget, seed)
+        # each iteration pays 2 d n probes, and the answer n final values
+        assert r.iterations_done == (budget - init_spent - n) // (2 * d * n)
+        assert r.evals_used == init_spent + 2 * d * n * r.iterations_done + n <= budget
+        assert r.evals_used - init_spent > budget - (2000 + n * (20 + 1))
+
     def test_continuation_never_loses_to_the_incumbent(self):
         obj = make_benchmark("sphere", 2)
         cfg = HybridConfig(cmaes_budget=150, woa_iterations=20)
