@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import (BoltzmannTarget, check_sigma, is_identity, kernel_tiles,
-                        ksd_from_parts, pairwise_kernel, score)
+from .boltzmann import (PROOF_MIN, BoltzmannTarget, check_sigma, is_identity,
+                        kernel_tiles, ksd_from_parts, pairwise_kernel, proven_apart,
+                        score)
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -57,8 +58,11 @@ def _forces(
     lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
     repulsion exactly 0, the bits an identity row of a block gives, and no
     block is made for it. A tile whose block with itself is exactly the
-    identity (is_identity; in a 10-d run at the default bandwidth, the one
-    tile of 100 particles) gets the same treatment, with no kernel products.
+    identity gets the same treatment, with no kernel products: a tile of at
+    least PROOF_MIN particles that proven_apart certifies makes no block at
+    all (in a 10-d run at the default bandwidth, the one tile of 100
+    particles, on every iteration), and any other tile is caught by
+    is_identity once its block is made.
     visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
     block once, as it is made; rows is cols on a tile with itself, and
     kmat, diff and sqdist are None on an identity tile. The lone particles
@@ -76,7 +80,11 @@ def _forces(
             visit(scores, rows, rows, None, None, None)
 
     for tile in tiles:
-        kmat, diff, sqdist = pairwise_kernel(sigma, positions[tile])
+        points = positions[tile]
+        if len(points) >= PROOF_MIN and proven_apart(sigma, points):
+            identity_rows(tile)
+            continue
+        kmat, diff, sqdist = pairwise_kernel(sigma, points)
         if is_identity(kmat):
             identity_rows(tile)
             continue

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsopt import (
     BoltzmannTarget,
@@ -20,7 +22,9 @@ from sbsopt import (
     score,
 )
 from sbsopt import boltzmann, svgd
-from sbsopt.boltzmann import TILE, WINDOW, is_identity, kernel_tiles, pairwise_kernel
+from sbsopt.boltzmann import (PROOF_MIN, TILE, WINDOW, is_identity, kernel_tiles,
+                              pairwise_kernel, proven_apart)
+from sbsopt.optimizers import run_method
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
 from sbsopt.svgd import AdamState, _forces, _iterate_with_parts
 
@@ -376,13 +380,16 @@ class TestTiledKernel:
 
     def test_ksd_makes_the_blocks_of_the_direction(self, monkeypatch):
         # ksd() sums the blocks of the one walk in svgd._forces: one per tile
-        # and per pair of tiles, none for the lone set, and no walk of its own
+        # that proven_apart cannot certify and per pair of tiles, none for the
+        # lone set or a proven tile, and no walk of its own
         obj = make_benchmark("ackley", 2)
         sigma = 2e-4
         cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
         pts = sbs_run(obj, cfg, 10**6, 2, log_every=1).trajectory.snapshots[0].positions
         tiles, pairs, lone = kernel_tiles(sigma, pts)
         assert len(tiles) == 3 and len(pairs) == 2 and lone.size > 0
+        proven = sum(len(t) >= PROOF_MIN and proven_apart(sigma, pts[t]) for t in tiles)
+        assert proven == 3  # each tile's block is the identity; the pairs' are not
         made = []
 
         def counted(sigma, positions, others=None):
@@ -395,7 +402,7 @@ class TestTiledKernel:
         monkeypatch.setattr(svgd, "pairwise_kernel", counted)
         monkeypatch.setattr(boltzmann, "pairwise_kernel", second_walk)
         ksd(pts, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
-        assert len(made) == len(tiles) + len(pairs)
+        assert len(made) == len(tiles) - proven + len(pairs)
 
     def test_twenty_thousand_particles_in_bounded_memory(self):
         # the dense kernel would hold 20000^2 (d + 2) floats, about 12.8 GB
@@ -534,3 +541,120 @@ class TestIdentityBlock:
         for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
             assert is_identity(pairwise_kernel(snap.sigma, snap.positions)[0])
             assert rec.ksd == ksd(snap.positions, target, snap.sigma, EvalCounter())
+
+
+def planted(r, sigma):
+    """isolated() with point 7 moved to r sigma from point 3."""
+    pts = isolated()
+    pts[7] = pts[3] + r * sigma / np.sqrt(10)
+    return pts
+
+
+def run_bits(result):
+    """Everything a run reports, as bytes where it is a float."""
+    snaps = result.trajectory.snapshots
+    return (result.evals_used, result.iterations_done, np.float64(result.best_f).tobytes(),
+            result.best_x.tobytes(),
+            np.array([(r.min_f, r.ksd) for r in result.diagnostics]).tobytes(),
+            [(s.iteration, s.sigma, s.ids, s.positions.tobytes(), s.f_values.tobytes())
+             for s in snaps])
+
+
+class TestProvenApart:
+    """proven_apart certifies from one Gram product that a tile's block is
+    exactly the identity, and _forces then makes no block for it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           half_width=st.sampled_from([1.0, 4.5, 512.0]),
+           sigma=st.one_of(st.sampled_from([1e-150, 1e-155, 1e-170, 1e-10, 1e-4, 2e-4]),
+                           st.floats(1e-12, 1.0)),
+           gap=st.one_of(st.none(), st.floats(38.0, 41.0)),
+           defect=st.sampled_from([None, "coincident", "nan", "inf"]))
+    def test_a_proof_is_an_identity_block(self, n, d, seed, half_width, sigma, gap, defect):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-half_width, half_width, size=(n, d))
+        if gap is not None and n >= 2:  # a pair planted gap sigma apart
+            step = rng.normal(size=d)
+            pts[1] = pts[0] + gap * sigma * step / np.linalg.norm(step)
+        if defect == "coincident" and n >= 2:
+            pts[-1] = pts[0]
+        elif defect == "nan":
+            pts[rng.integers(n)] = np.nan
+        elif defect == "inf":
+            pts[rng.integers(n), rng.integers(d)] = -np.inf
+        proven = proven_apart(sigma, pts)
+        # a subnormal sigma**2 overflows -x / sigma**2; sigma**2 == 0 and
+        # inf - inf give NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            kmat = pairwise_kernel(sigma, pts)[0]
+        assert is_identity(kmat) or not proven
+        if sigma**2 < np.finfo(float).tiny or defect in ("nan", "inf") or (
+                defect == "coincident" and n >= 2):
+            assert not proven
+
+    def test_proves_flow_diag_particles_and_a_lone_one(self):
+        assert proven_apart(1e-4, isolated())
+        assert proven_apart(1e-150, isolated())  # sigma**2 = 1e-300 is normal
+        assert proven_apart(1e-4, isolated()[:1])
+        assert proven_apart(1e-4, 512.0 * isolated() / 4.5)
+
+    def test_a_window_pair_is_proven_only_beyond_the_window(self):
+        sigma = 1e-4
+        assert proven_apart(sigma, planted(40.01, sigma))
+        for r in (38.7, 39.99):  # k underflows to 0.0, within the slack band
+            assert is_identity(pairwise_kernel(sigma, planted(r, sigma))[0])
+            assert not proven_apart(sigma, planted(r, sigma))
+        assert not is_identity(pairwise_kernel(sigma, planted(38.5, sigma))[0])
+
+    @pytest.mark.parametrize("sigma, pts", [(1e-4, planted(39.5, 1e-4)), (1e-155, isolated())])
+    def test_unproven_identity_blocks_still_take_the_identity_path(self, sigma, pts):
+        # in the slack band at sigma 1e-4, or at sigma 1e-155, whose square is
+        # subnormal: no proof, so the block is made and is_identity accepts it
+        assert not proven_apart(sigma, pts)
+        with np.errstate(over="ignore"):  # -x / sigma**2, subnormal
+            assert [kmat is None for _, _, kmat in blocks_seen(sigma, pts)] == [True]
+
+    def test_flow_diag_makes_no_kernel_block(self, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(len(args[1]))
+            return pairwise_kernel(*args)
+
+        def flow_diag():
+            return sbs_run(make_benchmark("rastrigin", 10), SbsConfig(max_iterations=10),
+                           200_000, 0, collect_diagnostics=True, track_ksd=True, log_every=1)
+
+        monkeypatch.setattr(svgd, "pairwise_kernel", counted)
+        assert flow_diag().iterations_done == 10 and made == []
+        monkeypatch.setattr(svgd, "proven_apart", lambda sigma, points: False)
+        assert flow_diag().iterations_done == 10 and made == [100] * 10
+
+    @pytest.mark.parametrize("method, function, d, budget, params", [
+        ("sbs", "rastrigin", 10, 200_000, {}),  # flow-diag's run
+        # the filter takes the tile from 100 particles, proven, to 11
+        ("sbs-pf", "rosenbrock", 5, 20_000, {"p_move_percentile": 90.0}),
+        ("sbs", "ackley", 2, 10_000, {"n_particles": 3 * TILE, "sigma": 2e-4}),
+    ])
+    def test_runs_keep_their_bits_without_the_proof(self, monkeypatch, method, function,
+                                                    d, budget, params):
+        obj = make_benchmark(function, d)
+        certified = []
+
+        def certify(sigma, points):
+            certified.append((len(points), proven_apart(sigma, points)))
+            return certified[-1][1]
+
+        def run():
+            return run_method(method, obj, budget, 0, dict(params), collect_diagnostics=True,
+                              track_ksd=True, log_every=1)
+
+        monkeypatch.setattr(svgd, "proven_apart", certify)
+        result = run()
+        assert any(proven for _, proven in certified)
+        assert min(size for size, _ in certified) >= PROOF_MIN
+        if method == "sbs-pf":
+            assert min(len(s.ids) for s in result.trajectory.snapshots) < PROOF_MIN
+        monkeypatch.setattr(svgd, "proven_apart", lambda sigma, points: False)
+        assert run_bits(run()) == run_bits(result)
