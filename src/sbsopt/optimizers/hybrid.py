@@ -5,16 +5,17 @@ schedule, then seeds the particles from whichever did better: N samples
 from CMA-ES's final Gaussian (projected to the box) or WOA's final
 population. The SVGD continuation runs with a tiny fixed bandwidth, which
 decouples the particles into parallel Adam descents with a residual
-repulsion only between near-coincident particles. The reported best covers
-the entire run, init phase included.
+repulsion only between near-coincident particles. The init phase's best
+point is the incumbent the one engine call starts its answer from, so the
+reported best covers the entire run, init phase included.
 
 CMA-ES stops inside its slice by the same rules as a standalone run,
 including the stops once its values have gone flat or its best value has
 stalled (cmaes.py). The evaluations of the slice it leaves unspent are not
 lost: WOA runs its fixed schedule after it, and the continuation runs on
-to the whole budget. The init-cost check in sbs_run still counts the full
-slice, so whether a budget is large enough never depends on where CMA-ES
-stops.
+to the whole budget. The init phase checks its own cost before it spends
+anything, and that check counts the full slice, so whether a budget is
+large enough never depends on where CMA-ES stops.
 
 Sub-run seeds derive from the run seed with the tags "hybrid-cma",
 "hybrid-woa", and "hybrid-sample" (for Gaussian sampling).
@@ -22,7 +23,7 @@ Sub-run seeds derive from the run seed with the tags "hybrid-cma",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,37 +60,40 @@ class HybridConfig:
 
 def _hybrid_init_full(
     obj: Objective,
-    n_particles: int,
-    cmaes_budget: int,
-    woa_iterations: int,
+    cfg: SbsConfig,
     budget: int,
     seed: int,
     counter: EvalCounter,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run both init methods; returns (positions, incumbent_x, incumbent_f).
+    """Run cfg.hybrid's init phase; returns (positions, incumbent_x, incumbent_f).
 
-    All evaluations are counted on counter. WOA runs all woa_iterations
-    when budget covers them, as sbs_run checks.
+    Before any evaluation it raises ConfigError unless cmaes_budget covers
+    one CMA-ES generation (HybridConfig.check_dim), and BudgetTooSmall
+    unless budget covers the whole phase. All evaluations are counted on
+    counter.
     """
-    cma_result, gaussian = cmaes_run(
-        obj, CmaesParams(), counter.count + cmaes_budget, derive_seed(seed, "hybrid-cma"),
-        counter=counter,
-    )
+    hybrid, n_particles = cfg.hybrid, cfg.n_particles
+    hybrid.check_dim(obj.domain.d)
     # WOA needs 2 agents to interact; a 1-particle request still runs 2
+    woa_params = WoaParams(max(2, n_particles), hybrid.woa_iterations)
+    init_cost = hybrid.cmaes_budget + woa_params.n_agents * (hybrid.woa_iterations + 1)
+    if init_cost > budget:
+        raise BudgetTooSmall(
+            f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
+        )
+    cma_result, gaussian = cmaes_run(
+        obj, CmaesParams(), counter.count + hybrid.cmaes_budget,
+        derive_seed(seed, "hybrid-cma"), counter=counter,
+    )
     woa_result, woa_population = woa_run(
-        obj, WoaParams(max(2, n_particles), woa_iterations), budget,
-        derive_seed(seed, "hybrid-woa"), counter=counter,
+        obj, woa_params, budget, derive_seed(seed, "hybrid-woa"), counter=counter
     )
     if cma_result.best_f < woa_result.best_f:
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
         samples = sample_gaussian(gaussian, n_particles, rng)
         positions = project_to_box(obj.domain, samples)
         return positions, cma_result.best_x, cma_result.best_f
-    return (
-        woa_population[:n_particles],
-        woa_result.best_x,
-        woa_result.best_f,
-    )
+    return woa_population[:n_particles], woa_result.best_x, woa_result.best_f
 
 
 def sbs_run(
@@ -110,41 +114,15 @@ def sbs_run(
     values skipped, ties to the lowest index). cfg.filter permanently
     removes particles of high f-value and low displacement from its
     start_iteration on. cfg.hybrid first picks the starting particles by
-    the init phase above, whose incumbent stays the answer unless the
-    continuation beats it; its cmaes_budget must cover one CMA-ES
-    generation (HybridConfig.check_dim, else ConfigError).
+    the init phase above, which checks its own cost, and whose incumbent
+    stays the answer unless a final particle is strictly better.
     Diagnostics, the KSD and a trajectory snapshot every log_every
     iterations are off-budget instrumentation. The KSD goes only into the
     diagnostics records, so track_ksd does nothing without
     collect_diagnostics.
     """
-    instruments = dict(
-        collect_diagnostics=collect_diagnostics,
-        track_ksd=track_ksd,
-        log_every=log_every,
-        benchmark=benchmark,
-    )
-    if cfg.hybrid is None:
-        return _run_engine(obj, cfg, budget, seed, **instruments)
-
-    hybrid = cfg.hybrid
-    hybrid.check_dim(obj.domain.d)
-    n_particles = cfg.n_particles
     counter = EvalCounter()
-    woa_agents = max(2, n_particles)
-    init_cost = hybrid.cmaes_budget + woa_agents * (hybrid.woa_iterations + 1)
-    if init_cost > budget:
-        raise BudgetTooSmall(
-            f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
-        )
-    positions, incumbent_x, incumbent_f = _hybrid_init_full(
-        obj, n_particles, hybrid.cmaes_budget, hybrid.woa_iterations, budget, seed, counter
-    )
-
-    continuation = _run_engine(
-        obj, cfg, budget, seed, init=positions, counter=counter, **instruments
-    )
-    if continuation.best_f < incumbent_f:
-        return continuation
-    return replace(continuation, best_x=np.asarray(incumbent_x, dtype=float).copy(),
-                   best_f=float(incumbent_f))
+    start = None if cfg.hybrid is None else _hybrid_init_full(obj, cfg, budget, seed, counter)
+    return _run_engine(obj, cfg, budget, seed, counter, start,
+                       collect_diagnostics=collect_diagnostics, track_ksd=track_ksd,
+                       log_every=log_every, benchmark=benchmark)

@@ -16,7 +16,6 @@ spends.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -51,7 +50,10 @@ class FilterConfig:
     particles are removed fast enough to cut the evaluation bill well below
     half of an unfiltered run without hurting the answer; a stricter pair
     like (90, 10) removes too slowly because Adam keeps every particle
-    wandering at a similar pace on conical minima.
+    wandering at a similar pace on conical minima. They barely act on
+    Rosenbrock-5d: at seed 0 the live count never drops below 93 of 100
+    at 20k or 100k, so sbs-pf spends like sbs there, while on Ackley-2d
+    the same filter goes down to 5.
     """
 
     q_value_percentile: float = 80.0
@@ -120,28 +122,6 @@ class SbsConfig:
         return 1.0 / float(n) ** 2
 
 
-def _percentile(values: np.ndarray, q: float) -> float:
-    """np.percentile(values, q) with its default "linear" method, bit for
-    bit, from one sort and scalar arithmetic; NaN if any value is NaN."""
-    ordered = np.sort(values)
-    n = ordered.size
-    if np.isnan(ordered[-1]):
-        return float("nan")
-    virtual = (n - 1) * (q / 100)
-    if virtual >= n - 1:
-        # numpy takes the last value on both sides and counts from index -1
-        below = above = n - 1
-        t = virtual + 1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-        t = virtual - below
-    a, b = float(ordered[below]), float(ordered[above])
-    diff = b - a
-    # numpy's _lerp: interpolate from the nearer end
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
 def pf_filter(
     positions: np.ndarray,
     prev_positions: np.ndarray,
@@ -150,9 +130,11 @@ def pf_filter(
 ) -> np.ndarray:
     """Surviving indices after one filtering pass, sorted ascending.
 
-    Percentiles use linear interpolation between closest ranks. Survivors
-    never drop below cfg.min_particles (the best-f particles are kept
-    instead), and the current best particle always survives.
+    Percentiles are np.percentile's default linear interpolation between
+    closest ranks; a NaN f-value makes the value threshold NaN, so nothing
+    is removed by value. Survivors never drop below cfg.min_particles (the
+    best-f particles are kept instead), and the current best particle
+    always survives.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
@@ -165,8 +147,9 @@ def pf_filter(
 
     step = positions - prev_positions
     moves = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's formula
-    f_threshold = _percentile(f_values, cfg.q_value_percentile)
-    move_threshold = _percentile(moves, cfg.p_move_percentile)
+    with np.errstate(invalid="ignore"):  # interpolating next to an infinite value
+        f_threshold = np.percentile(f_values, cfg.q_value_percentile)
+        move_threshold = np.percentile(moves, cfg.p_move_percentile)
     removed = (f_values > f_threshold) & (moves < move_threshold)
     keep = np.flatnonzero(~removed)
     if keep.size < cfg.min_particles:
@@ -183,9 +166,9 @@ def _run_engine(
     cfg: SbsConfig,
     budget: int,
     seed: int,
+    counter: EvalCounter,
+    start: tuple[np.ndarray, np.ndarray, float] | None,
     *,
-    init: np.ndarray | None = None,
-    counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
     track_ksd: bool = False,
     log_every: int = 0,
@@ -193,24 +176,26 @@ def _run_engine(
 ) -> RunResult:
     """The particle run loop of every SBS configuration.
 
-    init, when given, is the starting ensemble (its row count replaces
-    cfg.n_particles) and counter may already hold the evaluations spent to
-    find it. A warm-started run has paid for its init phase, so only a plain
-    start raises BudgetTooSmall when the budget cannot cover one iteration;
-    a warm start that leaves too little budget to score its particles runs
-    zero iterations and reports best_f = inf.
+    start is None for a plain start from cfg.n_particles uniform draws, or
+    a warm start's (positions, incumbent_x, incumbent_f), whose positions'
+    row count replaces cfg.n_particles; counter already holds what was spent
+    to find it. The answer is improve_incumbent over the final particles,
+    from the warm start's incumbent or else from (first final particle,
+    inf). A warm start has paid for its init phase, so only a plain start
+    raises BudgetTooSmall when the budget cannot cover one iteration; a
+    warm start that leaves too little budget to score its particles runs
+    zero iterations and answers its incumbent.
     """
-    counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
     d = domain.d
 
-    if init is not None:
-        positions = np.atleast_2d(np.asarray(init, dtype=float)).copy()
+    if start is not None:
+        positions = np.atleast_2d(np.asarray(start[0], dtype=float)).copy()
     else:
         rng = split_streams(seed, 1)[0]
         positions = uniform_sample(domain, cfg.n_particles, rng)
     n_particles = positions.shape[0]
-    if cfg.hybrid is None and budget - counter.count < 2 * d * n_particles:
+    if start is None and budget - counter.count < 2 * d * n_particles:
         raise BudgetTooSmall(
             f"budget {budget} cannot cover one iteration "
             f"(2 * {d} * {n_particles} evaluations)"
@@ -322,7 +307,8 @@ def _run_engine(
             last_f = evaluate(obj, positions, counter)
         else:
             last_f = np.full(positions.shape[0], np.inf)
-    best_x, best_f = improve_incumbent(positions, last_f, positions[0].copy(), np.inf)
+    best_x, best_f = (positions[0].copy(), np.inf) if start is None else start[1:]
+    best_x, best_f = improve_incumbent(positions, last_f, best_x, best_f)
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
                              f"exceed the budget of {budget}")

@@ -15,6 +15,7 @@ from sbsopt import (
     cmaes_run,
     derive_seed,
     make_benchmark,
+    make_objective,
     run_method,
     sbs_run,
     woa_run,
@@ -53,7 +54,8 @@ class TestHybridInit:
                                       derive_seed(seed, "hybrid-woa"))
         cma_result, _ = cmaes_run(obj, CmaesParams(), 12, derive_seed(seed, "hybrid-cma"))
         assert not (cma_result.best_f < woa_result.best_f)  # WOA wins this setup
-        pts, *_ = _hybrid_init_full(obj, 10, 12, 300, 12 + 10 * 301, seed, EvalCounter())
+        pts, *_ = _hybrid_init_full(obj, hybrid(10, HybridConfig(12, 300)), 12 + 10 * 301,
+                                     seed, EvalCounter())
         np.testing.assert_array_equal(pts, woa_pop[:10])
 
     def test_cma_winner_samples_its_gaussian(self):
@@ -66,7 +68,8 @@ class TestHybridInit:
         woa_result, _ = woa_run(obj, WoaParams(200, 5), 200 * 6,
                                 derive_seed(seed, "hybrid-woa"))
         assert cma_result.best_f < woa_result.best_f
-        pts, *_ = _hybrid_init_full(obj, 200, 1000, 5, 1000 + 200 * 6, seed, EvalCounter())
+        pts, *_ = _hybrid_init_full(obj, hybrid(200, HybridConfig(1000, 5)), 1000 + 200 * 6,
+                                     seed, EvalCounter())
         assert pts.shape == (200, 2)
         for x in pts:
             assert obj.domain.contains(x)
@@ -79,17 +82,31 @@ class TestHybridInit:
     def test_counts_both_phases(self):
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        _hybrid_init_full(obj, 5, 60, 20, budget=10**6, seed=0, counter=counter)
+        _hybrid_init_full(obj, hybrid(5, HybridConfig(60, 20)), budget=10**6, seed=0,
+                          counter=counter)
         assert counter.count == 60 + max(2, 5) * (20 + 1)
 
     def test_single_particle_request_is_valid(self):
         # WOA needs two agents, so a 1-particle init still runs with 2
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        pts, *_ = _hybrid_init_full(obj, 1, 60, 10, budget=10**6, seed=1,
-                                     counter=counter)
+        pts, *_ = _hybrid_init_full(obj, hybrid(1, HybridConfig(60, 10)), budget=10**6,
+                                     seed=1, counter=counter)
         assert pts.shape == (1, 2)
         assert counter.count == 60 + 2 * 11
+
+    def test_checks_come_before_any_evaluation(self):
+        obj = make_benchmark("rastrigin", 10)
+        lam = default_popsize(10)
+        for n, cfg, budget, error in (
+            (10, HybridConfig(lam - 1, 5), 10**6, ConfigError),
+            (10, HybridConfig(lam, 5), lam + 10 * 6 - 1, BudgetTooSmall),
+            (1, HybridConfig(lam, 5), lam + 2 * 6 - 1, BudgetTooSmall),  # 2 WOA agents
+        ):
+            counter = EvalCounter()
+            with pytest.raises(error):
+                _hybrid_init_full(obj, hybrid(n, cfg), budget, 0, counter)
+            assert counter.count == 0
 
 
 class TestHybridRun:
@@ -156,7 +173,7 @@ class TestHybridRun:
         assert cma_result.evals_used < 2000 - default_popsize(d)
         init_spent = cma_result.evals_used + n * (20 + 1)
         counter = EvalCounter()
-        _hybrid_init_full(obj, n, 2000, 20, budget, seed, counter)
+        _hybrid_init_full(obj, hybrid(n, cfg), budget, seed, counter)
         assert counter.count == init_spent
 
         r = sbs_run(obj, hybrid(n, cfg), budget, seed)
@@ -174,6 +191,19 @@ class TestHybridRun:
         incumbent = min(cma_result.best_f, woa_result.best_f)
         r = sbs_run(obj, hybrid(10, cfg), 20_000, 3)
         assert r.best_f <= incumbent
+
+    def test_continuation_that_only_ties_answers_the_incumbent(self):
+        # on a constant objective every final particle ties the init
+        # incumbent, which stays the answer under the strict-< rule
+        obj = make_objective("flat", [-1.0, -1.0], [1.0, 1.0], lambda x: 2.5)
+        cfg = hybrid(6, HybridConfig(cmaes_budget=60, woa_iterations=10))
+        _, incumbent_x, incumbent_f = _hybrid_init_full(obj, cfg, 3000, 2, EvalCounter())
+        r = sbs_run(obj, cfg, 3000, 2, log_every=1)
+        assert r.iterations_done > 0
+        assert r.best_f == incumbent_f == 2.5
+        assert r.best_x.tobytes() == incumbent_x.tobytes()
+        # the first final particle, a plain start's fallback, is another point
+        assert r.trajectory.snapshots[-1].positions[0].tobytes() != incumbent_x.tobytes()
 
     def test_deterministic_rerun(self):
         obj = make_benchmark("camel", 2)

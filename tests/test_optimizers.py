@@ -137,32 +137,60 @@ class TestPfFilter:
 
 
 class TestFilterPercentile:
+    """pf_filter's thresholds are numpy's default (linear) percentiles."""
+
     @pytest.mark.parametrize("n", [*range(1, 61), 1000])
     def test_equals_numpy_bitwise(self, n):
+        # with a floor of 1 the filter removes exactly the particles above
+        # numpy's q-th value percentile and below its p-th move percentile
         rng = np.random.default_rng(n)
         for exponent in range(-8, 4):
             values = 10.0**exponent * rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
             tied = rng.choice(values[: max(1, n // 3)], n)  # every value repeated
-            for sample in (values, np.abs(values), tied):
-                for q in (0.0, 10.0, 25.0, 50.0, 80.0, 90.0, 100.0):
-                    want = np.float64(np.percentile(sample, q))
-                    got = np.float64(sbs_module._percentile(sample, q))
-                    assert got.tobytes() == want.tobytes(), (n, exponent, q)
+            moves = np.abs(rng.permutation(values))[:, None]  # sqrt(m * m) == m
+            for f in (values, np.abs(values), tied):
+                for q, p in ((10.0, 90.0), (25.0, 80.0), (50.0, 50.0), (80.0, 25.0),
+                             (90.0, 10.0), (100.0, 0.0)):
+                    cfg = FilterConfig(q_value_percentile=q, p_move_percentile=p,
+                                       start_iteration=0, min_particles=1)
+                    removed = ((f > np.percentile(f, q))
+                               & (moves[:, 0] < np.percentile(moves[:, 0], p)))
+                    keep = pf_filter(moves, np.zeros_like(moves), f, cfg)
+                    np.testing.assert_array_equal(keep, np.flatnonzero(~removed),
+                                                  err_msg=f"{n} {exponent} {q}")
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_gives_nan(self):
-        assert np.isnan(sbs_module._percentile(np.array([1.0, np.nan, 2.0]), 50.0))
+        # a NaN f-value makes the value threshold NaN, so no particle is removed
+        f = np.array([1.0, np.nan, 2.0, 10.0])
+        pos = np.array([[1.0], [1.0], [1.0], [1e-3]])
+        cfg = FilterConfig(q_value_percentile=50.0, p_move_percentile=50.0,
+                           start_iteration=0, min_particles=1)
+        np.testing.assert_array_equal(pf_filter(pos, np.zeros_like(pos), f, cfg),
+                                      np.arange(4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_values_raise_no_warning(self):
+        # interpolating next to an infinite value gives NaN or inf, silently
+        pos = np.array([[1.0], [2.0], [3.0], [1e-3], [1e-3]])
+        cfg = FilterConfig(q_value_percentile=80.0, p_move_percentile=50.0,
+                           start_iteration=0, min_particles=1)
+        for f in ([0.0, 1.0, -np.inf, np.inf, np.inf], [np.inf] * 5,
+                  [-np.inf, 1.0, 2.0, 3.0, np.inf]):
+            keep = pf_filter(pos, np.zeros_like(pos), np.array(f), cfg)
+            np.testing.assert_array_equal(keep, np.arange(5))
 
 
 class TestBudgetAudit:
-    def test_engine_raises_typed_error(self, monkeypatch):
+    def test_engine_raises_typed_error(self):
         class OverCounting(EvalCounter):
             def tick(self, n=1):
                 super().tick(n + 1)
 
-        monkeypatch.setattr(sbs_module, "EvalCounter", OverCounting)
         # d=2, N=5: three iterations reach 63 counted, the final argmin 69 > 68
         with pytest.raises(BudgetExceeded):
-            sbs_run(make_benchmark("sphere", 2), SbsConfig(n_particles=5), 68, 0)
+            sbs_module._run_engine(make_benchmark("sphere", 2), SbsConfig(n_particles=5),
+                                   68, 0, OverCounting(), None)
 
 
 class TestSbsRun:
@@ -238,8 +266,8 @@ class TestSbsRun:
     def test_explicit_init_positions(self):
         obj = make_benchmark("sphere", 2)
         init = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
-        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, 0, init=init,
-                                  collect_diagnostics=True)
+        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, 0, EvalCounter(),
+                                  (init, init[0], np.inf), collect_diagnostics=True)
         # n_particles is taken from the init array, not the argument
         assert r.diagnostics[0].live == 3
 
