@@ -58,7 +58,7 @@ def _ackley(x):
     d = x.shape[-1]
     return (
         -20.0 * np.exp(-0.2 * np.sqrt(_sqnorm(x) / d))
-        - np.exp(np.sum(np.cos(2.0 * _PI * x), axis=-1) / d)
+        - np.exp(np.add.reduce(np.cos(2.0 * _PI * x), axis=-1) / d)
         + 20.0
         + math.e
     )
@@ -66,13 +66,13 @@ def _ackley(x):
 
 @_vectorized
 def _rastrigin(x):
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * _PI * x), axis=-1)
+    return 10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * _PI * x), axis=-1)
 
 
 @_vectorized
 def _rosenbrock(x):
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 @_vectorized
@@ -80,7 +80,7 @@ def _levy(x):
     w = 1.0 + (x - 1.0) / 4.0
     first, rest, last = w[..., 0], w[..., :-1], w[..., -1]
     head = np.sin(_PI * first) ** 2
-    mid = np.sum((rest - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * rest + 1.0) ** 2), axis=-1)
+    mid = np.add.reduce((rest - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * rest + 1.0) ** 2), axis=-1)
     tail = (last - 1.0) ** 2 * (1.0 + np.sin(2.0 * _PI * last) ** 2)
     return head + mid + tail
 
@@ -89,7 +89,7 @@ def _levy(x):
 def _michalewicz(x):
     # steepness m=10, so the sine factor is raised to 2m=20
     i = np.arange(1, x.shape[-1] + 1)
-    return -np.sum(np.sin(x) * np.sin(i * x * x / _PI) ** 20, axis=-1)
+    return -np.add.reduce(np.sin(x) * np.sin(i * x * x / _PI) ** 20, axis=-1)
 
 
 @_vectorized

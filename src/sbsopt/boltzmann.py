@@ -1,6 +1,6 @@
-"""Boltzmann target: score function, tiled RBF kernel, a certificate that
-a tile's kernel block is the identity, and one kernel block's share of the
-KSD diagnostic.
+"""Boltzmann target: score function, tiled RBF kernel, a certificate of
+which pairs of a tile can have a nonzero kernel value, and one kernel
+block's share of the KSD diagnostic.
 
 The target density is m(x) = exp(-kappa f(x)) / Z on the box domain. Its
 normalizer cancels in the log-gradient, so the score is just -kappa grad f,
@@ -19,7 +19,7 @@ from .objective import EvalCounter, Objective, fd_gradient
 DEFAULT_KAPPA = 1e3
 TILE = 256  # particles per kernel tile; a block holds TILE^2 (d + 2) floats
 WINDOW = 40.0  # tile pairs whose coordinate-0 gap exceeds WINDOW sigma are skipped
-PROOF_MIN = 32  # smaller tiles skip proven_apart: their block costs no more
+PROOF_MIN = 32  # smaller tiles skip near_pairs: their block costs no more
 
 
 @dataclass(frozen=True)
@@ -78,47 +78,56 @@ def is_identity(kmat: np.ndarray) -> bool:
     return np.count_nonzero(kmat) == n and kmat.trace() == n
 
 
-def proven_apart(sigma: float, points: np.ndarray) -> bool:
-    """Whether one Gram product proves that pairwise_kernel(sigma, points)
-    is exactly the identity, without building its block.
+def near_pairs(sigma: float, points: np.ndarray):
+    """The ordered pairs (i, j), i != j, of points that one Gram product
+    cannot prove more than WINDOW sigma apart, as two index arrays in
+    row-major order, or None when it proves nothing.
 
-    True only when every point is finite and a lower bound on every
-    off-diagonal squared distance exceeds (WINDOW sigma)^2. The bound is
-    n_i + n_j - 2 G_ij - c (n_i + n_j), c = (d + 4) eps, from the computed
-    squared norms n_i and Gram matrix G = points @ points.T. With unit
-    roundoff u = eps / 2 and gamma_d = d u / (1 - d u), a dot product of
-    length d summed in any order, with or without fused multiply-adds, is
-    within gamma_d sum_k |x_ik x_jk| <= gamma_d (n_i + n_j) / 2 of its exact
-    value (Higham, Accuracy and Stability of Numerical Algorithms, 3.1). So
-    the computed n_i + n_j - 2 G_ij is within 2 gamma_d (n_i + n_j) of the
+    Every pair left out has k(x_i, x_j) exactly 0.0 in pairwise_kernel(sigma,
+    points), so with no pair at all the block is exactly the identity. The
+    bound on each squared distance is n_i + n_j - 2 G_ij - c (n_i + n_j),
+    c = (d + 4) eps, from the computed squared norms n_i and Gram matrix
+    G = points @ points.T. With unit roundoff u = eps / 2 and
+    gamma_d = d u / (1 - d u), a dot product of length d summed in any
+    order, with or without fused multiply-adds, is within
+    gamma_d sum_k |x_ik x_jk| <= gamma_d (n_i + n_j) / 2 of its exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1). So the
+    computed n_i + n_j - 2 G_ij is within 2 gamma_d (n_i + n_j) of the
     exact squared distance (-2 G is computed as (-2 points) @ points.T, the
     same roundings), and the bound's own three roundings, the scaling by
     1 - c and two additions, add at most u (3 (n_i + n_j) + 4 |G_ij|) <=
     2.5 eps (n_i + n_j): together (d + 2.5) eps (n_i + n_j) to first order,
     and c leaves 1.5 eps (n_i + n_j) for the second-order terms while
     d < 10^7. Gradual underflow adds at most 4 d 2^-1074 to a distance,
-    under 1e-18 d of (WINDOW sigma)^2 once sigma^2 is normal.
+    under 1e-18 d of (WINDOW sigma)^2 once sigma^2 is normal. Each entry
+    G_ij is a dot product of x_i and x_j, so either entry of a pair proves
+    it, and a pair is listed in both orders only when neither does.
 
     A distance above (WINDOW sigma)^2 = 1600 sigma^2 leaves the exponent
     pairwise_kernel computes, rounded as it is, above 800 (1 - (d + 8) u),
     past the 745.13 beyond which exp rounds to 0.0; a finite point's own
-    difference is exactly 0, so its diagonal entry is exp(-0) = 1. False,
+    difference is exactly 0, so its diagonal entry is exp(-0) = 1. None,
     as in kernel_tiles, when sigma^2 is below the normal range, where its
-    rounding moves the cutoff, and for any NaN or infinite coordinate. False
-    proves nothing: is_identity can still accept the block once it is built.
+    rounding moves the cutoff, and for any NaN or infinite coordinate. A
+    listed pair proves nothing either: its kernel value may still be 0.0.
     """
     if not sigma**2 >= np.finfo(float).tiny:
-        return False
+        return None
     d = points.shape[1]
     norms = np.einsum("ij,ij->i", points, points)
     if not np.isfinite(norms).all():
-        return False
+        return None
     norms *= 1.0 - (d + 4) * np.finfo(float).eps
     bound = (-2.0 * points) @ points.T
     bound += norms[:, None]
     bound += norms
     np.fill_diagonal(bound, np.inf)
-    return bool(bound.min() > (WINDOW * sigma) ** 2)  # False on a NaN
+    reach2 = (WINDOW * sigma) ** 2
+    if bound.min() > reach2:  # the whole block is the identity
+        none = np.empty(0, dtype=np.intp)
+        return none, none
+    near = ~(bound > reach2)  # a NaN bound proves nothing
+    return np.nonzero(near & near.T)
 
 
 def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.ndarray]:

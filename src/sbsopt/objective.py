@@ -54,7 +54,7 @@ class BoxDomain:
         """True when x is one point (d,) or a block (M, d) of points, all in the box."""
         x = np.asarray(x, dtype=float)
         return x.ndim in (1, 2) and x.shape[-1:] == self.lower.shape and bool(
-            (x >= self.lower).all() and (x <= self.upper).all()
+            ((x >= self.lower) & (x <= self.upper)).all()
         )
 
     @property
@@ -114,7 +114,7 @@ def _first_outside(domain: BoxDomain, x: np.ndarray) -> np.ndarray:
 
 def project_to_box(domain: BoxDomain, x: Point) -> Point:
     """Componentwise clamp of x to the box. Identity on interior points."""
-    return np.clip(np.asarray(x, dtype=float), domain.lower, domain.upper)
+    return np.asarray(x, dtype=float).clip(domain.lower, domain.upper)
 
 
 def fd_gradient(
@@ -141,7 +141,7 @@ def fd_gradient(
     down = np.maximum(points - step, obj.domain.lower)
     # rows 2dk + 2i and 2dk + 2i + 1 are point k with coordinate i moved up
     # and down: in the (n, 2d^2) view, entries i(2d + 1) and d + i(2d + 1)
-    probes = np.repeat(points, 2 * d, axis=0)
+    probes = points.repeat(2 * d, axis=0)
     flat = probes.reshape(n, 2 * d * d)
     flat[:, ::2 * d + 1] = up
     flat[:, d::2 * d + 1] = down

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boltzmann import (PROOF_MIN, BoltzmannTarget, check_sigma, is_identity,
-                        kernel_tiles, ksd_from_parts, pairwise_kernel, proven_apart,
-                        score)
+                        kernel_tiles, ksd_from_parts, near_pairs, pairwise_kernel, score)
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -58,11 +57,23 @@ def _forces(
     lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
     repulsion exactly 0, the bits an identity row of a block gives, and no
     block is made for it. A tile whose block with itself is exactly the
-    identity gets the same treatment, with no kernel products: a tile of at
-    least PROOF_MIN particles that proven_apart certifies makes no block at
-    all (in a 10-d run at the default bandwidth, the one tile of 100
-    particles, on every iteration), and any other tile is caught by
-    is_identity once its block is made.
+    identity gets the same treatment, with no kernel products.
+
+    A tile of at least PROOF_MIN particles first asks near_pairs which of
+    its pairs one Gram product cannot prove apart. With none the tile is
+    the identity and makes no block (in a 10-d run at the default
+    bandwidth, the one tile of 100 particles, on every iteration). With
+    fewer near pairs, counted in both orders, than particles, and no
+    visitor, only those pairs get differences, squared distances and
+    kernel values: the tile's kernel is the identity with them scattered
+    in, which is the dense block bit for bit, since every other entry is
+    exactly 0.0; its repulsion adds k(x_i, x_j) (x_i - x_j) over them with
+    np.add.at, row by row in j order, as the dense einsum adds the same
+    products (zeros aside) when d > 1. In one dimension that einsum sums
+    along j in its own order, so a 1-d tile makes the dense block, as does
+    a tile with no proof, under PROOF_MIN, under a visitor, or with more
+    near pairs (particles bunched together, where the dense block costs
+    less), and is_identity catches an identity one.
     visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
     block once, as it is made; rows is cols on a tile with itself, and
     kmat, diff and sqdist are None on an identity tile. The lone particles
@@ -81,8 +92,21 @@ def _forces(
 
     for tile in tiles:
         points = positions[tile]
-        if len(points) >= PROOF_MIN and proven_apart(sigma, points):
+        near = near_pairs(sigma, points) if len(points) >= PROOF_MIN else None
+        if near is not None and not near[0].size:
             identity_rows(tile)
+            continue
+        few = near is not None and near[0].size < len(points)
+        if few and visit is None and points.shape[1] > 1:
+            i, j = near
+            diff = points[i] - points[j]
+            kvals = np.exp(-np.einsum("pk,pk->p", diff, diff) / (2.0 * sigma**2))
+            kmat = np.eye(len(points))
+            kmat[i, j] = kvals
+            pull = np.zeros_like(points)
+            np.add.at(pull, i, kvals[:, None] * diff)
+            attraction[tile] = kmat @ scores[tile] / n
+            repulsion[tile] = pull / sigma**2 / n
             continue
         kmat, diff, sqdist = pairwise_kernel(sigma, points)
         if is_identity(kmat):

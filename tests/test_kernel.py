@@ -23,7 +23,7 @@ from sbsopt import (
 )
 from sbsopt import boltzmann, svgd
 from sbsopt.boltzmann import (PROOF_MIN, TILE, WINDOW, is_identity, kernel_tiles,
-                              pairwise_kernel, proven_apart)
+                              near_pairs, pairwise_kernel)
 from sbsopt.optimizers import run_method
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
 from sbsopt.svgd import AdamState, _forces, _iterate_with_parts
@@ -380,15 +380,16 @@ class TestTiledKernel:
 
     def test_ksd_makes_the_blocks_of_the_direction(self, monkeypatch):
         # ksd() sums the blocks of the one walk in svgd._forces: one per tile
-        # that proven_apart cannot certify and per pair of tiles, none for the
-        # lone set or a proven tile, and no walk of its own
+        # with a near pair and per pair of tiles, none for the lone set or a
+        # tile with no near pair, and no walk of its own
         obj = make_benchmark("ackley", 2)
         sigma = 2e-4
         cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
         pts = sbs_run(obj, cfg, 10**6, 2, log_every=1).trajectory.snapshots[0].positions
         tiles, pairs, lone = kernel_tiles(sigma, pts)
         assert len(tiles) == 3 and len(pairs) == 2 and lone.size > 0
-        proven = sum(len(t) >= PROOF_MIN and proven_apart(sigma, pts[t]) for t in tiles)
+        proven = sum(len(t) >= PROOF_MIN and near_pairs(sigma, pts[t])[0].size == 0
+                     for t in tiles)
         assert proven == 3  # each tile's block is the identity; the pairs' are not
         made = []
 
@@ -470,6 +471,8 @@ class TestIdentityBlock:
         assert stein == lone_ksd(sigma, pts)
 
     def test_a_near_pair_takes_the_dense_block(self):
+        # under ksd()'s visitor; the direction computes the one near pair
+        # alone (TestNearPairs), with the dense block's bits
         sigma = 1e-4
         pts = isolated(near=True)
         (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
@@ -561,8 +564,9 @@ def run_bits(result):
 
 
 class TestProvenApart:
-    """proven_apart certifies from one Gram product that a tile's block is
-    exactly the identity, and _forces then makes no block for it."""
+    """near_pairs certifies from one Gram product which pairs of a tile can
+    have a nonzero kernel value; _forces makes no block for a tile with no
+    such pair."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(n=st.integers(1, 40), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
@@ -572,6 +576,7 @@ class TestProvenApart:
            gap=st.one_of(st.none(), st.floats(38.0, 41.0)),
            defect=st.sampled_from([None, "coincident", "nan", "inf"]))
     def test_a_proof_is_an_identity_block(self, n, d, seed, half_width, sigma, gap, defect):
+        # every pair near_pairs leaves out has kernel value exactly 0.0
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-half_width, half_width, size=(n, d))
         if gap is not None and n >= 2:  # a pair planted gap sigma apart
@@ -583,35 +588,46 @@ class TestProvenApart:
             pts[rng.integers(n)] = np.nan
         elif defect == "inf":
             pts[rng.integers(n), rng.integers(d)] = -np.inf
-        proven = proven_apart(sigma, pts)
+        near = near_pairs(sigma, pts)
         # a subnormal sigma**2 overflows -x / sigma**2; sigma**2 == 0 and
         # inf - inf give NaN
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             kmat = pairwise_kernel(sigma, pts)[0]
-        assert is_identity(kmat) or not proven
-        if sigma**2 < np.finfo(float).tiny or defect in ("nan", "inf") or (
-                defect == "coincident" and n >= 2):
-            assert not proven
+        if near is not None:
+            i, j = near
+            assert np.all(i != j) and np.all(np.diff(i * n + j) > 0)  # row-major
+            off = kmat.copy()
+            off[i, j] = 0.0
+            assert is_identity(off)
+            if i.size == 0:
+                assert is_identity(kmat)
+        if sigma**2 < np.finfo(float).tiny or defect in ("nan", "inf"):
+            assert near is None
+        elif defect == "coincident" and n >= 2:
+            assert (0, n - 1) in zip(*near) and (n - 1, 0) in zip(*near)
 
     def test_proves_flow_diag_particles_and_a_lone_one(self):
-        assert proven_apart(1e-4, isolated())
-        assert proven_apart(1e-150, isolated())  # sigma**2 = 1e-300 is normal
-        assert proven_apart(1e-4, isolated()[:1])
-        assert proven_apart(1e-4, 512.0 * isolated() / 4.5)
+        for sigma, pts in ((1e-4, isolated()), (1e-150, isolated()),  # 1e-300 is normal
+                           (1e-4, isolated()[:1]), (1e-4, 512.0 * isolated() / 4.5)):
+            i, j = near_pairs(sigma, pts)
+            assert i.size == j.size == 0
 
     def test_a_window_pair_is_proven_only_beyond_the_window(self):
         sigma = 1e-4
-        assert proven_apart(sigma, planted(40.01, sigma))
+        assert near_pairs(sigma, planted(40.01, sigma))[0].size == 0
         for r in (38.7, 39.99):  # k underflows to 0.0, within the slack band
             assert is_identity(pairwise_kernel(sigma, planted(r, sigma))[0])
-            assert not proven_apart(sigma, planted(r, sigma))
+            i, j = near_pairs(sigma, planted(r, sigma))
+            assert i.tolist() == [3, 7] and j.tolist() == [7, 3]
         assert not is_identity(pairwise_kernel(sigma, planted(38.5, sigma))[0])
 
     @pytest.mark.parametrize("sigma, pts", [(1e-4, planted(39.5, 1e-4)), (1e-155, isolated())])
     def test_unproven_identity_blocks_still_take_the_identity_path(self, sigma, pts):
         # in the slack band at sigma 1e-4, or at sigma 1e-155, whose square is
-        # subnormal: no proof, so the block is made and is_identity accepts it
-        assert not proven_apart(sigma, pts)
+        # subnormal: no whole proof, so under a visitor the block is made and
+        # is_identity accepts it
+        near = near_pairs(sigma, pts)
+        assert near is None or near[0].size
         with np.errstate(over="ignore"):  # -x / sigma**2, subnormal
             assert [kmat is None for _, _, kmat in blocks_seen(sigma, pts)] == [True]
 
@@ -628,7 +644,7 @@ class TestProvenApart:
 
         monkeypatch.setattr(svgd, "pairwise_kernel", counted)
         assert flow_diag().iterations_done == 10 and made == []
-        monkeypatch.setattr(svgd, "proven_apart", lambda sigma, points: False)
+        monkeypatch.setattr(svgd, "near_pairs", lambda sigma, points: None)
         assert flow_diag().iterations_done == 10 and made == [100] * 10
 
     @pytest.mark.parametrize("method, function, d, budget, params", [
@@ -643,18 +659,155 @@ class TestProvenApart:
         certified = []
 
         def certify(sigma, points):
-            certified.append((len(points), proven_apart(sigma, points)))
+            certified.append((len(points), near_pairs(sigma, points)))
             return certified[-1][1]
 
         def run():
             return run_method(method, obj, budget, 0, dict(params), collect_diagnostics=True,
                               track_ksd=True, log_every=1)
 
-        monkeypatch.setattr(svgd, "proven_apart", certify)
+        monkeypatch.setattr(svgd, "near_pairs", certify)
         result = run()
-        assert any(proven for _, proven in certified)
+        assert any(near[0].size == 0 for _, near in certified)
         assert min(size for size, _ in certified) >= PROOF_MIN
         if method == "sbs-pf":
             assert min(len(s.ids) for s in result.trajectory.snapshots) < PROOF_MIN
-        monkeypatch.setattr(svgd, "proven_apart", lambda sigma, points: False)
+        monkeypatch.setattr(svgd, "near_pairs", lambda sigma, points: None)
         assert run_bits(run()) == run_bits(result)
+
+
+def near_groups(rng, n, d, sigma, size=4):
+    """n points uniform in [-4.5, 4.5]^d, with groups of size points within
+    a few sigma of each other (size - 1 near neighbours each, one of each
+    group coincident with another), fewer near pairs in both orders than n."""
+    pts = rng.uniform(-4.5, 4.5, size=(n, d))
+    grouped = n // (size - 1) // size * size
+    for g in range(0, grouped, size):
+        pts[g + 1:g + size] = pts[g] + rng.normal(size=(size - 1, d)) * 8.0 * sigma / np.sqrt(d)
+        pts[g + size - 1] = pts[g + 1]
+    return pts[rng.permutation(n)]
+
+
+@pytest.fixture
+def blocks_made(monkeypatch):
+    """The particle count of each dense block svgd makes, in order."""
+    made = []
+
+    def counted(*args):
+        made.append(len(args[1]))
+        return pairwise_kernel(*args)
+
+    monkeypatch.setattr(svgd, "pairwise_kernel", counted)
+    return made
+
+
+def forces_and_dense(sigma, pts):
+    """_forces' attraction and repulsion with no visitor, and dense_parts'."""
+    target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
+    # -x / sigma**2 and dense_parts' sigma**4 at a subnormal sigma**2; NaN - x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        forces = _forces(pts, target, sigma, EvalCounter())
+        dense = dense_parts(sigma, pts, svgd.score(target, pts, EvalCounter()))[:2]
+    return forces, dense
+
+
+class TestNearPairs:
+    """A tile with near pairs computes only those pairs, and its direction
+    is the dense computation's bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n", [PROOF_MIN, 100, TILE])
+    def test_near_pair_tiles_match_the_dense_computation(self, blocks_made, n, d):
+        sigma = 1e-4
+        rng = np.random.default_rng(1000 * d + n)
+        for size in (4, 6):
+            pts = near_groups(rng, n, d, sigma, size)
+            i, j = near_pairs(sigma, pts)
+            assert len(pts) > i.size and np.bincount(i).max() >= size - 1
+            (a, r), (da, dr) = forces_and_dense(sigma, pts)
+            assert blocks_made == []
+            assert np.array_equal(a, da) and np.array_equal(r, dr)
+            assert (a + r).tobytes() == (da + dr).tobytes()
+            assert r.any()
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_bunched_tiles_take_the_dense_block(self, blocks_made, d):
+        # as many near pairs as particles, or more: the dense block is cheaper
+        sigma = 1e-4
+        for n in (PROOF_MIN, 100):
+            pts = clustered(np.random.default_rng(n), n, sigma, d)
+            assert near_pairs(sigma, pts)[0].size >= n
+            (a, r), (da, dr) = forces_and_dense(sigma, pts)
+            assert blocks_made[-1] == n
+            assert a.tobytes() == da.tobytes() and r.tobytes() == dr.tobytes()
+
+    @pytest.mark.parametrize("defect", ["nan", "subnormal"])
+    def test_no_proof_takes_the_dense_block(self, monkeypatch, blocks_made, defect):
+        # a NaN coordinate, or sigma 1e-160, whose square is subnormal
+        sigma = 1e-160 if defect == "subnormal" else 1e-4
+        pts = near_groups(np.random.default_rng(3), 100, 2, sigma)
+        if defect == "nan":
+            pts[5, 1] = np.nan
+            # evaluate rejects a NaN point, so the scores are zeros here
+            monkeypatch.setattr(svgd, "score", lambda target, x, counter: np.zeros_like(x))
+        assert near_pairs(sigma, pts) is None
+        (a, r), (da, dr) = forces_and_dense(sigma, pts)
+        assert blocks_made == [100]
+        np.testing.assert_array_equal(a, da)
+        np.testing.assert_array_equal(r, dr)
+        assert np.isnan(r).any() == (defect == "nan")
+
+    def test_one_dimensional_tiles_take_the_dense_block(self, blocks_made):
+        # in 1-d the dense einsum sums along j in its own order, which np.add.at
+        # over the near pairs does not follow, so the dense block is made
+        sigma = 1e-4
+        pts = near_groups(np.random.default_rng(1), 100, 1, sigma, size=6)
+        i, j = near_pairs(sigma, pts)
+        assert len(pts) > i.size and np.bincount(i).max() >= 5
+        kmat, diff, _ = pairwise_kernel(sigma, pts)
+        pull = np.zeros_like(pts)
+        np.add.at(pull, i, kmat[i, j, None] * diff[i, j])
+        assert not np.array_equal(pull, np.einsum("ij,ijd->id", kmat, diff))
+        (a, r), (da, dr) = forces_and_dense(sigma, pts)
+        assert blocks_made == [100]
+        assert a.tobytes() == da.tobytes() and r.tobytes() == dr.tobytes()
+
+    def test_a_visitors_ksd_is_the_parents(self, monkeypatch):
+        # under a visitor a tile with near pairs makes its dense block, as
+        # before near pairs were computed alone; only a tile with none is
+        # the identity, so the KSD keeps its bits
+        sigma = 1e-4
+        pts = near_groups(np.random.default_rng(5), 100, 2, sigma)
+        target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
+        real = near_pairs
+
+        def whole_or_nothing(sigma, points):
+            near = real(sigma, points)
+            return near if near is None or near[0].size == 0 else None
+
+        want = ksd(pts, target, sigma, EvalCounter())
+        monkeypatch.setattr(svgd, "near_pairs", whole_or_nothing)
+        assert ksd(pts, target, sigma, EvalCounter()) == want
+
+    @pytest.mark.parametrize("track_ksd", [False, True])
+    def test_flow_small_runs_keep_their_bits(self, monkeypatch, track_ksd):
+        # sbs on Ackley-2d at the defaults: 100 particles at sigma 1e-4, a
+        # few near pairs per tile
+        def run():
+            r = sbs_run(make_benchmark("ackley", 2), SbsConfig(max_iterations=40), 10**6, 0,
+                        collect_diagnostics=True, track_ksd=track_ksd, log_every=1)
+            return (np.float64(r.best_f).tobytes(), r.best_x.tobytes(),
+                    [(rec.min_f, rec.ksd) for rec in r.diagnostics],
+                    [s.positions.tobytes() for s in r.trajectory.snapshots])
+
+        seen = []
+
+        def counted(sigma, points):
+            seen.append(near_pairs(sigma, points))
+            return seen[-1]
+
+        monkeypatch.setattr(svgd, "near_pairs", counted)
+        result = run()
+        assert sum(near is not None and 0 < near[0].size < 100 for near in seen) >= 10
+        monkeypatch.setattr(svgd, "near_pairs", lambda sigma, points: None)
+        assert run() == result

@@ -60,6 +60,16 @@ class TestBoxDomain:
         assert not dom.contains(np.array([[0.3], [1.0 + 1e-12]]))
         assert not dom.contains(np.zeros((2, 1, 1)))
 
+    def test_contains_is_false_on_non_finite_coordinates(self):
+        dom = BoxDomain(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+        assert dom.contains(np.array([[-1.0, 0.0], [1.0, 2.0], [-0.0, -0.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for k in range(2):
+                x = np.array([0.5, 1.0])
+                x[k] = bad
+                assert not dom.contains(x)
+                assert not dom.contains(np.stack([np.zeros(2), x]))
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             BoxDomain(np.array([1.0]), np.array([1.0]))  # empty interior
@@ -111,6 +121,17 @@ class TestBlockEvaluate:
         counter = EvalCounter()
         with pytest.raises(OutOfDomain, match=r"5\.2"):
             evaluate(obj, block, counter)
+        assert counter.count == 0
+
+    def test_a_nan_row_raises_before_counting(self):
+        obj = make_benchmark("sphere", 3)
+        block = np.zeros((5, 3))
+        block[2, 0] = np.nan
+        counter = EvalCounter()
+        with pytest.raises(OutOfDomain, match="nan"):
+            evaluate(obj, block, counter)
+        with pytest.raises(OutOfDomain, match="nan"):
+            evaluate(obj, block[2], counter)
         assert counter.count == 0
 
     def test_wrong_width_raises(self):
@@ -221,6 +242,18 @@ class TestProjection:
             twice = project_to_box(dom, once)
             np.testing.assert_array_equal(once, twice)
             assert dom.contains(once)
+
+
+    def test_keeps_np_clip_bits_at_signed_zero_bounds_and_on_nan(self):
+        # signed zeros on and at the bounds (Michalewicz's box starts at 0)
+        dom = BoxDomain(np.array([0.0, -1.0, -2.0]), np.array([1.0, -0.0, 0.0]))
+        x = np.array([[-0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [np.nan, -3.0, 5.0],
+                      [-1e-300, np.nan, -np.inf], [2.0, np.inf, 0.5]])
+        got = project_to_box(dom, x)
+        want = np.clip(x, dom.lower, dom.upper)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[2, 0]) and np.isnan(got[3, 1]) and got[3, 2] == -2.0
+        assert project_to_box(dom, x[0]).tobytes() == want[0].tobytes()
 
 
 class TestFdGradient:
