@@ -1,6 +1,6 @@
 """Boltzmann target: score function, tiled RBF kernel, a certificate of
-which pairs of a tile can have a nonzero kernel value, and one kernel
-block's share of the KSD diagnostic.
+which pairs of a tile can have a nonzero kernel value, and the KSD
+diagnostic assembled from the parts of the SVGD direction.
 
 The target density is m(x) = exp(-kappa f(x)) / Z on the box domain. Its
 normalizer cancels in the log-gradient, so the score is just -kappa grad f,
@@ -173,39 +173,21 @@ def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.nd
 
 def ksd_from_parts(
     scores: np.ndarray,
-    rows,
-    cols,
-    kmat: np.ndarray,
-    diff: np.ndarray,
-    sqdist: np.ndarray,
-    sigma: float,
+    attraction: np.ndarray,
+    repulsion: np.ndarray,
+    trace: float,
 ) -> float:
-    """One kernel block's share of the KSD V-statistic, from the scores of
-    all N particles and the parts of a block that svgd._forces visits.
+    """The KSD V-statistic of the RBF Stein kernel, from the parts of the
+    SVGD direction that svgd._forces returns.
 
     V = (1/N^2) sum_ij [ s_i.s_j k_ij + s_i.(x_i-x_j) k_ij / sigma^2
                          + s_j.(x_j-x_i) k_ij / sigma^2
-                         + k_ij (d/sigma^2 - ||x_i-x_j||^2 / sigma^4) ]
+                         + k_ij (d - ||x_i-x_j||^2 / sigma^2) / sigma^2 ]
 
-    A diagonal block (rows is cols) holds each of its pairs in both orders;
-    a cross block stands for itself and its mirror image, so counts twice.
-    A block with kmat, diff and sqdist None is the identity: each of its
-    rows adds (s_i.s_i + d/sigma^2) / N^2, the dense terms' value summed in
-    another order, so it can differ from them in the last bits.
+    The first sum is (1/N) sum_i s_i.attraction_i, the two middle ones, each
+    the other's mirror image, (2/N) sum_i s_i.repulsion_i, and the last is
+    trace / N^2.
     """
-    n, d = scores.shape
-    sig2 = sigma**2
-    s_rows = scores[rows]
-    if kmat is None:
-        term_ss = np.einsum("id,id->", s_rows, s_rows)
-        return float((term_ss + len(s_rows) * d / sig2) / n**2)
-    s_cols = s_rows if rows is cols else scores[cols]
-    weight = 1.0 if rows is cols else 2.0
-    term_ss = np.einsum("id,jd,ij->", s_rows, s_cols, kmat)
-    # s_i . grad_{x_j} k = s_i . (x_i - x_j) k / sigma^2, plus its mirror
-    s_dot_diff = np.einsum("id,ijd->ij", s_rows, diff)
-    if rows is not cols:
-        s_dot_diff -= np.einsum("jd,ijd->ij", s_cols, diff)
-    term_cross = 2.0 * np.sum(s_dot_diff * kmat) / sig2
-    term_trace = np.sum(kmat * (d / sig2 - sqdist / sig2**2))
-    return float((weight * term_ss + term_cross + weight * term_trace) / n**2)
+    n = scores.shape[0]
+    return float(np.einsum("id,id->", scores, attraction + 2.0 * repulsion) / n
+                 + trace / n**2)

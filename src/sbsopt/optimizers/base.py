@@ -109,8 +109,8 @@ class IterationRecord:
 
     min_f and live describe the particle state leaving the iteration, and
     min_f skips NaN values (it is NaN only when every value is); ksd, when
-    tracked, is measured on the state entering it (it reuses the scores the
-    update direction already paid for).
+    tracked, is measured on the state entering it: it is ksd_from_parts of
+    that iteration's direction, equal to svgd.ksd of the entering state.
     """
 
     iteration: int

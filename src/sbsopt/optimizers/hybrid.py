@@ -116,10 +116,11 @@ def sbs_run(
     start_iteration on. cfg.hybrid first picks the starting particles by
     the init phase above, which checks its own cost, and whose incumbent
     stays the answer unless a final particle is strictly better.
-    Diagnostics, the KSD and a trajectory snapshot every log_every
-    iterations are off-budget instrumentation. The KSD goes only into the
-    diagnostics records, so track_ksd does nothing without
-    collect_diagnostics.
+    Diagnostics and a trajectory snapshot every log_every iterations are
+    off-budget instrumentation. The KSD costs no evaluation: each iteration
+    assembles it from the parts of its own direction, with one more sum
+    over the kernel values it makes. It goes only into the diagnostics
+    records, so track_ksd does nothing without collect_diagnostics.
     """
     counter = EvalCounter()
     start = None if cfg.hybrid is None else _hybrid_init_full(obj, cfg, budget, seed, counter)

@@ -244,11 +244,6 @@ def _run_engine(
         snapshot(0, None)
 
     track_ksd = track_ksd and records is not None  # the KSD only goes into records
-    ksd_parts: list[float] = []
-
-    def add_ksd(*block) -> None:
-        # one kernel block of the iteration's direction, reused for the KSD
-        ksd_parts.append(ksd_from_parts(*block, sigma))
 
     iteration = 0
     seen_f: np.ndarray | None = None  # the live particles' f-values, when known
@@ -264,12 +259,10 @@ def _run_engine(
 
         sigma = cfg.bandwidth(n_live)
         prev_positions = positions
-        ksd_parts.clear()
-        positions = _iterate_with_parts(
-            positions, target, sigma, cfg.step_size, adam, counter,
-            add_ksd if track_ksd else None,
+        positions, parts = _iterate_with_parts(
+            positions, target, sigma, cfg.step_size, adam, counter, track_ksd
         )
-        ksd_value = sum(ksd_parts) if track_ksd else None
+        ksd_value = ksd_from_parts(*parts) if track_ksd else None
         iteration += 1
 
         last_f = None

@@ -1,6 +1,6 @@
 """SVGD engine: the update direction as attraction plus repulsion, the KSD
-over the same kernel blocks, and Adam stepping of the particles along the
-direction."""
+assembled from the direction's parts, and Adam stepping of the particles
+along the direction."""
 
 from __future__ import annotations
 
@@ -42,80 +42,94 @@ def _forces(
     target: BoltzmannTarget,
     sigma: float,
     counter: EvalCounter,
-    visit=None,
+    trace: bool = False,
 ):
-    """Attraction/repulsion decomposition of the SVGD direction.
+    """The parts of the SVGD direction: (scores, attraction, repulsion,
+    trace), with trace None unless asked for.
 
     attraction_i = (1/N) sum_j s(x_j) k(x_i, x_j)
     repulsion_i  = (1/N) sum_j k(x_i, x_j) (x_i - x_j) / sigma^2
 
     Their sum is the empirical SVGD direction
     phi*(x_i) = (1/N) sum_j [ s(x_j) k(x_i, x_j) + grad_{x_j} k(x_i, x_j) ].
+    trace is T = sum_ij k(x_i, x_j) (d - ||x_i - x_j||^2 / sigma^2) / sigma^2,
+    summed over the nonzero kernel values only: the one part of the KSD
+    that the direction does not hold (see ksd_from_parts).
 
     The sums run over the kernel blocks of kernel_tiles: each tile with
     itself first, then each pair of tiles, added into both of its sides. A
     lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
-    repulsion exactly 0, the bits an identity row of a block gives, and no
-    block is made for it. A tile whose block with itself is exactly the
-    identity gets the same treatment, with no kernel products.
+    repulsion exactly 0, the bits an identity row of a block gives, and
+    adds d / sigma^2 to T; no block is made for it. A tile whose block with
+    itself is exactly the identity gets the same treatment, with no kernel
+    products.
 
     A tile of at least PROOF_MIN particles first asks near_pairs which of
     its pairs one Gram product cannot prove apart. With none the tile is
     the identity and makes no block (in a 10-d run at the default
     bandwidth, the one tile of 100 particles, on every iteration). With
-    fewer near pairs, counted in both orders, than particles, and no
-    visitor, only those pairs get differences, squared distances and
-    kernel values: the tile's kernel is the identity with them scattered
-    in, which is the dense block bit for bit, since every other entry is
-    exactly 0.0; its repulsion adds k(x_i, x_j) (x_i - x_j) over them with
-    np.add.at, row by row in j order, as the dense einsum adds the same
-    products (zeros aside) when d > 1. In one dimension that einsum sums
-    along j in its own order, so a 1-d tile makes the dense block, as does
-    a tile with no proof, under PROOF_MIN, under a visitor, or with more
-    near pairs (particles bunched together, where the dense block costs
-    less), and is_identity catches an identity one.
-    visit(scores, rows, cols, kmat, diff, sqdist), when given, sees every
-    block once, as it is made; rows is cols on a tile with itself, and
-    kmat, diff and sqdist are None on an identity tile. The lone particles
-    come last, as one such block.
+    fewer near pairs, counted in both orders, than particles, only those
+    pairs get differences, squared distances and kernel values: the tile's
+    kernel is the identity with them scattered in, which is the dense block
+    bit for bit, since every other entry is exactly 0.0; its repulsion adds
+    k(x_i, x_j) (x_i - x_j) over them with np.add.at, row by row in j
+    order, as the dense einsum adds the same products (zeros aside) when
+    d > 1. In one dimension that einsum sums along j in its own order, so a
+    1-d tile makes the dense block, as does a tile with no proof, under
+    PROOF_MIN, or with more near pairs (particles bunched together, where
+    the dense block costs less), and is_identity catches an identity one.
+    Either way a tile adds d per particle for its diagonal, then its
+    nonzero off-diagonal terms in row-major order, so T has the same bits
+    whichever path a tile takes.
     """
-    n = positions.shape[0]
+    n, d = positions.shape
     scores = score(target, positions, counter)
     tiles, pairs, lone = kernel_tiles(sigma, positions)
     attraction, repulsion = np.empty_like(scores), np.empty_like(scores)
+    total = 0.0  # T sigma^2
 
-    def identity_rows(rows) -> None:
+    def stein_sum(kvals, sqdist) -> float:
+        # k (d - r^2 / sigma^2) where k is nonzero: a k of 0.0 adds nothing,
+        # also where r^2 / sigma^2 overflows
+        if not trace:
+            return 0.0
+        live = kvals != 0
+        return np.sum(kvals[live] * (d - sqdist[live] / sigma**2))
+
+    def identity_rows(rows, count) -> int:
         attraction[rows] = scores[rows] / n
         repulsion[rows] = 0.0
-        if visit is not None:
-            visit(scores, rows, rows, None, None, None)
+        return count * d
 
     for tile in tiles:
         points = positions[tile]
-        near = near_pairs(sigma, points) if len(points) >= PROOF_MIN else None
+        m = len(points)
+        near = near_pairs(sigma, points) if m >= PROOF_MIN else None
         if near is not None and not near[0].size:
-            identity_rows(tile)
+            total += identity_rows(tile, m)
             continue
-        few = near is not None and near[0].size < len(points)
-        if few and visit is None and points.shape[1] > 1:
+        if near is not None and near[0].size < m and d > 1:
             i, j = near
             diff = points[i] - points[j]
-            kvals = np.exp(-np.einsum("pk,pk->p", diff, diff) / (2.0 * sigma**2))
-            kmat = np.eye(len(points))
+            sqdist = np.einsum("pk,pk->p", diff, diff)
+            kvals = np.exp(-sqdist / (2.0 * sigma**2))
+            kmat = np.eye(m)
             kmat[i, j] = kvals
             pull = np.zeros_like(points)
             np.add.at(pull, i, kvals[:, None] * diff)
             attraction[tile] = kmat @ scores[tile] / n
             repulsion[tile] = pull / sigma**2 / n
+            total += m * d + stein_sum(kvals, sqdist)
             continue
         kmat, diff, sqdist = pairwise_kernel(sigma, points)
         if is_identity(kmat):
-            identity_rows(tile)
+            total += identity_rows(tile, m)
             continue
         attraction[tile] = kmat @ scores[tile] / n
         repulsion[tile] = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
-        if visit is not None:
-            visit(scores, tile, tile, kmat, diff, sqdist)
+        if trace:
+            np.fill_diagonal(kmat, 0.0)  # its entries add m * d
+        total += m * d + stein_sum(kmat, sqdist)
     for a, b in pairs:
         rows, cols = tiles[a], tiles[b]
         kmat, diff, sqdist = pairwise_kernel(sigma, positions[rows], positions[cols])
@@ -123,11 +137,10 @@ def _forces(
         attraction[cols] += kmat.T @ scores[rows] / n
         repulsion[rows] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
         repulsion[cols] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
-        if visit is not None:
-            visit(scores, rows, cols, kmat, diff, sqdist)
+        total += 2.0 * stein_sum(kmat, sqdist)
     if lone.size:
-        identity_rows(lone)
-    return attraction, repulsion
+        total += identity_rows(lone, lone.size)
+    return scores, attraction, repulsion, float(total) / sigma**2 if trace else None
 
 
 def ksd(
@@ -140,16 +153,13 @@ def ksd(
 
     Scores are computed once per particle (2d evaluations each). Nonnegative
     up to floating-point rounding because the Stein kernel is PSD. sigma
-    must be positive and finite (ValueError otherwise). The shares of
-    ksd_from_parts are summed over the blocks _forces visits, in its order,
-    so a run's KSD record equals this value of its entering state.
+    must be positive and finite (ValueError otherwise). It is ksd_from_parts
+    of the direction's parts, as _forces makes them, so a run's KSD record
+    equals this value of its entering state.
     """
     check_sigma(sigma)
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
-    shares: list[float] = []
-    _forces(positions, target, sigma, counter,
-            lambda *block: shares.append(ksd_from_parts(*block, sigma)))
-    return sum(shares)
+    return ksd_from_parts(*_forces(positions, target, sigma, counter, trace=True))
 
 
 def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
@@ -179,19 +189,18 @@ def _iterate_with_parts(
     step_size: float,
     adam: AdamState,
     counter: EvalCounter,
-    visit=None,
+    trace: bool = False,
 ):
     """One SVGD iteration of the (N, d) positions: move along the
     Adam-preconditioned phi*, then project to the box. Returns the moved
-    positions.
-
-    The run loop reuses the scores and kernel blocks, through visit (see
-    _forces), for discrepancy diagnostics instead of recomputing them.
+    positions and the parts of _forces (with the KSD's trace when asked
+    for), which the run loop reuses for the KSD of the entering state
+    instead of recomputing them.
     """
-    attraction, repulsion = _forces(positions, target, sigma, counter, visit)
-    phi = attraction + repulsion
+    parts = _forces(positions, target, sigma, counter, trace)
+    phi = parts[1] + parts[2]  # attraction + repulsion
     if not np.isfinite(phi).all():
         raise NonFiniteValue("the SVGD direction phi* has non-finite entries")
     displacement = adam_step(adam, phi, step_size)
     moved = project_to_box(target.objective.domain, positions + displacement)
-    return moved
+    return moved, parts

@@ -137,6 +137,21 @@ def stein_ksd_loop(positions, scores, sigma):
     return total / n**2
 
 
+def stein_ksd_long_double(positions, scores, sigma):
+    """Dense KSD V-statistic oracle in long double, whose range holds
+    sigma^4 down to sigma = 1e-100 on x86."""
+    x = positions.astype(np.longdouble)
+    s = scores.astype(np.longdouble)
+    sig2 = np.longdouble(sigma) ** 2
+    n, d = x.shape
+    diff = x[:, None, :] - x[None, :, :]
+    sqdist = np.einsum("ijk,ijk->ij", diff, diff)
+    kmat = np.exp(-sqdist / (2 * sig2))
+    terms = kmat * (s @ s.T + 2 * np.einsum("id,ijd->ij", s, diff) / sig2
+                    + d / sig2 - sqdist / sig2**2)
+    return terms.sum() / n**2
+
+
 class TestKsd:
     def test_single_particle_closed_form(self):
         obj = make_benchmark("sphere", 2)
@@ -174,16 +189,37 @@ class TestKsd:
             assert ksd(pts, target, sigma, EvalCounter()) >= -1e-9
 
     def test_ksd_from_parts_agrees_with_ksd(self):
+        # the parts of the dense SVGD direction, and the trace sum
         obj = make_benchmark("sphere", 3)
         target = BoltzmannTarget(obj, kappa=1.0)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-4, 4, size=(6, 3))
         sigma = 0.9
         scores = np.stack([score(target, p, EvalCounter()) for p in pts])
-        whole = slice(0, len(pts))  # one diagonal block holds every pair
-        a = ksd_from_parts(scores, whole, whole, *pairwise_kernel(sigma, pts), sigma)
-        b = ksd(pts, target, sigma, EvalCounter())
-        assert a == pytest.approx(b, rel=1e-12)
+        kmat, diff, sqdist = pairwise_kernel(sigma, pts)
+        n, d = pts.shape
+        attraction = kmat @ scores / n
+        repulsion = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
+        trace = np.sum(kmat * (d - sqdist / sigma**2)) / sigma**2
+        a = ksd_from_parts(scores, attraction, repulsion, trace)
+        assert a == pytest.approx(stein_ksd_loop(pts, scores, sigma), rel=1e-12)
+        assert a == pytest.approx(ksd(pts, target, sigma, EvalCounter()), rel=1e-12)
+
+    @pytest.mark.skipif(np.longdouble(1e-100) ** 4 == 0,
+                        reason="long double cannot hold sigma^4")
+    @pytest.mark.parametrize("sigma", [1e-60, 1e-100])
+    def test_finite_where_sigma_to_the_fourth_underflows(self, sigma):
+        # five points, two of them 10 sigma apart: at 1e-100 sigma^4 rounds
+        # to 0.0, and r^2 / sigma^4 to inf or NaN, which a zero kernel value
+        # must not carry into the sum
+        target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
+        pts = np.random.default_rng(6).uniform(-4, 4, size=(5, 2))
+        pts[0], pts[1] = 0.0, [10 * sigma, 0.0]
+        stein = ksd(pts, target, sigma, EvalCounter())
+        scores = score(target, pts, EvalCounter())
+        assert np.isfinite(stein) and stein > 0.0
+        assert stein == pytest.approx(float(stein_ksd_long_double(pts, scores, sigma)),
+                                      rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_sigma(self, sigma):

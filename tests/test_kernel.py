@@ -40,7 +40,7 @@ def grad_second_arg(sigma, x, y):
     repulsion on x from the pair {x, y} is half of it."""
     flat = make_objective("flat", [-10.0] * len(x), [10.0] * len(x), lambda p: 0.0)
     target = BoltzmannTarget(flat, kappa=1.0)
-    _, repulsion, *_ = _forces(np.stack([x, y]), target, sigma, EvalCounter())
+    _, _, repulsion, _ = _forces(np.stack([x, y]), target, sigma, EvalCounter())
     return 2.0 * repulsion[0]
 
 
@@ -228,7 +228,7 @@ def outside_the_tiles(sigma, pts):
 def tiled_and_dense(sigma, pts, objective=None):
     obj = objective or make_benchmark("ackley", pts.shape[1])
     target = BoltzmannTarget(obj, kappa=10.0)
-    attraction, repulsion = _forces(pts, target, sigma, EvalCounter())
+    _, attraction, repulsion, _ = _forces(pts, target, sigma, EvalCounter())
     scores = score(target, pts, EvalCounter())
     stein = ksd(pts, target, sigma, EvalCounter())
     return (attraction, repulsion, stein), dense_parts(sigma, pts, scores)
@@ -240,11 +240,12 @@ def max_normalised(got, want):
 
 def lone_ksd(sigma, pts):
     """The KSD of particles whose kernel is the identity, on tiled_and_dense's
-    target: sum_i (s_i.s_i + d / sigma^2) / N^2, summed as for lone ones."""
+    target: (1/N) sum_i s_i.(s_i / N) + N d / sigma^2 / N^2, summed as for
+    lone ones."""
     target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
     scores = score(target, pts, EvalCounter())
     n, d = pts.shape
-    return float((np.einsum("id,id->", scores, scores) + n * d / sigma**2) / n**2)
+    return float(np.einsum("id,id->", scores, scores / n) / n + n * d / sigma**2 / n**2)
 
 
 class TestTiledKernel:
@@ -260,10 +261,8 @@ class TestTiledKernel:
         np.testing.assert_array_equal(r, dr)
         if np.count_nonzero(kmat) == n:  # the identity: n = 1, and n = 2 at 1e-10
             assert n == 1 or sigma == HYBRID_SIGMA
-            assert stein == pytest.approx(dstein, rel=1e-14)
             assert stein == lone_ksd(sigma, pts)
-        else:
-            assert stein == dstein
+        assert stein == pytest.approx(dstein, rel=1e-14)
 
     @pytest.mark.parametrize("n", [TILE + 1, 600, 4 * TILE])
     @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, None, 1e-3])
@@ -328,7 +327,7 @@ class TestTiledKernel:
         pts = spread(n, sigma)
         assert kernel_tiles(sigma, pts)[2].size == n
         target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
-        attraction, repulsion = _forces(pts, target, sigma, EvalCounter())
+        _, attraction, repulsion, _ = _forces(pts, target, sigma, EvalCounter())
         scores = score(target, pts, EvalCounter())
         np.testing.assert_array_equal(attraction, scores / n)
         assert np.all(repulsion == 0.0)
@@ -375,13 +374,16 @@ class TestTiledKernel:
             entering = r.trajectory.snapshots[0].positions
             tiles, pairs, lone = kernel_tiles(sigma, entering)
             assert (lone.size > n // 4 and len(pairs) == 2) == (sigma < 0.05)
-            want = ksd(entering, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
+            target = BoltzmannTarget(obj, kappa=cfg.kappa)
+            want = ksd(entering, target, sigma, EvalCounter())
             assert r.diagnostics[0].ksd == want
+            oracle = dense_parts(sigma, entering, score(target, entering, EvalCounter()))[2]
+            assert want == pytest.approx(oracle, rel=1e-12)
 
     def test_ksd_makes_the_blocks_of_the_direction(self, monkeypatch):
-        # ksd() sums the blocks of the one walk in svgd._forces: one per tile
-        # with a near pair and per pair of tiles, none for the lone set or a
-        # tile with no near pair, and no walk of its own
+        # ksd() is assembled from the one walk in svgd._forces: one block per
+        # pair of tiles, none for the lone set or a tile with no near pair,
+        # and no kernel of its own
         obj = make_benchmark("ackley", 2)
         sigma = 2e-4
         cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
@@ -400,10 +402,13 @@ class TestTiledKernel:
         def second_walk(*args, **kwargs):
             raise AssertionError("a kernel block made outside svgd._forces")
 
+        target = BoltzmannTarget(obj, kappa=cfg.kappa)
+        oracle = dense_parts(sigma, pts, score(target, pts, EvalCounter()))[2]
         monkeypatch.setattr(svgd, "pairwise_kernel", counted)
         monkeypatch.setattr(boltzmann, "pairwise_kernel", second_walk)
-        ksd(pts, BoltzmannTarget(obj, kappa=cfg.kappa), sigma, EvalCounter())
-        assert len(made) == len(tiles) - proven + len(pairs)
+        stein = ksd(pts, target, sigma, EvalCounter())
+        assert made == [TILE] * len(pairs)
+        assert stein == pytest.approx(oracle, rel=1e-12)
 
     def test_twenty_thousand_particles_in_bounded_memory(self):
         # the dense kernel would hold 20000^2 (d + 2) floats, about 12.8 GB
@@ -445,13 +450,17 @@ def isolated(near=False):
     return pts
 
 
-def blocks_seen(sigma, pts):
-    """(rows, cols, kmat) of every block _forces visits, in order."""
-    target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
-    seen = []
-    _forces(pts, target, sigma, EvalCounter(),
-            lambda scores, rows, cols, kmat, diff, sqdist: seen.append((rows, cols, kmat)))
-    return seen
+@pytest.fixture
+def blocks_made(monkeypatch):
+    """The particle count of each dense block svgd makes, in order."""
+    made = []
+
+    def counted(*args):
+        made.append(len(args[1]))
+        return pairwise_kernel(*args)
+
+    monkeypatch.setattr(svgd, "pairwise_kernel", counted)
+    return made
 
 
 class TestIdentityBlock:
@@ -470,19 +479,20 @@ class TestIdentityBlock:
         assert stein == pytest.approx(dstein, rel=1e-14)
         assert stein == lone_ksd(sigma, pts)
 
-    def test_a_near_pair_takes_the_dense_block(self):
-        # under ksd()'s visitor; the direction computes the one near pair
-        # alone (TestNearPairs), with the dense block's bits
+    def test_a_near_pair_makes_no_block(self, blocks_made):
+        # the direction and ksd() compute the one near pair alone
+        # (TestNearPairs), with the dense block's bits in the direction
         sigma = 1e-4
         pts = isolated(near=True)
         (a, r, stein), (da, dr, dstein, kmat) = tiled_and_dense(sigma, pts)
+        assert blocks_made == []
         assert np.count_nonzero(kmat) == 102 and kmat[3, 7] > 0.0
         np.testing.assert_array_equal(a, da)
         np.testing.assert_array_equal(r, dr)
         assert r[7].any()
-        assert stein == dstein
+        assert stein == pytest.approx(dstein, rel=1e-14)
 
-    def test_visit_sees_no_kernel_exactly_on_identity_blocks(self):
+    def test_is_identity_is_exact_on_tile_blocks(self):
         sigma = 1e-4
         # beyond one tile: coordinate 0 steps 10 sigma, so no particle is lone
         # and neighbouring tiles pair up, while coordinate 1 keeps each
@@ -495,13 +505,12 @@ class TestIdentityBlock:
         pts = np.concatenate([pts, np.stack([3.0 + 0.1 * np.arange(5), np.zeros(5)], 1)])
         tiles, pairs, lone = kernel_tiles(sigma, pts)
         assert len(tiles) == 3 and pairs == [(0, 1), (1, 2)] and lone.size == 5
-        assert [kmat is None for _, _, kmat in blocks_seen(sigma, pts)] == [
-            True, False, True, False, False, True]
+        assert [is_identity(pairwise_kernel(sigma, pts[t])[0]) for t in tiles] == [
+            True, False, True]
         for points in (isolated(), isolated(near=True), pts):
-            for rows, cols, kmat in blocks_seen(sigma, points):
-                dense = pairwise_kernel(sigma, points[rows], points[cols])[0]
-                identity = rows is cols and np.array_equal(dense, np.eye(len(dense)))
-                assert (kmat is None) == identity
+            for tile in kernel_tiles(sigma, points)[0]:
+                dense = pairwise_kernel(sigma, points[tile])[0]
+                assert is_identity(dense) == np.array_equal(dense, np.eye(len(dense)))
         (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
         assert max_normalised(a, da) <= 1e-14 and max_normalised(r, dr) <= 1e-14
         assert stein == pytest.approx(dstein, rel=1e-14)
@@ -544,6 +553,9 @@ class TestIdentityBlock:
         for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
             assert is_identity(pairwise_kernel(snap.sigma, snap.positions)[0])
             assert rec.ksd == ksd(snap.positions, target, snap.sigma, EvalCounter())
+            scores = score(target, snap.positions, EvalCounter())
+            oracle = dense_parts(snap.sigma, snap.positions, scores)[2]
+            assert rec.ksd == pytest.approx(oracle, rel=1e-12)
 
 
 def planted(r, sigma):
@@ -622,14 +634,22 @@ class TestProvenApart:
         assert not is_identity(pairwise_kernel(sigma, planted(38.5, sigma))[0])
 
     @pytest.mark.parametrize("sigma, pts", [(1e-4, planted(39.5, 1e-4)), (1e-155, isolated())])
-    def test_unproven_identity_blocks_still_take_the_identity_path(self, sigma, pts):
-        # in the slack band at sigma 1e-4, or at sigma 1e-155, whose square is
-        # subnormal: no whole proof, so under a visitor the block is made and
-        # is_identity accepts it
+    def test_unproven_identity_blocks_still_take_the_identity_path(self, blocks_made,
+                                                                   sigma, pts):
+        # in the slack band at sigma 1e-4 the listed pair's kernel value is
+        # 0.0; at sigma 1e-155, whose square is subnormal, there is no proof,
+        # so the block is made and is_identity accepts it. Either way the
+        # direction and the KSD are the identity's, bit for bit
         near = near_pairs(sigma, pts)
         assert near is None or near[0].size
+        target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
         with np.errstate(over="ignore"):  # -x / sigma**2, subnormal
-            assert [kmat is None for _, _, kmat in blocks_seen(sigma, pts)] == [True]
+            scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+            stein = ksd(pts, target, sigma, EvalCounter())
+        assert blocks_made == ([] if near else [100, 100])
+        np.testing.assert_array_equal(a, scores / 100)
+        assert np.all(r == 0.0)
+        assert stein == lone_ksd(sigma, pts)
 
     def test_flow_diag_makes_no_kernel_block(self, monkeypatch):
         made = []
@@ -688,25 +708,12 @@ def near_groups(rng, n, d, sigma, size=4):
     return pts[rng.permutation(n)]
 
 
-@pytest.fixture
-def blocks_made(monkeypatch):
-    """The particle count of each dense block svgd makes, in order."""
-    made = []
-
-    def counted(*args):
-        made.append(len(args[1]))
-        return pairwise_kernel(*args)
-
-    monkeypatch.setattr(svgd, "pairwise_kernel", counted)
-    return made
-
-
 def forces_and_dense(sigma, pts):
-    """_forces' attraction and repulsion with no visitor, and dense_parts'."""
+    """_forces' attraction and repulsion, and dense_parts'."""
     target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
     # -x / sigma**2 and dense_parts' sigma**4 at a subnormal sigma**2; NaN - x
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        forces = _forces(pts, target, sigma, EvalCounter())
+        forces = _forces(pts, target, sigma, EvalCounter())[1:3]
         dense = dense_parts(sigma, pts, svgd.score(target, pts, EvalCounter()))[:2]
     return forces, dense
 
@@ -772,10 +779,10 @@ class TestNearPairs:
         assert blocks_made == [100]
         assert a.tobytes() == da.tobytes() and r.tobytes() == dr.tobytes()
 
-    def test_a_visitors_ksd_is_the_parents(self, monkeypatch):
-        # under a visitor a tile with near pairs makes its dense block, as
-        # before near pairs were computed alone; only a tile with none is
-        # the identity, so the KSD keeps its bits
+    def test_ksd_takes_the_near_pair_path(self, monkeypatch, blocks_made):
+        # ksd() computes a tile's near pairs alone, as the direction does,
+        # and its trace adds them in the dense block's order, so the KSD
+        # keeps its bits when the tile makes its dense block instead
         sigma = 1e-4
         pts = near_groups(np.random.default_rng(5), 100, 2, sigma)
         target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
@@ -786,13 +793,17 @@ class TestNearPairs:
             return near if near is None or near[0].size == 0 else None
 
         want = ksd(pts, target, sigma, EvalCounter())
+        assert blocks_made == []
+        oracle = dense_parts(sigma, pts, score(target, pts, EvalCounter()))[2]
+        assert want == pytest.approx(oracle, rel=1e-12)
         monkeypatch.setattr(svgd, "near_pairs", whole_or_nothing)
         assert ksd(pts, target, sigma, EvalCounter()) == want
+        assert blocks_made == [100]
 
     @pytest.mark.parametrize("track_ksd", [False, True])
-    def test_flow_small_runs_keep_their_bits(self, monkeypatch, track_ksd):
+    def test_flow_small_runs_keep_their_bits(self, monkeypatch, blocks_made, track_ksd):
         # sbs on Ackley-2d at the defaults: 100 particles at sigma 1e-4, a
-        # few near pairs per tile
+        # few near pairs per tile, which make no block, with a KSD or without
         def run():
             r = sbs_run(make_benchmark("ackley", 2), SbsConfig(max_iterations=40), 10**6, 0,
                         collect_diagnostics=True, track_ksd=track_ksd, log_every=1)
@@ -809,5 +820,6 @@ class TestNearPairs:
         monkeypatch.setattr(svgd, "near_pairs", counted)
         result = run()
         assert sum(near is not None and 0 < near[0].size < 100 for near in seen) >= 10
+        assert blocks_made == []
         monkeypatch.setattr(svgd, "near_pairs", lambda sigma, points: None)
         assert run() == result

@@ -318,13 +318,23 @@ class TestInstrumentation:
         assert calls[0] - r.evals_used == offbudget
 
     def test_ksd_is_skipped_without_diagnostics(self, monkeypatch):
+        # no KSD is assembled, and the direction is not asked for its trace
+        asked = []
+        iterate = sbs_module._iterate_with_parts
+
+        def spy(*args):
+            asked.append(args[-1])
+            return iterate(*args)
+
         def fail(*args):
             raise AssertionError("KSD computed for no record")
 
+        monkeypatch.setattr(sbs_module, "_iterate_with_parts", spy)
         monkeypatch.setattr(sbs_module, "ksd_from_parts", fail)
         obj = make_benchmark("sphere", 2)
         r = sbs_run(obj, SbsConfig(n_particles=10), 2000, 4, track_ksd=True)
         assert r.diagnostics is None
+        assert asked and not any(asked)
         with pytest.raises(AssertionError):
             sbs_run(obj, SbsConfig(n_particles=10), 2000, 4, track_ksd=True,
                     collect_diagnostics=True)

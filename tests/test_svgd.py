@@ -21,7 +21,7 @@ from sbsopt.svgd import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, _forces,
 
 def forces(positions, target, sigma):
     """(attraction, repulsion); their sum is the SVGD direction phi*."""
-    attraction, repulsion, *_ = _forces(positions, target, sigma, EvalCounter())
+    _, attraction, repulsion, _ = _forces(positions, target, sigma, EvalCounter())
     return attraction, repulsion
 
 
@@ -39,8 +39,8 @@ class TestParticleArrays:
     def test_single_particle_is_valid(self):
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
-        moved = _iterate_with_parts(np.array([[1.0, 2.0]]), target, 1.0, 0.03,
-                                    AdamState.fresh(1, 2), EvalCounter())
+        moved, _ = _iterate_with_parts(np.array([[1.0, 2.0]]), target, 1.0, 0.03,
+                                       AdamState.fresh(1, 2), EvalCounter())
         assert moved.shape == (1, 2)
 
     def test_coerces_1d_to_single_row(self):
@@ -116,8 +116,8 @@ class TestForceDecomposition:
             sigma = float(rng.uniform(0.1, 2.0))
             att, rep = forces(pts, target, sigma)
             # the iteration steps along exactly attraction + repulsion
-            moved = _iterate_with_parts(pts, target, sigma, 0.03,
-                                        AdamState.fresh(n, 2), EvalCounter())
+            moved, _ = _iterate_with_parts(pts, target, sigma, 0.03,
+                                           AdamState.fresh(n, 2), EvalCounter())
             step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
             want = project_to_box(obj.domain, pts + step)
             assert moved.tobytes() == want.tobytes()
@@ -232,7 +232,7 @@ class TestSvgdIterate:
         pts = rng.uniform(obj.domain.lower, obj.domain.upper, size=(20, 2))
         adam = AdamState.fresh(20, 2)
         for _ in range(10):
-            pts = _iterate_with_parts(pts, target, 0.5, 0.5, adam, EvalCounter())
+            pts, _ = _iterate_with_parts(pts, target, 0.5, 0.5, adam, EvalCounter())
             for x in pts:
                 assert obj.domain.contains(x)
 
@@ -242,8 +242,8 @@ class TestSvgdIterate:
         pts = np.array([[3.0, -4.0]])
         adam = AdamState.fresh(1, 2)
         for _ in range(600):
-            pts = _iterate_with_parts(pts, target, 1.0, DEFAULT_STEP_SIZE,
-                                      adam, EvalCounter())
+            pts, _ = _iterate_with_parts(pts, target, 1.0, DEFAULT_STEP_SIZE,
+                                         adam, EvalCounter())
         assert float(pts[0] @ pts[0]) < 1e-4
 
     def test_default_step_size_value(self):
