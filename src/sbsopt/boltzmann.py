@@ -5,6 +5,9 @@ diagnostic assembled from the parts of the SVGD direction.
 The target density is m(x) = exp(-kappa f(x)) / Z on the box domain. Its
 normalizer cancels in the log-gradient, so the score is just -kappa grad f,
 which is all SVGD ever needs.
+
+A kernel width lies in [SIGMA_MIN, SIGMA_MAX], where sigma^2 is a normal
+double and (WINDOW sigma)^2 is finite, so the cutoffs need no special case.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ DEFAULT_KAPPA = 1e3
 TILE = 256  # particles per kernel tile; a block holds TILE^2 (d + 2) floats
 WINDOW = 40.0  # tile pairs whose coordinate-0 gap exceeds WINDOW sigma are skipped
 PROOF_MIN = 32  # smaller tiles skip near_pairs: their block costs no more
+SIGMA_MIN = 2.0**-511  # the smallest width whose square is a normal double
+SIGMA_MAX = math.sqrt(np.finfo(float).max) / WINDOW  # (WINDOW sigma)^2 stays finite
 
 
 @dataclass(frozen=True)
@@ -45,10 +50,13 @@ def score(target: BoltzmannTarget, x: np.ndarray, counter: EvalCounter) -> np.nd
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> None:
-    """Raise ValueError unless the kernel width (or another step length,
-    named by name) is positive and finite."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"{name} must be positive and finite, got {sigma!r}")
+    """Raise ValueError unless the kernel width sigma (named by name) lies
+    in [SIGMA_MIN, SIGMA_MAX]. sigma 1e-150 is in it and switches the
+    kernel off: two particles then interact only within 4e-149 of each
+    other."""
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+        raise ValueError(f"{name} must be positive and finite, from 2^-511 to "
+                         f"{SIGMA_MAX:.3g}, got {sigma!r}")
 
 
 def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | None = None):
@@ -63,19 +71,6 @@ def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | No
     sqdist = np.einsum("ijk,ijk->ij", diff, diff)
     kmat = np.exp(-sqdist / (2.0 * sigma**2))
     return kmat, diff, sqdist
-
-
-def is_identity(kmat: np.ndarray) -> bool:
-    """Whether a block of pairwise_kernel with no others is exactly the
-    identity, so that each of its rows is a lone particle's row e_i.
-
-    Its diagonal holds exp(-0) = 1 for finite positions (NaN when one is not,
-    or when sigma**2 underflows to 0), so a count of nonzero entries equal to
-    the row count, with a trace equal to it too, leaves every off-diagonal
-    entry exactly 0.0.
-    """
-    n = len(kmat)
-    return np.count_nonzero(kmat) == n and kmat.trace() == n
 
 
 def near_pairs(sigma: float, points: np.ndarray):
@@ -99,20 +94,18 @@ def near_pairs(sigma: float, points: np.ndarray):
     2.5 eps (n_i + n_j): together (d + 2.5) eps (n_i + n_j) to first order,
     and c leaves 1.5 eps (n_i + n_j) for the second-order terms while
     d < 10^7. Gradual underflow adds at most 4 d 2^-1074 to a distance,
-    under 1e-18 d of (WINDOW sigma)^2 once sigma^2 is normal. Each entry
+    under 1e-18 d of (WINDOW sigma)^2 with sigma^2 normal. Each entry
     G_ij is a dot product of x_i and x_j, so either entry of a pair proves
     it, and a pair is listed in both orders only when neither does.
 
     A distance above (WINDOW sigma)^2 = 1600 sigma^2 leaves the exponent
     pairwise_kernel computes, rounded as it is, above 800 (1 - (d + 8) u),
     past the 745.13 beyond which exp rounds to 0.0; a finite point's own
-    difference is exactly 0, so its diagonal entry is exp(-0) = 1. None,
-    as in kernel_tiles, when sigma^2 is below the normal range, where its
-    rounding moves the cutoff, and for any NaN or infinite coordinate. A
-    listed pair proves nothing either: its kernel value may still be 0.0.
+    difference is exactly 0, so its diagonal entry is exp(-0) = 1. None
+    when a squared norm is not finite: for a NaN or infinite coordinate, or
+    one beyond about 1e154. A listed pair proves nothing either: its kernel
+    value may still be 0.0.
     """
-    if not sigma**2 >= np.finfo(float).tiny:
-        return None
     d = points.shape[1]
     norms = np.einsum("ij,ij->i", points, points)
     if not np.isfinite(norms).all():
@@ -141,19 +134,17 @@ def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.nd
     an index array in ascending order; pairs lists (a, b), a < b, for each
     two tiles whose coordinate-0 ranges come within WINDOW sigma. Every
     block left out is exactly zero: k underflows to 0.0 once ||x - y||
-    exceeds about 38.6 sigma, and a coordinate-0 gap is a lower bound on
-    every distance across it. With at most TILE particles the one tile is
-    slice(0, N) and lone is empty, so the kernel is computed on views, as
-    one dense N x N block.
+    exceeds about 38.6 sigma (sigma^2 is normal, see check_sigma), and a
+    coordinate-0 gap is a lower bound on every distance across it. With at
+    most TILE particles the one tile is slice(0, N) and lone is empty, so
+    the kernel is computed on views, as one dense N x N block.
     """
     n = positions.shape[0]
     if n <= TILE:
         return [slice(0, n)], [], np.empty(0, dtype=np.intp)
     order = np.argsort(positions[:, 0], kind="stable")
     x0 = positions[order, 0]
-    # below the normal range sigma**2 rounds coarsely and the cutoff moves,
-    # so there no particle is lone and every pair of tiles is kept
-    reach = WINDOW * sigma if sigma**2 >= np.finfo(float).tiny else np.inf
+    reach = WINDOW * sigma
     apart = np.diff(x0) > reach  # the exact gap; particles further out lie further
     alone = np.r_[True, apart] & np.r_[apart, True]
     lone = np.sort(order[alone])

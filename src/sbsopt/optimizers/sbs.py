@@ -7,11 +7,12 @@ live particles therefore costs 2dN evaluations, plus N more on iterations
 that filter (the filter needs current f-values, which are then reused to
 pick the final answer). At or below min_particles live particles the filter
 cannot remove one and is not run, but those N evaluations are still made
-and charged, so the arithmetic is the same. On non-filtering iterations the
-loop keeps N evaluations in reserve so the final argmin over particles is
-always affordable. Diagnostics and trajectory logging use a separate
-uncounted meter so instrumentation never changes what the algorithm does or
-spends.
+and charged, so the arithmetic is the same. An iteration starts only when
+(2d + 1)N evaluations remain: its probes plus N more, the filter's
+evaluations or, on an iteration that does not filter, the final argmin over
+the particles, which is then always affordable. Diagnostics and trajectory
+logging use a separate uncounted meter so instrumentation never changes
+what the algorithm does or spends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..boltzmann import DEFAULT_KAPPA, BoltzmannTarget, ksd_from_parts
+from ..boltzmann import DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, BoltzmannTarget, ksd_from_parts
 from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
 from ..objective import EvalCounter, Objective, evaluate, uniform_sample
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
@@ -83,8 +84,10 @@ class SbsConfig:
     filter removes unpromising particles as the run goes (SBS-PF); hybrid
     warm-starts the particles from CMA-ES or WOA (SBS-hybrid). n_particles
     None resolves to 100, or to 50 with a warm start. bandwidth() is the one
-    rule for the kernel width sigma. fd_step None uses 1e-6 * max(1, |x_i|)
-    per coordinate.
+    rule for the kernel width sigma. A set sigma must lie in the kernel's
+    domain [2^-511, 3.35e152] (boltzmann.SIGMA_MIN, SIGMA_MAX; ConfigError
+    otherwise); sigma 1e-150 switches the kernel off. fd_step None uses
+    1e-6 * max(1, |x_i|) per coordinate.
     """
 
     n_particles: int | None = None
@@ -102,7 +105,10 @@ class SbsConfig:
         check_number(self, "n_particles", int, positive=True)
         check_number(self, "kappa", float, positive=True)
         check_number(self, "step_size", float, positive=True)
-        check_number(self, "sigma", float, optional=True, positive=True)
+        check_number(self, "sigma", float, optional=True)
+        if self.sigma is not None and not SIGMA_MIN <= self.sigma <= SIGMA_MAX:
+            raise ConfigError(f"sigma must lie in [2^-511, {SIGMA_MAX:.3g}], "
+                              f"got {self.sigma!r}", field="sigma")
         check_number(self, "fd_step", float, optional=True, positive=True)
         check_number(self, "max_iterations", int, optional=True, minimum=0)
 
@@ -250,9 +256,7 @@ def _run_engine(
     while True:
         n_live = positions.shape[0]
         will_filter = fcfg is not None and (iteration + 1) >= fcfg.start_iteration
-        iter_cost = 2 * d * n_live + (n_live if will_filter else 0)
-        reserve = 0 if will_filter else n_live
-        if counter.count + iter_cost + reserve > budget:
+        if counter.count + (2 * d + 1) * n_live > budget:
             break
         if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
             break

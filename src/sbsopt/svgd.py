@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boltzmann import (PROOF_MIN, BoltzmannTarget, check_sigma, is_identity,
-                        kernel_tiles, ksd_from_parts, near_pairs, pairwise_kernel, score)
+from .boltzmann import (PROOF_MIN, BoltzmannTarget, check_sigma, kernel_tiles,
+                        ksd_from_parts, near_pairs, pairwise_kernel, score)
 from .errors import NonFiniteValue, ShapeMismatch
 from .objective import EvalCounter, project_to_box
 
@@ -60,14 +60,13 @@ def _forces(
     itself first, then each pair of tiles, added into both of its sides. A
     lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
     repulsion exactly 0, the bits an identity row of a block gives, and
-    adds d / sigma^2 to T; no block is made for it. A tile whose block with
-    itself is exactly the identity gets the same treatment, with no kernel
-    products.
+    adds d / sigma^2 to T; no block is made for it.
 
-    A tile of at least PROOF_MIN particles first asks near_pairs which of
-    its pairs one Gram product cannot prove apart. With none the tile is
-    the identity and makes no block (in a 10-d run at the default
-    bandwidth, the one tile of 100 particles, on every iteration). With
+    Each tile's path is fixed before any block is built, with sigma a width
+    check_sigma accepts. A tile of at least PROOF_MIN particles first asks
+    near_pairs which of its pairs one Gram product cannot prove apart. With
+    none the tile is the identity and makes no block (in a 10-d run at the
+    default bandwidth, the one tile of 100 particles, on every iteration). With
     fewer near pairs, counted in both orders, than particles, only those
     pairs get differences, squared distances and kernel values: the tile's
     kernel is the identity with them scattered in, which is the dense block
@@ -77,7 +76,9 @@ def _forces(
     d > 1. In one dimension that einsum sums along j in its own order, so a
     1-d tile makes the dense block, as does a tile with no proof, under
     PROOF_MIN, or with more near pairs (particles bunched together, where
-    the dense block costs less), and is_identity catches an identity one.
+    the dense block costs less), even an identity one: its rows give the
+    lone bits but for the sign of a zero attraction, which the repulsion's
+    +0.0 clears from the direction and the KSD.
     Either way a tile adds d per particle for its diagonal, then its
     nonzero off-diagonal terms in row-major order, so T has the same bits
     whichever path a tile takes.
@@ -122,9 +123,6 @@ def _forces(
             total += m * d + stein_sum(kvals, sqdist)
             continue
         kmat, diff, sqdist = pairwise_kernel(sigma, points)
-        if is_identity(kmat):
-            total += identity_rows(tile, m)
-            continue
         attraction[tile] = kmat @ scores[tile] / n
         repulsion[tile] = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
         if trace:
@@ -153,7 +151,7 @@ def ksd(
 
     Scores are computed once per particle (2d evaluations each). Nonnegative
     up to floating-point rounding because the Stein kernel is PSD. sigma
-    must be positive and finite (ValueError otherwise). It is ksd_from_parts
+    must pass check_sigma (ValueError otherwise). It is ksd_from_parts
     of the direction's parts, as _forces makes them, so a run's KSD record
     equals this value of its entering state.
     """

@@ -9,6 +9,7 @@ appearing in later snapshots, so their polylines end early in the rendering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ LOG_FORMAT = "sbsopt-trajectory-1"
 class TrajectorySnapshot:
     """Live particle state after one iteration (iteration 0 = initial).
 
-    sigma, the kernel width the run used, must be positive and finite, and
+    sigma, the kernel width the run used, must pass check_sigma, and
     positions and f_values must hold one row and one value per id: a log
     read from a file is checked here before any diagnostic uses it.
     """
@@ -71,8 +72,8 @@ class TrajectoryLog:
     snapshots: list[TrajectorySnapshot] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.fd_step is not None:
-            check_sigma(self.fd_step, "log fd_step")
+        if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"log fd_step must be positive and finite, got {self.fd_step!r}")
 
     def append(self, snapshot: TrajectorySnapshot) -> None:
         """Add a snapshot; ValueError unless its positions are dim wide."""

@@ -813,6 +813,25 @@ class TestBudgetInvariant:
             return
         assert r.evals_used <= budget
 
+    @pytest.mark.parametrize("method", ["sbs", "sbs-pf"])
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(budget=st.integers(1, 4000), d=st.integers(1, 4), n=st.integers(2, 25),
+           start=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_sbs_leaves_less_than_one_iteration_unspent(self, method, budget, d, n, start,
+                                                        seed):
+        # an iteration starts while (2d + 1) N evaluations remain, N the live
+        # count: its probes plus the filter's evaluations or the final argmin
+        params = {"n_particles": n}
+        if method == "sbs-pf":
+            params["start_iteration"] = start
+        try:
+            r = run_method(method, make_benchmark("rastrigin", d), budget, seed, params,
+                           collect_diagnostics=True)
+        except BudgetTooSmall:
+            return
+        live = r.diagnostics[-1].live if r.diagnostics else n
+        assert budget - r.evals_used < (2 * d + 1) * live
+
     @pytest.mark.parametrize("method", list(SIZE_KEY))
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(d=st.integers(1, 4), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))

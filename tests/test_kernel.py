@@ -14,6 +14,7 @@ from sbsopt import (
     HybridConfig,
     NonFiniteValue,
     SbsConfig,
+    TrajectoryLog,
     TrajectorySnapshot,
     ksd,
     make_benchmark,
@@ -22,7 +23,7 @@ from sbsopt import (
     score,
 )
 from sbsopt import boltzmann, svgd
-from sbsopt.boltzmann import (PROOF_MIN, TILE, WINDOW, is_identity, kernel_tiles,
+from sbsopt.boltzmann import (PROOF_MIN, SIGMA_MAX, SIGMA_MIN, TILE, WINDOW, kernel_tiles,
                               near_pairs, pairwise_kernel)
 from sbsopt.optimizers import run_method
 from sbsopt.optimizers.sbs import HYBRID_SIGMA
@@ -141,6 +142,58 @@ class TestBandwidthPolicies:
     def test_fixed_requires_positive_sigma(self):
         with pytest.raises(ConfigError):
             SbsConfig(sigma=0.0)
+
+
+OUTSIDE = [float(np.nextafter(SIGMA_MIN, 0.0)), float(np.nextafter(SIGMA_MAX, np.inf)),
+           1e-170, 1e200]
+
+
+class TestSigmaDomain:
+    """A kernel width lies in [SIGMA_MIN, SIGMA_MAX], where sigma**2 is a
+    normal double and (WINDOW sigma)**2 is finite. SbsConfig refuses any
+    other with ConfigError, ksd() and a trajectory snapshot with ValueError."""
+
+    def test_the_ends_are_the_widest_domain_of_normal_squares(self):
+        assert SIGMA_MIN**2 == np.finfo(float).tiny
+        assert np.nextafter(SIGMA_MIN, 0.0) ** 2 < np.finfo(float).tiny
+        assert np.isfinite((WINDOW * SIGMA_MAX) ** 2)
+        with np.errstate(over="ignore"):
+            assert np.isinf((WINDOW * np.nextafter(SIGMA_MAX, np.inf)) ** 2)
+
+    @pytest.mark.parametrize("sigma", OUTSIDE)
+    def test_config_refuses_a_width_outside(self, sigma):
+        with pytest.raises(ConfigError) as err:
+            SbsConfig(sigma=sigma)
+        assert err.value.field == "sigma"
+
+    @pytest.mark.parametrize("n", [10, 100])  # below and above PROOF_MIN
+    @pytest.mark.parametrize("sigma", [SIGMA_MIN, SIGMA_MAX])
+    def test_runs_at_either_end(self, sigma, n):
+        # at SIGMA_MIN the kernel is the identity, at SIGMA_MAX all ones;
+        # one ulp further out is refused
+        beyond = np.nextafter(sigma, 0.0 if sigma == SIGMA_MIN else np.inf)
+        with pytest.raises(ConfigError, match="sigma"):
+            SbsConfig(n_particles=n, sigma=float(beyond))
+        cfg = SbsConfig(n_particles=n, sigma=sigma, max_iterations=5)
+        with np.errstate(over="ignore"):  # -x / sigma**2 at SIGMA_MIN: exp(-inf) = 0.0
+            r = sbs_run(make_benchmark("ackley", 2), cfg, 10**4, 0)
+        assert r.iterations_done == 5 and np.isfinite(r.best_f)
+
+    @pytest.mark.parametrize("sigma", OUTSIDE)
+    def test_ksd_and_snapshots_refuse_a_width_outside(self, sigma):
+        target = BoltzmannTarget(make_benchmark("sphere", 2), kappa=1.0)
+        counter = EvalCounter()
+        with pytest.raises(ValueError, match="sigma"):
+            ksd(np.zeros((3, 2)), target, sigma, counter)
+        assert counter.count == 0
+        with pytest.raises(ValueError, match="sigma"):
+            TrajectorySnapshot(iteration=0, sigma=sigma, ids=[0], positions=[[0.0, 0.0]],
+                               f_values=[0.0])
+
+    def test_a_tiny_probe_step_is_not_a_width(self):
+        log = TrajectoryLog(method="sbs", objective_name="ackley", dim=2, lower=[-5.0] * 2,
+                            upper=[5.0] * 2, fd_step=1e-200)
+        assert TrajectoryLog.from_dict(log.to_dict()).fd_step == 1e-200
 
 
 class TestPairwiseKernel:
@@ -350,18 +403,31 @@ class TestTiledKernel:
         assert max_normalised(r, dr) <= 1e-14 and max_normalised(a, da) <= 1e-14
         assert stein == pytest.approx(dstein, rel=1e-14)
 
-    def test_keeps_every_pair_when_sigma_squared_is_subnormal(self):
-        # sigma**2 rounds up to 2 subnormal units here, so k(41 sigma) is
-        # 1.8e-292 although 41 sigma is past the window
-        sigma = 2.81e-162
+    def test_keeps_the_window_at_the_smallest_width(self):
+        # below SIGMA_MIN sigma**2 would be subnormal and round coarsely
+        # (at 2.81e-162, k(41 sigma) = 1.8e-292 past the window), so such a
+        # width is refused; at SIGMA_MIN sigma**2 = 2^-1022 is exact, a pair
+        # 38 sigma apart keeps a subnormal kernel value and is tiled, and one
+        # 41 sigma apart has k = 0.0 and both particles are lone
+        with pytest.raises(ConfigError, match="sigma"):
+            SbsConfig(sigma=2.81e-162)
+        sigma = SIGMA_MIN
+        assert sigma**2 == np.finfo(float).tiny
         pts = np.zeros((TILE + 1, 2))
         pts[:TILE - 1, 0] = np.linspace(-4.0, -1.0, TILE - 1)
-        pts[TILE, 0] = 41 * sigma
-        assert 41 > WINDOW and pairwise_kernel(sigma, pts[TILE - 1:])[0][0, 1] > 0.0
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
-        assert pairs == [(0, 1)] and lone.size == 0  # no particle is lone
-        with np.errstate(over="ignore"):  # far pairs: exp(-inf) = 0
-            assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+        for gap in (38, 41):
+            pts[TILE, 0] = gap * sigma
+            kval = pairwise_kernel(sigma, pts[TILE - 1:])[0][0, 1]
+            tiles, pairs, lone = kernel_tiles(sigma, pts)
+            if gap < WINDOW:
+                assert 0.0 < kval < np.finfo(float).tiny
+                assert [list(t) for t in tiles] == [[TILE - 1, TILE]] and pairs == []
+                np.testing.assert_array_equal(lone, np.arange(TILE - 1))
+            else:
+                assert kval == 0.0 and tiles == [] and pairs == []
+                np.testing.assert_array_equal(lone, np.arange(TILE + 1))
+            with np.errstate(over="ignore"):  # far pairs: exp(-inf) = 0
+                assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_run_ksd_matches_ksd_of_the_entering_state(self):
         obj = make_benchmark("ackley", 2)
@@ -464,9 +530,10 @@ def blocks_made(monkeypatch):
 
 
 class TestIdentityBlock:
-    """A tile whose block with itself is exactly the identity gets the lone
-    particles' treatment: the direction keeps the dense bits, and the KSD
-    takes the lone formula, equal to the dense one up to its last bits."""
+    """A tile whose block with itself is exactly the identity gives the lone
+    particles' rows, proven or not: the direction keeps the dense bits, and
+    the KSD takes the lone formula, equal to the dense one up to its last
+    bits."""
 
     def test_isolated_particles_keep_the_dense_direction(self):
         sigma = 1e-4
@@ -505,12 +572,8 @@ class TestIdentityBlock:
         pts = np.concatenate([pts, np.stack([3.0 + 0.1 * np.arange(5), np.zeros(5)], 1)])
         tiles, pairs, lone = kernel_tiles(sigma, pts)
         assert len(tiles) == 3 and pairs == [(0, 1), (1, 2)] and lone.size == 5
-        assert [is_identity(pairwise_kernel(sigma, pts[t])[0]) for t in tiles] == [
-            True, False, True]
-        for points in (isolated(), isolated(near=True), pts):
-            for tile in kernel_tiles(sigma, points)[0]:
-                dense = pairwise_kernel(sigma, points[tile])[0]
-                assert is_identity(dense) == np.array_equal(dense, np.eye(len(dense)))
+        blocks = [pairwise_kernel(sigma, pts[t])[0] for t in tiles]
+        assert [np.array_equal(k, np.eye(len(k))) for k in blocks] == [True, False, True]
         (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
         assert max_normalised(a, da) <= 1e-14 and max_normalised(r, dr) <= 1e-14
         assert stein == pytest.approx(dstein, rel=1e-14)
@@ -521,26 +584,47 @@ class TestIdentityBlock:
         steep = make_objective("steep", [-5.0] * 10, [5.0] * 10, lambda p: 1e306 * p[0])
         target = BoltzmannTarget(steep, kappa=1e3)
         pts = isolated(near)
-        assert is_identity(pairwise_kernel(1e-4, pts)[0]) != near
+        assert np.array_equal(pairwise_kernel(1e-4, pts)[0], np.eye(100)) != near
         with np.errstate(over="ignore", invalid="ignore"):  # -inf, and 0 * -inf
             assert np.isneginf(score(target, pts, EvalCounter())[:, 0]).all()
             with pytest.raises(NonFiniteValue):
                 _iterate_with_parts(pts, target, 1e-4, 0.03, AdamState.fresh(100, 10),
                                     EvalCounter())
 
-    def test_an_underflowing_sigma_squared_is_not_the_identity(self):
-        # sigma**2 rounds to 0, so the diagonal is exp(-0 / 0) = NaN and the
-        # dense block makes the direction NaN, as it does at every N
+    def test_an_underflowing_sigma_squared_is_refused(self):
+        # sigma**2 rounds to 0, where the diagonal would be exp(-0 / 0) = NaN:
+        # the width is refused before any evaluation. At SIGMA_MIN the block
+        # is exactly the identity and the direction the lone particles'
         sigma = 1e-170
         assert sigma**2 == 0.0
         target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # -x / 0, and 0 / 0
-            kmat = pairwise_kernel(sigma, isolated())[0]
-            assert np.isnan(kmat.diagonal()).all() and np.count_nonzero(kmat) == 100
-            assert not is_identity(kmat)
-            with pytest.raises(NonFiniteValue):
-                _iterate_with_parts(isolated(), target, sigma, 0.03,
-                                    AdamState.fresh(100, 10), EvalCounter())
+        counter = EvalCounter()
+        with pytest.raises(ValueError, match="sigma"):
+            ksd(isolated(), target, sigma, counter)
+        assert counter.count == 0
+        with pytest.raises(ConfigError, match="sigma"):
+            SbsConfig(sigma=sigma)
+        with np.errstate(over="ignore"):  # -x / sigma**2: exp(-inf) = 0.0
+            assert np.array_equal(pairwise_kernel(SIGMA_MIN, isolated())[0], np.eye(100))
+        scores, a, r, _ = _forces(isolated(), target, SIGMA_MIN, EvalCounter())
+        np.testing.assert_array_equal(a, scores / 100)
+        assert np.all(r == 0.0)
+
+    def test_a_small_identity_tile_takes_the_dense_block(self, blocks_made):
+        # 20 particles, below PROOF_MIN, each over 40 sigma from the others:
+        # no proof is asked for and the dense identity block is made, whose
+        # rows give the lone particles' direction and KSD bit for bit
+        sigma = 1e-4
+        pts = isolated()[:20]
+        assert pts.shape[0] < PROOF_MIN
+        assert np.array_equal(pairwise_kernel(sigma, pts)[0], np.eye(20))
+        target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
+        scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        stein = ksd(pts, target, sigma, EvalCounter())
+        assert blocks_made == [20, 20]
+        assert (a + r).tobytes() == (scores / 20 + 0.0).tobytes()
+        assert np.all(r == 0.0) and not np.signbit(r).any()
+        assert stein == lone_ksd(sigma, pts)
 
     def test_run_ksd_matches_ksd_of_the_entering_state(self):
         # flow-diag's run: N = 100 on Rastrigin-10d at sigma 1e-4
@@ -551,7 +635,7 @@ class TestIdentityBlock:
         target = BoltzmannTarget(obj, kappa=cfg.kappa)
         assert len(r.diagnostics) == 5
         for snap, rec in zip(r.trajectory.snapshots, r.diagnostics):
-            assert is_identity(pairwise_kernel(snap.sigma, snap.positions)[0])
+            assert np.array_equal(pairwise_kernel(snap.sigma, snap.positions)[0], np.eye(100))
             assert rec.ksd == ksd(snap.positions, target, snap.sigma, EvalCounter())
             scores = score(target, snap.positions, EvalCounter())
             oracle = dense_parts(snap.sigma, snap.positions, scores)[2]
@@ -583,7 +667,8 @@ class TestProvenApart:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(n=st.integers(1, 40), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            half_width=st.sampled_from([1.0, 4.5, 512.0]),
-           sigma=st.one_of(st.sampled_from([1e-150, 1e-155, 1e-170, 1e-10, 1e-4, 2e-4]),
+           sigma=st.one_of(st.sampled_from([1e-150, SIGMA_MIN, 3 * SIGMA_MIN, 1e-10, 1e-4,
+                                            2e-4]),
                            st.floats(1e-12, 1.0)),
            gap=st.one_of(st.none(), st.floats(38.0, 41.0)),
            defect=st.sampled_from([None, "coincident", "nan", "inf"]))
@@ -601,19 +686,18 @@ class TestProvenApart:
         elif defect == "inf":
             pts[rng.integers(n), rng.integers(d)] = -np.inf
         near = near_pairs(sigma, pts)
-        # a subnormal sigma**2 overflows -x / sigma**2; sigma**2 == 0 and
-        # inf - inf give NaN
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the smallest widths overflow -x / sigma**2; inf - inf gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             kmat = pairwise_kernel(sigma, pts)[0]
         if near is not None:
             i, j = near
             assert np.all(i != j) and np.all(np.diff(i * n + j) > 0)  # row-major
             off = kmat.copy()
             off[i, j] = 0.0
-            assert is_identity(off)
+            assert np.array_equal(off, np.eye(n))
             if i.size == 0:
-                assert is_identity(kmat)
-        if sigma**2 < np.finfo(float).tiny or defect in ("nan", "inf"):
+                assert np.array_equal(kmat, np.eye(n))
+        if defect in ("nan", "inf"):
             assert near is None
         elif defect == "coincident" and n >= 2:
             assert (0, n - 1) in zip(*near) and (n - 1, 0) in zip(*near)
@@ -628,25 +712,24 @@ class TestProvenApart:
         sigma = 1e-4
         assert near_pairs(sigma, planted(40.01, sigma))[0].size == 0
         for r in (38.7, 39.99):  # k underflows to 0.0, within the slack band
-            assert is_identity(pairwise_kernel(sigma, planted(r, sigma))[0])
+            assert np.array_equal(pairwise_kernel(sigma, planted(r, sigma))[0], np.eye(100))
             i, j = near_pairs(sigma, planted(r, sigma))
             assert i.tolist() == [3, 7] and j.tolist() == [7, 3]
-        assert not is_identity(pairwise_kernel(sigma, planted(38.5, sigma))[0])
+        assert not np.array_equal(pairwise_kernel(sigma, planted(38.5, sigma))[0], np.eye(100))
 
-    @pytest.mark.parametrize("sigma, pts", [(1e-4, planted(39.5, 1e-4)), (1e-155, isolated())])
+    @pytest.mark.parametrize("sigma, pts", [(1e-4, planted(39.5, 1e-4))])
     def test_unproven_identity_blocks_still_take_the_identity_path(self, blocks_made,
                                                                    sigma, pts):
         # in the slack band at sigma 1e-4 the listed pair's kernel value is
-        # 0.0; at sigma 1e-155, whose square is subnormal, there is no proof,
-        # so the block is made and is_identity accepts it. Either way the
-        # direction and the KSD are the identity's, bit for bit
+        # 0.0, so the near-pair path gives the identity's direction and KSD,
+        # bit for bit (a tile with no proof at all: TestIdentityBlock's
+        # test_a_small_identity_tile_takes_the_dense_block)
         near = near_pairs(sigma, pts)
-        assert near is None or near[0].size
+        assert near[0].size
         target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
-        with np.errstate(over="ignore"):  # -x / sigma**2, subnormal
-            scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
-            stein = ksd(pts, target, sigma, EvalCounter())
-        assert blocks_made == ([] if near else [100, 100])
+        scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        stein = ksd(pts, target, sigma, EvalCounter())
+        assert blocks_made == []
         np.testing.assert_array_equal(a, scores / 100)
         assert np.all(r == 0.0)
         assert stein == lone_ksd(sigma, pts)
@@ -711,8 +794,8 @@ def near_groups(rng, n, d, sigma, size=4):
 def forces_and_dense(sigma, pts):
     """_forces' attraction and repulsion, and dense_parts'."""
     target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
-    # -x / sigma**2 and dense_parts' sigma**4 at a subnormal sigma**2; NaN - x
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # NaN - x, and the square of a 1e200 coordinate
+    with np.errstate(over="ignore", invalid="ignore"):
         forces = _forces(pts, target, sigma, EvalCounter())[1:3]
         dense = dense_parts(sigma, pts, svgd.score(target, pts, EvalCounter()))[:2]
     return forces, dense
@@ -748,15 +831,15 @@ class TestNearPairs:
             assert blocks_made[-1] == n
             assert a.tobytes() == da.tobytes() and r.tobytes() == dr.tobytes()
 
-    @pytest.mark.parametrize("defect", ["nan", "subnormal"])
+    @pytest.mark.parametrize("defect", ["nan", "overflow"])
     def test_no_proof_takes_the_dense_block(self, monkeypatch, blocks_made, defect):
-        # a NaN coordinate, or sigma 1e-160, whose square is subnormal
-        sigma = 1e-160 if defect == "subnormal" else 1e-4
+        # a NaN coordinate, or a finite one whose square overflows the norms
+        # (a sigma whose square is subnormal is refused: TestSigmaDomain)
+        sigma = 1e-4
         pts = near_groups(np.random.default_rng(3), 100, 2, sigma)
-        if defect == "nan":
-            pts[5, 1] = np.nan
-            # evaluate rejects a NaN point, so the scores are zeros here
-            monkeypatch.setattr(svgd, "score", lambda target, x, counter: np.zeros_like(x))
+        pts[5, 1] = np.nan if defect == "nan" else 1e200
+        # evaluate rejects a point outside the box, so the scores are zeros here
+        monkeypatch.setattr(svgd, "score", lambda target, x, counter: np.zeros_like(x))
         assert near_pairs(sigma, pts) is None
         (a, r), (da, dr) = forces_and_dense(sigma, pts)
         assert blocks_made == [100]
