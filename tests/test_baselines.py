@@ -14,6 +14,7 @@ from sbsopt import (
     CboParams,
     CmaesParams,
     ConfigError,
+    EvalCounter,
     LangevinParams,
     NonFiniteValue,
     SbsConfig,
@@ -31,7 +32,10 @@ from sbsopt.cli import main
 from sbsopt.optimizers import available_methods, consensus_point, default_popsize
 from sbsopt.optimizers import cmaes as cmaes_module
 from sbsopt.optimizers.cmaes import _sample_offspring
-from sbsopt.optimizers.woa import _move
+from sbsopt.objective import evaluate, project_to_box, uniform_sample
+from sbsopt.optimizers import woa as woa_module
+from sbsopt.optimizers.base import improve_incumbent, population_iterations, split_streams
+from sbsopt.optimizers.woa import CHUNK, _move, _plan
 
 
 class TestCmaes:
@@ -212,7 +216,8 @@ def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
 
 
 def reference_move(positions, best_x, a, rng):
-    """woa._move agent by agent from the same two draws; also counts explorers."""
+    """One WOA iteration agent by agent from the same two draws, as the move
+    was first written; also counts explorers."""
     n_agents = positions.shape[0]
     draws = rng.random((n_agents, 4)).tolist()
     partners = rng.integers(n_agents, size=n_agents) if a >= 1.0 else None
@@ -233,6 +238,64 @@ def reference_move(positions, best_x, a, rng):
                 gap * math.exp(spiral_l) * math.cos(2.0 * math.pi * spiral_l) + best_x
             )
     return moved, explorers
+
+
+def reference_woa(obj, params, budget, seed, counter):
+    """woa_run as a loop of one reference_move per iteration, checking the
+    budget before each. Returns (best_x, best_f, iterations done, final
+    population, move generator)."""
+    n_agents = params.n_agents
+    iterations = population_iterations(budget - counter.count, n_agents, params.iterations)
+    rng_init, rng_move = split_streams(seed, 2)
+    positions = uniform_sample(obj.domain, n_agents, rng_init)
+    best_x, best_f = improve_incumbent(
+        positions, evaluate(obj, positions, counter), positions[0].copy(), np.inf)
+    done = 0
+    for t in range(1, iterations + 1):
+        if counter.count + n_agents > budget:
+            break
+        moved, _ = reference_move(positions, best_x, 2.0 - 2.0 * t / iterations, rng_move)
+        positions = project_to_box(obj.domain, moved)
+        best_x, best_f = improve_incumbent(
+            positions, evaluate(obj, positions, counter), best_x, best_f)
+        done += 1
+    return best_x, best_f, done, positions, rng_move
+
+
+def planned_woa(monkeypatch, obj, params, budget, seed, counter):
+    """woa_run with its move generator and the length of every plan kept."""
+    streams, plans = [], []
+
+    def keep_streams(*args):
+        streams.extend(split_streams(*args))
+        return streams
+
+    def keep_plans(a, *args):
+        plans.append(len(a))
+        return _plan(a, *args)
+
+    monkeypatch.setattr(woa_module, "split_streams", keep_streams)
+    monkeypatch.setattr(woa_module, "_plan", keep_plans)
+    result, positions = woa_run(obj, params, budget, seed, counter=counter)
+    return result, positions, streams[1], plans
+
+
+def assert_same_run(monkeypatch, obj, params, budget, seed, spent=0):
+    """woa_run equals reference_woa from a counter already holding spent
+    evaluations: the answer, its cost, the population and the final state
+    of the move generator. Returns the plan lengths."""
+    counter, loop_counter = EvalCounter(spent), EvalCounter(spent)
+    result, positions, rng, plans = planned_woa(monkeypatch, obj, params, budget, seed,
+                                                counter)
+    best_x, best_f, done, loop_positions, loop_rng = reference_woa(
+        obj, params, budget, seed, loop_counter)
+    assert result.best_x.tobytes() == best_x.tobytes()
+    assert result.best_f == best_f
+    assert result.evals_used == counter.count == loop_counter.count
+    assert result.iterations_done == done == sum(plans)
+    assert positions.tobytes() == loop_positions.tobytes()
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    return plans
 
 
 def twin_generators(seed):
@@ -322,8 +385,8 @@ class TestWoaBlockMove:
         best_x = positions[int(setup.integers(n_agents))].copy()
         block_rng, loop_rng = twin_generators(d + n_agents)
         explorers = 0
-        for _ in range(8):
-            got = _move(positions, best_x, a, block_rng)
+        for move in _plan(np.full(8, a), n_agents, block_rng):
+            got = _move(positions, best_x, move)
             want, n_explorers = reference_move(positions, best_x, a, loop_rng)
             assert got.tobytes() == want.tobytes()
             explorers += n_explorers
@@ -333,6 +396,68 @@ class TestWoaBlockMove:
             assert explorers == 0
         elif a > 1.0:
             assert explorers > 0
+
+    @pytest.mark.parametrize("schedule", [
+        [1.5, 1.0, 0.999, 0.5],  # a = 1 exactly, then below it
+        [2.0, 1.2, 0.8, 1.1, 0.0],  # partner draws on both sides of a calm row
+        [np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0)],
+    ])
+    @pytest.mark.parametrize("n_agents", [2, 30])
+    def test_a_crossing_one_inside_a_plan(self, n_agents, schedule):
+        setup = np.random.default_rng(n_agents)
+        positions = setup.uniform(-5.0, 5.0, (n_agents, 3))
+        best_x = positions[0].copy()
+        block_rng, loop_rng = twin_generators(7 * n_agents)
+        for a, move in zip(schedule, _plan(np.array(schedule), n_agents, block_rng)):
+            got = _move(positions, best_x, move)
+            want, _ = reference_move(positions, best_x, a, loop_rng)
+            assert got.tobytes() == want.tobytes()
+            positions = np.clip(got, -5.0, 5.0)
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("iterations", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 333])
+    def test_run_lengths_off_the_chunk(self, monkeypatch, iterations):
+        obj = make_benchmark("ackley", 2)
+        plans = assert_same_run(monkeypatch, obj, WoaParams(6, iterations),
+                                6 * (iterations + 1), seed=iterations)
+        assert plans[:-1] == [CHUNK] * (len(plans) - 1)
+        assert 1 <= plans[-1] <= CHUNK
+
+    @pytest.mark.parametrize("iterations", [100, 101, 2 * CHUNK, 2 * CHUNK + 1, 200])
+    def test_a_crossing_one_inside_a_run(self, monkeypatch, iterations):
+        # a = 2 - 2t / iterations reaches 1 at t = iterations / 2 (exactly
+        # when it is even): inside the first chunk, on its last move, at its
+        # end, or inside the second chunk
+        obj = make_benchmark("rastrigin", 3)
+        assert_same_run(monkeypatch, obj, WoaParams(9, iterations), 9 * (iterations + 1),
+                        seed=3)
+
+    @pytest.mark.parametrize("spent", [0, 1, 1234, 51_000 - 50 * 40 - 7])
+    def test_a_warm_start_counter_already_spent(self, monkeypatch, spent):
+        # the hybrid's WOA: 50 agents, a fixed schedule, a shared counter
+        obj = make_benchmark("rosenbrock", 5)
+        plans = assert_same_run(monkeypatch, obj, WoaParams(50, 1000), 51_000, seed=11,
+                                spent=spent)
+        assert sum(plans) == min(1000, (51_000 - spent) // 50 - 1)
+
+    def test_plans_only_the_moves_the_budget_pays_for(self, monkeypatch):
+        # a schedule of 10^12 iterations at budget 2,000: the initial 30
+        # evaluations, then the 65 moves that 1,970 pay for
+        obj = make_benchmark("ackley", 2)
+        plans = assert_same_run(monkeypatch, obj, WoaParams(iterations=10**12), 2_000, seed=0)
+        assert plans == [CHUNK, 1]
+
+
+@pytest.mark.parametrize("n_agents, iterations, budget", [
+    (30, None, 30 * 200),  # the default schedule, 199 moves
+    (30, 500, 30 * 101 + 17),  # a longer schedule stopped mid-chunk by the budget
+    (50, 1000, 50 * 1001),  # the hybrid's warm start
+    (50, 1000, 50 * 150 + 49),
+])
+@pytest.mark.parametrize("function, d", [("sphere", 1), ("ackley", 5), ("rastrigin", 10)])
+def test_woa_run_is_the_reference_loop(monkeypatch, function, d, n_agents, iterations, budget):
+    assert_same_run(monkeypatch, make_benchmark(function, d),
+                    WoaParams(n_agents, iterations), budget, seed=d + n_agents)
 
 
 def flat_window(d, lam):
