@@ -69,7 +69,10 @@ def pairwise_kernel(sigma: float, positions: np.ndarray, others: np.ndarray | No
     others = positions if others is None else others
     diff = positions[:, None, :] - others[None, :, :]
     sqdist = np.einsum("ijk,ijk->ij", diff, diff)
-    kmat = np.exp(-sqdist / (2.0 * sigma**2))
+    # the quotient overflows to -inf only far beyond the 38.6 sigma at which
+    # exp already rounds to 0.0, so exp(-inf) = 0.0 is exact there
+    with np.errstate(over="ignore"):
+        kmat = np.exp(-sqdist / (2.0 * sigma**2))
     return kmat, diff, sqdist
 
 
@@ -123,31 +126,30 @@ def near_pairs(sigma: float, points: np.ndarray):
     return np.nonzero(near & near.T)
 
 
-def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """The particles cut into tiles, the pairs of tiles whose kernel block
-    can hold a nonzero entry, and the particles whose kernel row is e_i.
+def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list]:
+    """The particles that can interact, cut into tiles, and the pairs of
+    tiles whose kernel block can hold a nonzero entry.
 
-    Returns (tiles, pairs, lone). The particles are sorted on coordinate 0;
-    lone, in ascending order, holds each one whose two neighbours in that
-    order both lie more than WINDOW sigma away, so that k(x_i, x_j) is
-    exactly 0.0 for every j != i. The rest are cut into tiles of TILE, each
-    an index array in ascending order; pairs lists (a, b), a < b, for each
-    two tiles whose coordinate-0 ranges come within WINDOW sigma. Every
-    block left out is exactly zero: k underflows to 0.0 once ||x - y||
-    exceeds about 38.6 sigma (sigma^2 is normal, see check_sigma), and a
-    coordinate-0 gap is a lower bound on every distance across it. With at
-    most TILE particles the one tile is slice(0, N) and lone is empty, so
-    the kernel is computed on views, as one dense N x N block.
+    Returns (tiles, pairs). The particles are sorted on coordinate 0; one
+    whose two neighbours in that order both lie more than WINDOW sigma away
+    is lone, with k(x_i, x_j) exactly 0.0 for every j != i, and is in no
+    tile. The rest are cut into tiles of TILE, each an index array in
+    ascending order; pairs lists (a, b), a < b, for each two tiles whose
+    coordinate-0 ranges come within WINDOW sigma. Every block left out is
+    exactly zero: k underflows to 0.0 once ||x - y|| exceeds about 38.6
+    sigma (sigma^2 is normal, see check_sigma), and a coordinate-0 gap is a
+    lower bound on every distance across it. With at most TILE particles
+    the one tile is slice(0, N), so the kernel is computed on views, as one
+    dense N x N block.
     """
     n = positions.shape[0]
     if n <= TILE:
-        return [slice(0, n)], [], np.empty(0, dtype=np.intp)
+        return [slice(0, n)], []
     order = np.argsort(positions[:, 0], kind="stable")
     x0 = positions[order, 0]
     reach = WINDOW * sigma
     apart = np.diff(x0) > reach  # the exact gap; particles further out lie further
     alone = np.r_[True, apart] & np.r_[apart, True]
-    lone = np.sort(order[alone])
     order, x0 = order[~alone], x0[~alone]
     starts = range(0, order.size, TILE)
     tiles = [np.sort(order[s:s + TILE]) for s in starts]
@@ -159,7 +161,7 @@ def kernel_tiles(sigma: float, positions: np.ndarray) -> tuple[list, list, np.nd
             if lows[b] - high > reach:  # the exact gap; later tiles lie further
                 break
             pairs.append((a, b))
-    return tiles, pairs, lone
+    return tiles, pairs
 
 
 def ksd_from_parts(

@@ -56,38 +56,38 @@ def _forces(
     summed over the nonzero kernel values only: the one part of the KSD
     that the direction does not hold (see ksd_from_parts).
 
-    The sums run over the kernel blocks of kernel_tiles: each tile with
-    itself first, then each pair of tiles, added into both of its sides. A
-    lone particle's kernel row is e_i, so it gets attraction s(x_i) / N and
-    repulsion exactly 0, the bits an identity row of a block gives, and
-    adds d / sigma^2 to T; no block is made for it.
+    The direction starts as the identity kernel gives it: attraction
+    s(x_i) / N and repulsion +0.0 in every row, and T sigma^2 = N d from
+    the diagonal. A particle in no tile of kernel_tiles keeps those rows,
+    since its kernel row is e_i. Each tile that builds a block then
+    overwrites its own rows and adds its off-diagonal Stein terms to T, and
+    each pair of tiles adds its block into both of its sides.
 
     Each tile's path is fixed before any block is built, with sigma a width
     check_sigma accepts. A tile of at least PROOF_MIN particles first asks
     near_pairs which of its pairs one Gram product cannot prove apart. With
-    none the tile is the identity and makes no block (in a 10-d run at the
-    default bandwidth, the one tile of 100 particles, on every iteration). With
-    fewer near pairs, counted in both orders, than particles, only those
-    pairs get differences, squared distances and kernel values: the tile's
-    kernel is the identity with them scattered in, which is the dense block
-    bit for bit, since every other entry is exactly 0.0; its repulsion adds
-    k(x_i, x_j) (x_i - x_j) over them with np.add.at, row by row in j
-    order, as the dense einsum adds the same products (zeros aside) when
-    d > 1. In one dimension that einsum sums along j in its own order, so a
-    1-d tile makes the dense block, as does a tile with no proof, under
-    PROOF_MIN, or with more near pairs (particles bunched together, where
-    the dense block costs less), even an identity one: its rows give the
-    lone bits but for the sign of a zero attraction, which the repulsion's
-    +0.0 clears from the direction and the KSD.
-    Either way a tile adds d per particle for its diagonal, then its
-    nonzero off-diagonal terms in row-major order, so T has the same bits
-    whichever path a tile takes.
+    none the tile is the identity and keeps the rows it starts with (in a
+    10-d run at the default bandwidth, the one tile of 100 particles, on
+    every iteration). With fewer near pairs, counted in both orders, than
+    particles, only those pairs get differences, squared distances and
+    kernel values: the tile's kernel is the identity with them scattered
+    in, which is the dense block bit for bit, since every other entry is
+    exactly 0.0; its pull sum_j k(x_i, x_j) (x_i - x_j) adds the pairs with
+    np.add.at, row by row in j order, as the dense einsum adds the same
+    products (zeros aside) when d > 1. In one dimension that einsum sums
+    along j in its own order, so a 1-d tile makes the dense block, as does
+    a tile with no proof, under PROOF_MIN, or with more near pairs
+    (particles bunched together, where the dense block costs less), even
+    an identity one: its rows give the identity's bits but for the sign of
+    a zero attraction, which the repulsion's +0.0 clears from the direction
+    and the KSD. Either way a tile adds its nonzero off-diagonal terms in
+    row-major order, so T has the same bits whichever path a tile takes.
     """
     n, d = positions.shape
     scores = score(target, positions, counter)
-    tiles, pairs, lone = kernel_tiles(sigma, positions)
-    attraction, repulsion = np.empty_like(scores), np.empty_like(scores)
-    total = 0.0  # T sigma^2
+    tiles, pairs = kernel_tiles(sigma, positions)
+    attraction, repulsion = scores / n, np.zeros_like(scores)
+    total = n * d  # T sigma^2
 
     def stein_sum(kvals, sqdist) -> float:
         # k (d - r^2 / sigma^2) where k is nonzero: a k of 0.0 adds nothing,
@@ -97,17 +97,11 @@ def _forces(
         live = kvals != 0
         return np.sum(kvals[live] * (d - sqdist[live] / sigma**2))
 
-    def identity_rows(rows, count) -> int:
-        attraction[rows] = scores[rows] / n
-        repulsion[rows] = 0.0
-        return count * d
-
     for tile in tiles:
         points = positions[tile]
         m = len(points)
         near = near_pairs(sigma, points) if m >= PROOF_MIN else None
         if near is not None and not near[0].size:
-            total += identity_rows(tile, m)
             continue
         if near is not None and near[0].size < m and d > 1:
             i, j = near
@@ -118,16 +112,14 @@ def _forces(
             kmat[i, j] = kvals
             pull = np.zeros_like(points)
             np.add.at(pull, i, kvals[:, None] * diff)
-            attraction[tile] = kmat @ scores[tile] / n
-            repulsion[tile] = pull / sigma**2 / n
-            total += m * d + stein_sum(kvals, sqdist)
-            continue
-        kmat, diff, sqdist = pairwise_kernel(sigma, points)
+        else:
+            kmat, diff, sqdist = pairwise_kernel(sigma, points)
+            pull = np.einsum("ij,ijd->id", kmat, diff)
+            # off the diagonal, where a finite point's own k is exactly 1
+            kvals = kmat - np.eye(m) if trace else None
         attraction[tile] = kmat @ scores[tile] / n
-        repulsion[tile] = np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
-        if trace:
-            np.fill_diagonal(kmat, 0.0)  # its entries add m * d
-        total += m * d + stein_sum(kmat, sqdist)
+        repulsion[tile] = pull / sigma**2 / n
+        total += stein_sum(kvals, sqdist)
     for a, b in pairs:
         rows, cols = tiles[a], tiles[b]
         kmat, diff, sqdist = pairwise_kernel(sigma, positions[rows], positions[cols])
@@ -136,8 +128,6 @@ def _forces(
         repulsion[rows] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
         repulsion[cols] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
         total += 2.0 * stein_sum(kmat, sqdist)
-    if lone.size:
-        total += identity_rows(lone, lone.size)
     return scores, attraction, repulsion, float(total) / sigma**2 if trace else None
 
 

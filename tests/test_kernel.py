@@ -1,5 +1,6 @@
 """RBF kernel, tiled kernel blocks and bandwidth rule tests."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -166,17 +167,18 @@ class TestSigmaDomain:
             SbsConfig(sigma=sigma)
         assert err.value.field == "sigma"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [10, 100])  # below and above PROOF_MIN
     @pytest.mark.parametrize("sigma", [SIGMA_MIN, SIGMA_MAX])
     def test_runs_at_either_end(self, sigma, n):
         # at SIGMA_MIN the kernel is the identity, at SIGMA_MAX all ones;
-        # one ulp further out is refused
+        # one ulp further out is refused. At SIGMA_MIN -x / sigma**2
+        # overflows to -inf, silently: exp(-inf) = 0.0 is exact
         beyond = np.nextafter(sigma, 0.0 if sigma == SIGMA_MIN else np.inf)
         with pytest.raises(ConfigError, match="sigma"):
             SbsConfig(n_particles=n, sigma=float(beyond))
         cfg = SbsConfig(n_particles=n, sigma=sigma, max_iterations=5)
-        with np.errstate(over="ignore"):  # -x / sigma**2 at SIGMA_MIN: exp(-inf) = 0.0
-            r = sbs_run(make_benchmark("ackley", 2), cfg, 10**4, 0)
+        r = sbs_run(make_benchmark("ackley", 2), cfg, 10**4, 0)
         assert r.iterations_done == 5 and np.isfinite(r.best_f)
 
     @pytest.mark.parametrize("sigma", OUTSIDE)
@@ -266,15 +268,23 @@ def spread(n, sigma):
     return np.stack([x0, np.zeros(n)], axis=1)
 
 
+def in_no_tile(sigma, pts):
+    """The lone particles, in ascending order: those in no tile that
+    kernel_tiles lists, whose kernel row must be e_i."""
+    alone = np.ones(pts.shape[0], dtype=bool)
+    for tile in kernel_tiles(sigma, pts)[0]:
+        alone[tile] = False
+    return np.flatnonzero(alone)
+
+
 def outside_the_tiles(sigma, pts):
     """The dense kernel's entries in no block that kernel_tiles lists, nor
-    on the diagonal of a lone particle."""
+    on the diagonal, where a lone particle's k is 1."""
     n = pts.shape[0]
-    tiles, pairs, lone = kernel_tiles(sigma, pts)
-    covered = np.zeros((n, n), dtype=bool)
+    tiles, pairs = kernel_tiles(sigma, pts)
+    covered = np.eye(n, dtype=bool)
     for rows, cols in [(t, t) for t in tiles] + [(tiles[a], tiles[b]) for a, b in pairs]:
         covered[np.ix_(rows, cols)] = covered[np.ix_(cols, rows)] = True
-    covered[lone, lone] = True
     return pairwise_kernel(sigma, pts)[0][~covered]
 
 
@@ -334,20 +344,19 @@ class TestTiledKernel:
         sigma = 1e-3
         for points in (clustered, scattered):
             pts = points(np.random.default_rng(7), n, sigma)
-            tiles, pairs, lone = kernel_tiles(sigma, pts)
-            everyone = np.concatenate(tiles + [lone])
-            np.testing.assert_array_equal(np.sort(everyone), np.arange(n))
+            tiles, pairs = kernel_tiles(sigma, pts)
+            tiled = np.concatenate(tiles)
+            assert np.unique(tiled).size == tiled.size  # no particle in two tiles
             assert all(len(t) <= TILE and np.all(np.diff(t) > 0) for t in tiles)
-            assert np.all(np.diff(lone) > 0)
             assert all(a < b for a, b in pairs)
             if n > 2 * TILE:  # some pairs of tiles are left out
                 assert len(pairs) < len(tiles) * (len(tiles) - 1) // 2
             assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_one_tile_is_a_view(self):
-        # even particles far apart stay in the one tile: no lone set
-        tiles, pairs, lone = kernel_tiles(1e-3, spread(TILE, 1e-3))
-        assert tiles == [slice(0, TILE)] and pairs == [] and lone.size == 0
+        # even particles far apart stay in the one tile: none is lone
+        tiles, pairs = kernel_tiles(1e-3, spread(TILE, 1e-3))
+        assert tiles == [slice(0, TILE)] and pairs == []
 
     def test_a_neighbour_at_exactly_the_window_stays_tiled(self):
         # sigma and WINDOW sigma are exact in binary, as is 1 + WINDOW sigma
@@ -355,35 +364,37 @@ class TestTiledKernel:
         pts = spread(TILE + 1, sigma)
         pts[TILE, 0] = pts[TILE - 1, 0] + WINDOW * sigma
         assert pts[TILE, 0] - pts[TILE - 1, 0] == WINDOW * sigma
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        tiles, pairs = kernel_tiles(sigma, pts)
         assert [list(t) for t in tiles] == [[TILE - 1, TILE]] and pairs == []
-        np.testing.assert_array_equal(lone, np.arange(TILE - 1))
+        np.testing.assert_array_equal(in_no_tile(sigma, pts), np.arange(TILE - 1))
         pts[TILE, 0] = np.nextafter(pts[TILE, 0], np.inf)  # one ulp beyond
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
-        assert tiles == [] and pairs == []
-        np.testing.assert_array_equal(lone, np.arange(TILE + 1))
+        assert kernel_tiles(sigma, pts) == ([], [])
+        np.testing.assert_array_equal(in_no_tile(sigma, pts), np.arange(TILE + 1))
 
     @pytest.mark.parametrize("sigma", [HYBRID_SIGMA, 1e-3])
     def test_coincident_particles_are_never_lone(self, sigma):
         pts = spread(TILE + 3, sigma)
         pts[[5, 9]] = pts[7]  # three at one point, the rest spread out
         pts[TILE + 2] = pts[TILE + 1]  # and two at the far end
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
+        tiles, pairs = kernel_tiles(sigma, pts)
         assert [list(t) for t in tiles] == [[5, 7, 9, TILE + 1, TILE + 2]]
+        lone = in_no_tile(sigma, pts)
         assert lone.size == TILE - 2 and not {5, 7, 9, TILE + 1, TILE + 2} & set(lone)
         assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_every_particle_lone_gets_its_own_score(self):
-        # beyond one tile with no near pair: each kernel row is e_i
+        # beyond one tile with no near pair: each kernel row is e_i, and the
+        # direction keeps the rows it starts with, bytes and signs alike
         n = TILE + 44
         sigma = 1.0 / n**2
         pts = spread(n, sigma)
-        assert kernel_tiles(sigma, pts)[2].size == n
+        assert kernel_tiles(sigma, pts) == ([], [])
+        assert in_no_tile(sigma, pts).size == n
         target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
         _, attraction, repulsion, _ = _forces(pts, target, sigma, EvalCounter())
         scores = score(target, pts, EvalCounter())
-        np.testing.assert_array_equal(attraction, scores / n)
-        assert np.all(repulsion == 0.0)
+        assert attraction.tobytes() == (scores / n).tobytes()
+        assert repulsion.tobytes() == np.zeros((n, 2)).tobytes()  # +0.0
         assert ksd(pts, target, sigma, EvalCounter()) == pytest.approx(
             dense_parts(sigma, pts, scores)[2], rel=1e-14)
 
@@ -418,7 +429,8 @@ class TestTiledKernel:
         for gap in (38, 41):
             pts[TILE, 0] = gap * sigma
             kval = pairwise_kernel(sigma, pts[TILE - 1:])[0][0, 1]
-            tiles, pairs, lone = kernel_tiles(sigma, pts)
+            tiles, pairs = kernel_tiles(sigma, pts)
+            lone = in_no_tile(sigma, pts)
             if gap < WINDOW:
                 assert 0.0 < kval < np.finfo(float).tiny
                 assert [list(t) for t in tiles] == [[TILE - 1, TILE]] and pairs == []
@@ -426,8 +438,7 @@ class TestTiledKernel:
             else:
                 assert kval == 0.0 and tiles == [] and pairs == []
                 np.testing.assert_array_equal(lone, np.arange(TILE + 1))
-            with np.errstate(over="ignore"):  # far pairs: exp(-inf) = 0
-                assert np.all(outside_the_tiles(sigma, pts) == 0.0)
+            assert np.all(outside_the_tiles(sigma, pts) == 0.0)
 
     def test_run_ksd_matches_ksd_of_the_entering_state(self):
         obj = make_benchmark("ackley", 2)
@@ -438,7 +449,8 @@ class TestTiledKernel:
             r = sbs_run(obj, cfg, 10**6, 2, collect_diagnostics=True, track_ksd=True,
                         log_every=1)
             entering = r.trajectory.snapshots[0].positions
-            tiles, pairs, lone = kernel_tiles(sigma, entering)
+            pairs = kernel_tiles(sigma, entering)[1]
+            lone = in_no_tile(sigma, entering)
             assert (lone.size > n // 4 and len(pairs) == 2) == (sigma < 0.05)
             target = BoltzmannTarget(obj, kappa=cfg.kappa)
             want = ksd(entering, target, sigma, EvalCounter())
@@ -454,8 +466,8 @@ class TestTiledKernel:
         sigma = 2e-4
         cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
         pts = sbs_run(obj, cfg, 10**6, 2, log_every=1).trajectory.snapshots[0].positions
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
-        assert len(tiles) == 3 and len(pairs) == 2 and lone.size > 0
+        tiles, pairs = kernel_tiles(sigma, pts)
+        assert len(tiles) == 3 and len(pairs) == 2 and in_no_tile(sigma, pts).size > 0
         proven = sum(len(t) >= PROOF_MIN and near_pairs(sigma, pts[t])[0].size == 0
                      for t in tiles)
         assert proven == 3  # each tile's block is the identity; the pairs' are not
@@ -529,6 +541,18 @@ def blocks_made(monkeypatch):
     return made
 
 
+def three_tiles(sigma):
+    """527 particles beyond one tile: coordinate 0 steps 10 sigma, so
+    neighbouring tiles pair up, while coordinate 1 keeps each particle over
+    40 sigma from the others; one pair in the middle tile is 10 sigma apart,
+    and five particles far out on coordinate 0 are lone."""
+    n = 2 * TILE + 10
+    steps = np.arange(n)
+    pts = np.stack([-2.0 + 10 * sigma * steps, -2.0 + 100 * sigma * (steps % 4)], 1)
+    pts[TILE + 5, 1] = pts[TILE + 6, 1]
+    return np.concatenate([pts, np.stack([3.0 + 0.1 * np.arange(5), np.zeros(5)], 1)])
+
+
 class TestIdentityBlock:
     """A tile whose block with itself is exactly the identity gives the lone
     particles' rows, proven or not: the direction keeps the dense bits, and
@@ -559,24 +583,39 @@ class TestIdentityBlock:
         assert r[7].any()
         assert stein == pytest.approx(dstein, rel=1e-14)
 
-    def test_is_identity_is_exact_on_tile_blocks(self):
+    def test_identity_tiles_beside_a_near_tile_and_lone_particles(self):
         sigma = 1e-4
-        # beyond one tile: coordinate 0 steps 10 sigma, so no particle is lone
-        # and neighbouring tiles pair up, while coordinate 1 keeps each
-        # particle over 40 sigma from the others; one pair in the middle tile
-        # is 10 sigma apart, and five particles far out on coordinate 0 are lone
-        n = 2 * TILE + 10
-        steps = np.arange(n)
-        pts = np.stack([-2.0 + 10 * sigma * steps, -2.0 + 100 * sigma * (steps % 4)], 1)
-        pts[TILE + 5, 1] = pts[TILE + 6, 1]
-        pts = np.concatenate([pts, np.stack([3.0 + 0.1 * np.arange(5), np.zeros(5)], 1)])
-        tiles, pairs, lone = kernel_tiles(sigma, pts)
-        assert len(tiles) == 3 and pairs == [(0, 1), (1, 2)] and lone.size == 5
+        pts = three_tiles(sigma)
+        tiles, pairs = kernel_tiles(sigma, pts)
+        assert len(tiles) == 3 and pairs == [(0, 1), (1, 2)]
+        assert in_no_tile(sigma, pts).size == 5
         blocks = [pairwise_kernel(sigma, pts[t])[0] for t in tiles]
         assert [np.array_equal(k, np.eye(len(k))) for k in blocks] == [True, False, True]
         (a, r, stein), (da, dr, dstein, _) = tiled_and_dense(sigma, pts)
         assert max_normalised(a, da) <= 1e-14 and max_normalised(r, dr) <= 1e-14
         assert stein == pytest.approx(dstein, rel=1e-14)
+
+    @pytest.mark.parametrize("case, want", [
+        ("three tiles", "fa320a9c03d1ca2871c3333f50d67279ab693da8dbe25f9d6891064e57ed43b7"),
+        ("ackley 768", "73b8ceb09dbfe9b5f4a698b2b7f998b76f478a9279ef77e4a666e0c0f6f5849d"),
+    ])
+    def test_direction_bytes_beyond_one_tile(self, case, want):
+        # the sha256 of _forces' attraction and repulsion bytes where tiles,
+        # pairs of tiles, identity tiles and lone particles meet. Like the
+        # golden rows, these digests pin OpenBLAS's summation lanes, not
+        # just the algebra: another BLAS may round the block products apart
+        obj = make_benchmark("ackley", 2)
+        if case == "three tiles":
+            sigma, kappa = 1e-4, 10.0
+            pts = three_tiles(sigma)
+        else:  # the entering particles of CI's 768-particle run, seed 0
+            sigma = 2e-4
+            cfg = SbsConfig(n_particles=3 * TILE, sigma=sigma, max_iterations=1)
+            pts = sbs_run(obj, cfg, 10_000, 0, log_every=1).trajectory.snapshots[0].positions
+            kappa = cfg.kappa
+        target = BoltzmannTarget(obj, kappa=kappa)
+        _, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        assert hashlib.sha256(a.tobytes() + r.tobytes()).hexdigest() == want
 
     @pytest.mark.parametrize("near", [False, True])
     def test_a_non_finite_score_raises_on_both_paths(self, near):
@@ -604,8 +643,7 @@ class TestIdentityBlock:
         assert counter.count == 0
         with pytest.raises(ConfigError, match="sigma"):
             SbsConfig(sigma=sigma)
-        with np.errstate(over="ignore"):  # -x / sigma**2: exp(-inf) = 0.0
-            assert np.array_equal(pairwise_kernel(SIGMA_MIN, isolated())[0], np.eye(100))
+        assert np.array_equal(pairwise_kernel(SIGMA_MIN, isolated())[0], np.eye(100))
         scores, a, r, _ = _forces(isolated(), target, SIGMA_MIN, EvalCounter())
         np.testing.assert_array_equal(a, scores / 100)
         assert np.all(r == 0.0)
@@ -686,8 +724,7 @@ class TestProvenApart:
         elif defect == "inf":
             pts[rng.integers(n), rng.integers(d)] = -np.inf
         near = near_pairs(sigma, pts)
-        # the smallest widths overflow -x / sigma**2; inf - inf gives NaN
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # inf - inf gives NaN
             kmat = pairwise_kernel(sigma, pts)[0]
         if near is not None:
             i, j = near
