@@ -111,6 +111,8 @@ class IterationRecord:
     min_f skips NaN values (it is NaN only when every value is); ksd, when
     tracked, is measured on the state entering it: it is ksd_from_parts of
     that iteration's direction, equal to svgd.ksd of the entering state.
+    best_so_far is the lowest value the run has scored so far, its start
+    included, on or off budget.
     """
 
     iteration: int

@@ -1,4 +1,6 @@
-"""The SBS entry point, and the warm start of its hybrid runs from CMA-ES or WOA.
+"""The SBS entry point, and the two starts of its one particle loop: N
+uniform draws, which need the (2d + 1)N evaluations of one iteration, or
+the warm start of a hybrid run from CMA-ES or WOA.
 
 The init phase spends a slice of the budget on CMA-ES and a fixed WOA
 schedule, then seeds the particles from whichever did better: N samples
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetTooSmall, ConfigError
-from ..objective import EvalCounter, Objective, project_to_box
+from ..objective import EvalCounter, Objective, project_to_box, uniform_sample
 from .base import RunResult, check_number, derive_seed, split_streams
 from .cmaes import CmaesParams, cmaes_run, default_popsize, sample_gaussian
 from .sbs import SbsConfig, _run_engine
@@ -113,9 +115,11 @@ def sbs_run(
     cover the next iteration; the answer is the best final particle (NaN
     values skipped, ties to the lowest index). cfg.filter permanently
     removes particles of high f-value and low displacement from its
-    start_iteration on. cfg.hybrid first picks the starting particles by
-    the init phase above, which checks its own cost, and whose incumbent
-    stays the answer unless a final particle is strictly better.
+    start_iteration on. A plain start draws cfg.n_particles uniform
+    particles and raises BudgetTooSmall below one iteration's (2d + 1)N
+    evaluations. cfg.hybrid instead picks them by the init phase above,
+    whose incumbent stays the answer unless a final particle is strictly
+    better; it checks only its own cost, so it may run zero iterations.
     Diagnostics and a trajectory snapshot every log_every iterations are
     off-budget instrumentation. The KSD costs no evaluation: each iteration
     assembles it from the parts of its own direction, with one more sum
@@ -123,7 +127,15 @@ def sbs_run(
     records, so track_ksd does nothing without collect_diagnostics.
     """
     counter = EvalCounter()
-    start = None if cfg.hybrid is None else _hybrid_init_full(obj, cfg, budget, seed, counter)
-    return _run_engine(obj, cfg, budget, seed, counter, start,
+    if cfg.hybrid is not None:
+        positions, best_x, best_f = _hybrid_init_full(obj, cfg, budget, seed, counter)
+    else:
+        d, n = obj.domain.d, cfg.n_particles
+        if budget < (2 * d + 1) * n:
+            raise BudgetTooSmall(f"budget {budget} cannot cover one iteration "
+                                 f"((2 * {d} + 1) * {n} evaluations)")
+        positions = uniform_sample(obj.domain, n, split_streams(seed, 1)[0])
+        best_x, best_f = positions[0].copy(), np.inf
+    return _run_engine(obj, cfg, budget, counter, positions, best_x, best_f,
                        collect_diagnostics=collect_diagnostics, track_ksd=track_ksd,
                        log_every=log_every, benchmark=benchmark)

@@ -1,5 +1,5 @@
 """Particle runs: the SBS configuration and its budget-accounted SVGD loop,
-with optional filtering.
+with optional filtering, from the start that sbs_run (hybrid.py) builds.
 
 Budget convention: every objective evaluation counts, including the 2d
 finite-difference probes behind each particle's score. One iteration of N
@@ -23,12 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..boltzmann import DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, BoltzmannTarget, ksd_from_parts
-from ..errors import BudgetExceeded, BudgetTooSmall, ConfigError, ShapeMismatch
-from ..objective import EvalCounter, Objective, evaluate, uniform_sample
+from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
+from ..objective import EvalCounter, Objective, evaluate
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import (IterationRecord, RunResult, check_number, improve_incumbent,
-                   split_streams)
+from .base import IterationRecord, RunResult, check_number, improve_incumbent
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
@@ -42,7 +41,7 @@ class FilterConfig:
 
     A particle is removed when its f-value is above the q-th percentile AND
     its last displacement is below the p-th percentile (both strict). When
-    min_particles is None it resolves to max(5, N // 20) at run start. At or
+    min_particles is None, SbsConfig resolves it to max(5, N // 20). At or
     below min_particles live particles the rule cannot remove one (the floor
     keeps the best min_particles, which is all of them), so the run does not
     apply it; its N evaluations per iteration are still made and charged.
@@ -103,6 +102,9 @@ class SbsConfig:
         if self.n_particles is None:
             object.__setattr__(self, "n_particles", 100 if self.hybrid is None else 50)
         check_number(self, "n_particles", int, positive=True)
+        if self.filter is not None and self.filter.min_particles is None:
+            object.__setattr__(self, "filter", replace(
+                self.filter, min_particles=max(5, self.n_particles // 20)))
         check_number(self, "kappa", float, positive=True)
         check_number(self, "step_size", float, positive=True)
         check_number(self, "sigma", float, optional=True)
@@ -171,9 +173,10 @@ def _run_engine(
     obj: Objective,
     cfg: SbsConfig,
     budget: int,
-    seed: int,
     counter: EvalCounter,
-    start: tuple[np.ndarray, np.ndarray, float] | None,
+    positions: np.ndarray,
+    best_x: np.ndarray,
+    best_f: float,
     *,
     collect_diagnostics: bool = False,
     track_ksd: bool = False,
@@ -182,41 +185,25 @@ def _run_engine(
 ) -> RunResult:
     """The particle run loop of every SBS configuration.
 
-    start is None for a plain start from cfg.n_particles uniform draws, or
-    a warm start's (positions, incumbent_x, incumbent_f), whose positions'
-    row count replaces cfg.n_particles; counter already holds what was spent
-    to find it. The answer is improve_incumbent over the final particles,
-    from the warm start's incumbent or else from (first final particle,
-    inf). A warm start has paid for its init phase, so only a plain start
-    raises BudgetTooSmall when the budget cannot cover one iteration; a
-    warm start that leaves too little budget to score its particles runs
-    zero iterations and answers its incumbent.
+    It moves the starting positions, whose row count replaces
+    cfg.n_particles, from the incumbent (best_x, best_f); counter already
+    holds what was spent to find them. An iteration runs while its (2d + 1)N
+    evaluations fit and cfg.max_iterations is not reached, so a start that
+    leaves too little budget runs zero iterations. The answer is
+    improve_incumbent over the final particles, from the incumbent.
     """
     domain = obj.domain
     d = domain.d
-
-    if start is not None:
-        positions = np.atleast_2d(np.asarray(start[0], dtype=float)).copy()
-    else:
-        rng = split_streams(seed, 1)[0]
-        positions = uniform_sample(domain, cfg.n_particles, rng)
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_particles = positions.shape[0]
-    if start is None and budget - counter.count < 2 * d * n_particles:
-        raise BudgetTooSmall(
-            f"budget {budget} cannot cover one iteration "
-            f"(2 * {d} * {n_particles} evaluations)"
-        )
 
     target = BoltzmannTarget(objective=obj, kappa=cfg.kappa, fd_step=cfg.fd_step)
     adam = AdamState.fresh(n_particles, d)
-    fcfg = cfg.filter
-    if fcfg is not None and fcfg.min_particles is None:
-        fcfg = replace(fcfg, min_particles=max(5, n_particles // 20))
     original_ids = np.arange(n_particles)
     last_f: np.ndarray | None = None
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    best_so_far = np.inf
+    best_so_far = best_f
     instrument = EvalCounter()  # instrumentation only: not the run budget
 
     log: TrajectoryLog | None = None
@@ -232,10 +219,8 @@ def _run_engine(
             fd_step=cfg.fd_step,
         )
 
-    def snapshot(iteration: int, f_vals: np.ndarray | None) -> None:
+    def snapshot(iteration: int, f_vals: np.ndarray) -> None:
         # sigma is the bandwidth the next iteration uses on these particles
-        if f_vals is None:
-            f_vals = evaluate(obj, positions, instrument)
         log.append(
             TrajectorySnapshot(
                 iteration=iteration,
@@ -247,20 +232,20 @@ def _run_engine(
         )
 
     if log is not None:
-        snapshot(0, None)
+        snapshot(0, evaluate(obj, positions, instrument))
 
     track_ksd = track_ksd and records is not None  # the KSD only goes into records
 
-    iteration = 0
-    seen_f: np.ndarray | None = None  # the live particles' f-values, when known
-    while True:
-        n_live = positions.shape[0]
-        will_filter = fcfg is not None and (iteration + 1) >= fcfg.start_iteration
-        if counter.count + (2 * d + 1) * n_live > budget:
-            break
-        if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
-            break
+    def running() -> bool:
+        """The one stop test: another iteration's (2d + 1)N evaluations fit
+        and max_iterations is not reached."""
+        return (counter.count + (2 * d + 1) * positions.shape[0] <= budget
+                and (cfg.max_iterations is None or iteration < cfg.max_iterations))
 
+    iteration = 0
+    more = running()
+    while more:
+        n_live = positions.shape[0]
         sigma = cfg.bandwidth(n_live)
         prev_positions = positions
         positions, parts = _iterate_with_parts(
@@ -270,19 +255,21 @@ def _run_engine(
         iteration += 1
 
         last_f = None
-        if will_filter:
+        if cfg.filter is not None and iteration >= cfg.filter.start_iteration:
             last_f = evaluate(obj, positions, counter)
-        # at or below its floor the filter keeps every particle, so it is not run
-        if will_filter and n_live > fcfg.min_particles:
-            keep = pf_filter(positions, prev_positions, last_f, fcfg)
-            if keep.size < n_live:
-                positions = positions[keep]
-                adam.keep(keep)
-                original_ids = original_ids[keep]
-                last_f = last_f[keep]
+            # at or below its floor the filter keeps every particle, so it is not run
+            if n_live > cfg.filter.min_particles:
+                keep = pf_filter(positions, prev_positions, last_f, cfg.filter)
+                if keep.size < n_live:
+                    positions = positions[keep]
+                    adam.keep(keep)
+                    original_ids = original_ids[keep]
+                    last_f = last_f[keep]
 
-        # one off-budget pass at most, shared by the record and the snapshot
-        logged = log is not None and iteration % log_every == 0
+        more = running()
+        # one off-budget pass at most, shared by the record and the snapshot;
+        # the iteration that ends the run is always logged
+        logged = log is not None and (iteration % log_every == 0 or not more)
         seen_f = last_f
         if seen_f is None and (records is not None or logged):
             seen_f = evaluate(obj, positions, instrument)
@@ -296,15 +283,11 @@ def _run_engine(
         if logged:
             snapshot(iteration, seen_f)
 
-    if log is not None and log.snapshots[-1].iteration != iteration:
-        snapshot(iteration, seen_f)
-
     if last_f is None:
         if budget - counter.count >= positions.shape[0]:
             last_f = evaluate(obj, positions, counter)
         else:
             last_f = np.full(positions.shape[0], np.inf)
-    best_x, best_f = (positions[0].copy(), np.inf) if start is None else start[1:]
     best_x, best_f = improve_incumbent(positions, last_f, best_x, best_f)
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
@@ -317,4 +300,3 @@ def _run_engine(
         diagnostics=records,
         trajectory=log,
     )
-

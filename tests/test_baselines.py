@@ -26,6 +26,8 @@ from sbsopt import (
     make_objective,
     run_method,
     sbs_run,
+    split_streams,
+    uniform_sample,
     woa_run,
 )
 from sbsopt.cli import main
@@ -721,6 +723,21 @@ class TestNonFiniteValues:
         # the record skips NaN too
         assert r.diagnostics[-1].min_f == r.diagnostics[-1].best_so_far == r.best_f
 
+    def test_sbs_answer_when_every_final_value_is_nan(self):
+        # one iteration's 2dN = 20 probes are finite, every later value is
+        # NaN: the answer is the incumbent, the first starting particle at inf
+        calls = [0]
+
+        def late_nan(x):
+            calls[0] += 1
+            return math.nan if calls[0] > 20 else float(x @ x)
+
+        obj = make_objective("late-nan", [-1.0, -1.0], [1.0, 1.0], late_nan)
+        r = sbs_run(obj, SbsConfig(n_particles=5, max_iterations=1), 1000, seed=0)
+        assert r.iterations_done == 1 and r.best_f == math.inf
+        first = uniform_sample(obj.domain, 5, split_streams(0, 1)[0])[0]
+        assert r.best_x.tobytes() == first.tobytes()
+
     def test_langevin_raises_at_a_nan_probe(self):
         with pytest.raises(NonFiniteValue):
             run_method("langevin", half_nan_objective(), 3000, 0)
@@ -969,7 +986,7 @@ class TestBudgetInvariant:
         elif method == "langevin":
             cost = 2 * d
         elif method.startswith("sbs"):
-            cost = 2 * d * n
+            cost = (2 * d + 1) * n
         else:
             cost = n
         obj = make_benchmark("rastrigin", d)

@@ -14,6 +14,7 @@ from sbsopt import (
     make_benchmark,
     make_objective,
     pf_filter,
+    run_method,
     sbs_run,
 )
 from sbsopt.objective import EvalCounter
@@ -27,6 +28,13 @@ class TestFilterConfig:
         assert cfg.p_move_percentile == 25.0
         assert cfg.start_iteration == 10
         assert cfg.min_particles is None
+
+    def test_sbs_config_resolves_the_floor(self):
+        # max(5, N // 20), from the resolved particle count
+        assert SbsConfig(filter=FilterConfig()).filter.min_particles == 5
+        assert SbsConfig(n_particles=300, filter=FilterConfig()).filter.min_particles == 15
+        explicit = SbsConfig(n_particles=300, filter=FilterConfig(min_particles=2))
+        assert explicit.filter.min_particles == 2
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -188,9 +196,11 @@ class TestBudgetAudit:
                 super().tick(n + 1)
 
         # d=2, N=5: three iterations reach 63 counted, the final argmin 69 > 68
+        obj = make_benchmark("sphere", 2)
+        start = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
         with pytest.raises(BudgetExceeded):
-            sbs_module._run_engine(make_benchmark("sphere", 2), SbsConfig(n_particles=5),
-                                   68, 0, OverCounting(), None)
+            sbs_module._run_engine(obj, SbsConfig(n_particles=5), 68, OverCounting(),
+                                   start, start[0], np.inf)
 
 
 class TestSbsRun:
@@ -266,10 +276,22 @@ class TestSbsRun:
     def test_explicit_init_positions(self):
         obj = make_benchmark("sphere", 2)
         init = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
-        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, 0, EvalCounter(),
-                                  (init, init[0], np.inf), collect_diagnostics=True)
+        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, EvalCounter(),
+                                  init, init[0], np.inf, collect_diagnostics=True)
         # n_particles is taken from the init array, not the argument
         assert r.diagnostics[0].live == 3
+
+    @pytest.mark.parametrize("method", ["sbs", "sbs-pf", "sbs-hybrid", "sbs-pf-hybrid"])
+    def test_last_record_covers_the_answer(self, method):
+        # best_so_far starts from the start's incumbent: here the warm start
+        # answers 6.5e-9, below every value its particles reach afterwards
+        params = {"n_particles": 10}
+        if "hybrid" in method:
+            params.update(cmaes_budget=500, woa_iterations=20)
+        r = run_method(method, make_benchmark("ackley", 2), 1500, 0, params,
+                       collect_diagnostics=True)
+        assert r.iterations_done > 0
+        assert r.diagnostics[-1].best_so_far <= r.best_f
 
     def test_max_iterations_caps_the_run(self):
         obj = make_benchmark("sphere", 2)
@@ -300,22 +322,31 @@ class TestInstrumentation:
         return make_objective("counted", [-1.0, -1.0], [1.0, 1.0], f), calls
 
     # d=2, N=5, budget 1000: 49 iterations of 20 evaluations, then 5 for the
-    # answer. Off budget: one pass per recorded or logged iteration, plus
-    # snapshot 0 when logging.
-    @pytest.mark.parametrize("diagnostics, log_every, offbudget", [
-        (False, 0, 0),
-        (True, 0, 5 * 49),
-        (False, 10, 5 * 6),  # snapshots 0, 10, 20, 30, 40 and the final 49
-        (True, 10, 5 * 50),
-        (True, 1, 5 * 50),
+    # answer, unless max_iterations stops the run first. Off budget: one pass
+    # per recorded or logged iteration, plus snapshot 0 when logging; the
+    # iteration that ends the run is always logged.
+    @pytest.mark.parametrize("diagnostics, log_every, offbudget, max_iterations", [
+        pytest.param(False, 0, 0, None, id="False-0-0"),
+        pytest.param(True, 0, 5 * 49, None, id="True-0-245"),
+        # snapshots 0, 10, 20, 30, 40 and the final 49
+        pytest.param(False, 10, 5 * 6, None, id="False-10-30"),
+        pytest.param(True, 10, 5 * 50, None, id="True-10-250"),
+        pytest.param(True, 1, 5 * 50, None, id="True-1-250"),
+        # snapshots 0, 10, 20 and the final 25
+        pytest.param(False, 10, 5 * 4, 25, id="False-10-20-max25"),
     ])
-    def test_one_offbudget_pass_per_iteration(self, diagnostics, log_every, offbudget):
+    def test_one_offbudget_pass_per_iteration(self, diagnostics, log_every, offbudget,
+                                              max_iterations):
         obj, calls = self.counted_objective()
-        r = sbs_run(obj, SbsConfig(n_particles=5), 1000, 3,
+        r = sbs_run(obj, SbsConfig(n_particles=5, max_iterations=max_iterations), 1000, 3,
                     collect_diagnostics=diagnostics, track_ksd=diagnostics,
                     log_every=log_every)
-        assert r.iterations_done == 49 and r.evals_used == 985
+        iterations = max_iterations or 49
+        assert r.iterations_done == iterations and r.evals_used == 20 * iterations + 5
         assert calls[0] - r.evals_used == offbudget
+        if log_every:
+            logged = [s.iteration for s in r.trajectory.snapshots]
+            assert logged == sorted({*range(0, iterations, log_every), iterations})
 
     def test_ksd_is_skipped_without_diagnostics(self, monkeypatch):
         # no KSD is assembled, and the direction is not asked for its trace

@@ -46,8 +46,8 @@ class TestParticleArrays:
     def test_coerces_1d_to_single_row(self):
         # a 1-d starting ensemble is one particle
         obj = make_benchmark("sphere", 3)
-        r = _run_engine(obj, SbsConfig(max_iterations=2), 1000, 0, EvalCounter(),
-                        (np.zeros(3), np.zeros(3), np.inf),
+        r = _run_engine(obj, SbsConfig(max_iterations=2), 1000, EvalCounter(),
+                        np.zeros(3), np.zeros(3), np.inf,
                         collect_diagnostics=True, log_every=1)
         assert r.trajectory.snapshots[0].positions.shape == (1, 3)
         assert [rec.live for rec in r.diagnostics] == [1, 1]
