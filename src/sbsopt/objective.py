@@ -5,8 +5,9 @@ known minima of the registry benchmarks live in the registry, which checks
 them in :func:`~sbsopt.benchmarks.make_benchmark`.
 
 Every optimizer in this package spends its budget through :func:`evaluate`
-and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the single
-source of truth for how many scalar function evaluations a run consumed.
+and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the run's
+ledger, the single source of truth for how many scalar function evaluations
+it consumed and for the best point they scored, which is the run's answer.
 
 Both take one point or a block of points, one per row, and count one
 evaluation per point either way. An evaluator whose ``vectorized``
@@ -16,6 +17,7 @@ call; any other callable is called once per row, in row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,12 +66,34 @@ class BoxDomain:
 
 @dataclass
 class EvalCounter:
-    """Counts scalar objective evaluations, one per evaluator call."""
+    """The ledger of a run: count is the scalar objective evaluations it
+    made, one per point scored, and (best_x, best_f) its incumbent.
+
+    record keeps the incumbent by one rule: the first row of a block with
+    the lowest value replaces it when strictly better, NaN never wins, and
+    an empty block changes nothing. While no value is below inf, best_x is
+    the first point recorded (None before any) and best_f is inf.
+    """
 
     count: int = 0
+    best_x: np.ndarray | None = None
+    best_f: float = math.inf
 
     def tick(self, n: int = 1) -> None:
         self.count += n
+
+    def record(self, points: np.ndarray, f: np.ndarray) -> None:
+        """Offer the rows of points (M, d), scored f (M,), to the incumbent."""
+        if f.size:
+            i = int(f.argmin())
+            low = float(f[i])
+            if math.isnan(low):  # argmin stops at the first NaN; look past them
+                i = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
+                low = float(f[i])
+            if low < self.best_f:
+                self.best_x, self.best_f = points[i].copy(), low
+            elif self.best_x is None:
+                self.best_x = points[0].copy()
 
 
 @dataclass(frozen=True)
@@ -87,7 +111,8 @@ class Objective:
 
 def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarray:
     """Evaluate f at a point (d,) -> float, or at each row of a block
-    (M, d) -> (M,), counting one evaluation per point.
+    (M, d) -> (M,), counting one evaluation per point and recording the
+    scored points on counter.
 
     Raises OutOfDomain, before counting anything, if any coordinate
     violates the (closed) bounds; callers are expected to project first.
@@ -98,11 +123,16 @@ def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarr
                           f"outside {obj.domain.lower}..{obj.domain.upper}")
     if x.ndim == 1:
         counter.tick()
-        return float(obj.evaluator(x))
+        f = float(obj.evaluator(x))
+        counter.record(x[None], np.array([f]))
+        return f
     counter.tick(len(x))
     if getattr(obj.evaluator, "vectorized", False):
-        return obj.evaluator(x)
-    return np.array([float(obj.evaluator(row)) for row in x], dtype=float)
+        f = obj.evaluator(x)
+    else:
+        f = np.array([float(obj.evaluator(row)) for row in x], dtype=float)
+    counter.record(x, f)
+    return f
 
 
 def _first_outside(domain: BoxDomain, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..objective import EvalCounter
 from ..trajectory import TrajectoryLog
 
 _SEED_BITS = 64
@@ -71,36 +72,14 @@ def population_iterations(budget: int, size: int, iterations: int | None) -> int
     return iterations if iterations is not None else budget // size - 1
 
 
-def improve_incumbent(points: np.ndarray, f: np.ndarray, best_x: np.ndarray,
-                      best_f: float) -> tuple[np.ndarray, float]:
-    """The incumbent after scoring points in row order: the first row with the
-    lowest value replaces it when strictly better. NaN values never win."""
-    if f.size:
-        i = int(f.argmin())
-        low = float(f[i])
-        if math.isnan(low):  # argmin stops at the first NaN; look past them
-            i = int(np.argmin(np.where(np.isnan(f), np.inf, f)))
-            low = float(f[i])
-        if low < best_f:
-            return points[i].copy(), low
-    return best_x, best_f
-
-
-def fold_block(result: RunResult, points: np.ndarray, f: np.ndarray,
-               live: int | None = None) -> None:
-    """Fold one scored block into a running result in place.
-
-    The incumbent moves by improve_incumbent's rule. Given live, the size
-    of the population the block scored, the block also ends an iteration:
-    iterations_done grows by one and, when diagnostics are collected, the
-    iteration's record is appended.
-    """
-    result.best_x, result.best_f = improve_incumbent(points, f, result.best_x, result.best_f)
-    if live is not None:
-        result.iterations_done += 1
-        if result.diagnostics is not None:
-            result.diagnostics.append(IterationRecord(
-                result.iterations_done, float(np.fmin.reduce(f)), result.best_f, live))
+def log_iteration(records: list[IterationRecord] | None, f: np.ndarray,
+                  counter: EvalCounter, live: int) -> None:
+    """Append, unless records is None, the record of an iteration that
+    scored f on counter over a population of live: numbered after the
+    records before it, with counter's best_f as its best_so_far."""
+    if records is not None:
+        records.append(IterationRecord(len(records) + 1, float(np.fmin.reduce(f)),
+                                       counter.best_f, live))
 
 
 @dataclass
@@ -112,7 +91,8 @@ class IterationRecord:
     tracked, is measured on the state entering it: it is ksd_from_parts of
     that iteration's direction, equal to svgd.ksd of the entering state.
     best_so_far is the lowest value the run has scored so far, its start
-    included, on or off budget.
+    included: the run's EvalCounter.best_f, or min_f when an off-budget pass
+    scored lower.
     """
 
     iteration: int
@@ -132,3 +112,12 @@ class RunResult:
     iterations_done: int
     diagnostics: list[IterationRecord] | None = None
     trajectory: TrajectoryLog | None = None
+
+    @classmethod
+    def from_counter(cls, counter: EvalCounter, iterations_done: int,
+                     diagnostics: list[IterationRecord] | None = None,
+                     trajectory: TrajectoryLog | None = None) -> RunResult:
+        """The result of a run that scored every point through counter: its
+        incumbent is the answer and its count evals_used."""
+        return cls(counter.best_x, counter.best_f, counter.count, iterations_done,
+                   diagnostics, trajectory)

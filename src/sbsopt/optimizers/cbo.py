@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, NonFiniteValue
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import RunResult, check_number, fold_block, population_iterations, split_streams
+from .base import RunResult, check_number, log_iteration, population_iterations, split_streams
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,19 @@ def cbo_run(
         raise BudgetTooSmall(
             f"budget {budget} below the initial population ({n_particles} evaluations)"
         )
-    iterations = population_iterations(budget, n_particles, params.iterations)
+    iterations = min(population_iterations(budget, n_particles, params.iterations),
+                     budget // n_particles - 1)
     counter = EvalCounter()
     domain = obj.domain
     d = domain.d
 
     rng_init, rng_noise = split_streams(seed, 2)
     positions = uniform_sample(domain, n_particles, rng_init)
-    result = RunResult(best_x=positions[0].copy(), best_f=np.inf, evals_used=0,
-                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
     fitness = evaluate(obj, positions, counter)
-    fold_block(result, positions, fitness)
+    records = [] if collect_diagnostics else None
 
     sqrt_dt = math.sqrt(params.dt)
-    for t in range(1, iterations + 1):
-        if counter.count + n_particles > budget:
-            break
+    for _ in range(iterations):
         v = consensus_point(positions, fitness, params.alpha)
         gaps = positions - v
         noise = rng_noise.standard_normal((n_particles, d))
@@ -99,7 +96,6 @@ def cbo_run(
                      + params.sigma_noise * scale * sqrt_dt * noise)
         positions = project_to_box(domain, positions)
         fitness = evaluate(obj, positions, counter)
-        fold_block(result, positions, fitness, n_particles)
+        log_iteration(records, fitness, counter, n_particles)
 
-    result.evals_used = counter.count
-    return result
+    return RunResult.from_counter(counter, iterations, records)

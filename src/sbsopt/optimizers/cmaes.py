@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
-from .base import RunResult, check_number, fold_block, split_streams
+from .base import RunResult, check_number, log_iteration, split_streams
 
 _RESAMPLE_TRIES = 100
 # the flat-value window is 10 + ceil(30 d / lambda) generations (Hansen, B.3)
@@ -169,13 +169,13 @@ def cmaes_run(
     ps = np.zeros(d)
     pc = np.zeros(d)
 
-    result = RunResult(best_x=mean.copy(), best_f=np.inf, evals_used=0, iterations_done=0,
-                       diagnostics=[] if collect_diagnostics else None)
+    records = [] if collect_diagnostics else None
+    generation = 0
     # generations in a row, this one included, whose best is last_low; a
     # NaN best (min propagates NaN) equals nothing, so it ends every streak
     last_low = math.nan
     flat = 0
-    stalled = 0  # generations in a row that did not lower result.best_f
+    stalled = 0  # generations in a row that did not lower counter.best_f
 
     while counter.count + lam <= budget:
         cov = (cov + cov.T) / 2.0
@@ -191,10 +191,11 @@ def cmaes_run(
             break
 
         offspring = _sample_offspring(mean, sigma, basis, scales, lam, domain, rng_sample)
+        incumbent = counter.best_f
         fitness = evaluate(obj, offspring, counter)
-        incumbent = result.best_f
-        fold_block(result, offspring, fitness, lam)
-        stalled = 0 if result.best_f < incumbent else stalled + 1
+        generation += 1
+        log_iteration(records, fitness, counter, lam)
+        stalled = 0 if counter.best_f < incumbent else stalled + 1
 
         order = np.argsort(fitness, kind="stable")[:mu]
         selected = offspring[order]
@@ -205,7 +206,7 @@ def cmaes_run(
         inv_sqrt = (basis * (1.0 / scales)) @ basis.T
         ps = (1.0 - cs) * ps + ps_gain * (inv_sqrt @ y_w)
         ps_norm = math.sqrt(ps @ ps)  # np.linalg.norm's own formula
-        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * result.iterations_done))
+        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * generation))
         hsig = 1.0 if ps_norm / correction < hsig_bound else 0.0
         pc = (1.0 - cc) * pc + hsig * pc_gain * y_w
 
@@ -224,5 +225,7 @@ def cmaes_run(
                 or stalled >= _STALL_WINDOWS * flat_window):
             break
 
-    result.evals_used = counter.count
+    result = RunResult.from_counter(counter, generation, records)
+    if result.best_x is None:  # sigma0 so small that no generation ran
+        result.best_x = mean.copy()
     return result, CmaGaussian(mean=mean, sigma=sigma, cov=cov)

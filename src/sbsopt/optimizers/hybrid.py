@@ -8,7 +8,7 @@ from CMA-ES's final Gaussian (projected to the box) or WOA's final
 population. The SVGD continuation runs with a tiny fixed bandwidth, which
 decouples the particles into parallel Adam descents with a residual
 repulsion only between near-coincident particles. The init phase's best
-point is the incumbent the one engine call starts its answer from, so the
+point is on the run's counter, whose incumbent is the answer, so the
 reported best covers the entire run, init phase included.
 
 CMA-ES stops inside its slice by the same rules as a standalone run,
@@ -66,13 +66,15 @@ def _hybrid_init_full(
     budget: int,
     seed: int,
     counter: EvalCounter,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run cfg.hybrid's init phase; returns (positions, incumbent_x, incumbent_f).
+) -> np.ndarray:
+    """Run cfg.hybrid's init phase and return the starting positions.
 
     Before any evaluation it raises ConfigError unless cmaes_budget covers
     one CMA-ES generation (HybridConfig.check_dim), and BudgetTooSmall
     unless budget covers the whole phase. All evaluations are counted on
-    counter.
+    counter. CMA-ES scores its slice on a counter of its own, so the WOA
+    phase and the choice between the two each see only their own points;
+    its incumbent joins counter's only when it wins.
     """
     hybrid, n_particles = cfg.hybrid, cfg.n_particles
     hybrid.check_dim(obj.domain.d)
@@ -83,19 +85,17 @@ def _hybrid_init_full(
         raise BudgetTooSmall(
             f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
         )
-    cma_result, gaussian = cmaes_run(
-        obj, CmaesParams(), counter.count + hybrid.cmaes_budget,
-        derive_seed(seed, "hybrid-cma"), counter=counter,
-    )
+    cma_result, gaussian = cmaes_run(obj, CmaesParams(), hybrid.cmaes_budget,
+                                     derive_seed(seed, "hybrid-cma"))
+    counter.tick(cma_result.evals_used)
     woa_result, woa_population = woa_run(
         obj, woa_params, budget, derive_seed(seed, "hybrid-woa"), counter=counter
     )
     if cma_result.best_f < woa_result.best_f:
+        counter.record(cma_result.best_x[None], np.array([cma_result.best_f]))
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
-        samples = sample_gaussian(gaussian, n_particles, rng)
-        positions = project_to_box(obj.domain, samples)
-        return positions, cma_result.best_x, cma_result.best_f
-    return woa_population[:n_particles], woa_result.best_x, woa_result.best_f
+        return project_to_box(obj.domain, sample_gaussian(gaussian, n_particles, rng))
+    return woa_population[:n_particles]
 
 
 def sbs_run(
@@ -112,14 +112,14 @@ def sbs_run(
     """Run SBS as cfg configures it, under an evaluation budget.
 
     The particles descend the Boltzmann flow until the budget can no longer
-    cover the next iteration; the answer is the best final particle (NaN
-    values skipped, ties to the lowest index). cfg.filter permanently
-    removes particles of high f-value and low displacement from its
-    start_iteration on. A plain start draws cfg.n_particles uniform
-    particles and raises BudgetTooSmall below one iteration's (2d + 1)N
-    evaluations. cfg.hybrid instead picks them by the init phase above,
-    whose incumbent stays the answer unless a final particle is strictly
-    better; it checks only its own cost, so it may run zero iterations.
+    cover the next iteration; the answer is the best point the run scored,
+    probes and init phase included (EvalCounter's rule: NaN never wins, a
+    tie keeps the earlier point). cfg.filter permanently removes particles
+    of high f-value and low displacement from its start_iteration on. A
+    plain start draws cfg.n_particles uniform particles and raises
+    BudgetTooSmall below one iteration's (2d + 1)N evaluations. cfg.hybrid
+    instead picks them by the init phase above; it checks only its own
+    cost, so it may run zero iterations.
     Diagnostics and a trajectory snapshot every log_every iterations are
     off-budget instrumentation. The KSD costs no evaluation: each iteration
     assembles it from the parts of its own direction, with one more sum
@@ -128,14 +128,13 @@ def sbs_run(
     """
     counter = EvalCounter()
     if cfg.hybrid is not None:
-        positions, best_x, best_f = _hybrid_init_full(obj, cfg, budget, seed, counter)
+        positions = _hybrid_init_full(obj, cfg, budget, seed, counter)
     else:
         d, n = obj.domain.d, cfg.n_particles
         if budget < (2 * d + 1) * n:
             raise BudgetTooSmall(f"budget {budget} cannot cover one iteration "
                                  f"((2 * {d} + 1) * {n} evaluations)")
         positions = uniform_sample(obj.domain, n, split_streams(seed, 1)[0])
-        best_x, best_f = positions[0].copy(), np.inf
-    return _run_engine(obj, cfg, budget, counter, positions, best_x, best_f,
+    return _run_engine(obj, cfg, budget, counter, positions,
                        collect_diagnostics=collect_diagnostics, track_ksd=track_ksd,
                        log_every=log_every, benchmark=benchmark)

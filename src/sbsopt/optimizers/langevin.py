@@ -4,8 +4,8 @@ Each chain follows x <- project(x - eta kappa grad f(x) + sqrt(2 eta) xi)
 with finite-difference gradients, so one chain step costs 2d probe
 evaluations plus 1 to score the new state. Each sweep steps every chain
 once, all in one block; the last sweep steps only as many chains, in chain
-order, as the budget still covers. The best evaluated point across all
-chains is returned.
+order, as the budget still covers. The answer is the best point scored,
+finite-difference probes included.
 
 Random streams: 0 initializes the chains, 1 drives the noise.
 """
@@ -27,7 +27,7 @@ from ..objective import (
     project_to_box,
     uniform_sample,
 )
-from .base import RunResult, check_number, fold_block, split_streams
+from .base import RunResult, check_number, log_iteration, split_streams
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ def langevin_run(
     counter = EvalCounter()
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
-    result = RunResult(best_x=chains[0].copy(), best_f=np.inf, evals_used=0,
-                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
-    scored = chains[:budget]
-    fold_block(result, scored, evaluate(obj, scored, counter))
+    evaluate(obj, chains[:budget], counter)
+    records = [] if collect_diagnostics else None
+    sweeps = 0
 
     noise_scale = math.sqrt(2.0 * eta)
     step_cost = 2 * d + 1
@@ -82,9 +81,9 @@ def langevin_run(
         chains[:k] = project_to_box(domain, proposal)
         f = evaluate(obj, chains[:k], counter)
         # a sweep with no finite value ends the run and is not counted
-        finite = bool(np.isfinite(np.fmin.reduce(f)))
-        fold_block(result, chains[:k], f, n_chains if finite else None)
-        exhausted = exhausted or not finite
+        if not np.isfinite(np.fmin.reduce(f)):
+            break
+        sweeps += 1
+        log_iteration(records, f, counter, n_chains)
 
-    result.evals_used = counter.count
-    return result
+    return RunResult.from_counter(counter, sweeps, records)

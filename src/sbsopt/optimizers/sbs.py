@@ -4,15 +4,16 @@ with optional filtering, from the start that sbs_run (hybrid.py) builds.
 Budget convention: every objective evaluation counts, including the 2d
 finite-difference probes behind each particle's score. One iteration of N
 live particles therefore costs 2dN evaluations, plus N more on iterations
-that filter (the filter needs current f-values, which are then reused to
-pick the final answer). At or below min_particles live particles the filter
-cannot remove one and is not run, but those N evaluations are still made
-and charged, so the arithmetic is the same. An iteration starts only when
-(2d + 1)N evaluations remain: its probes plus N more, the filter's
-evaluations or, on an iteration that does not filter, the final argmin over
-the particles, which is then always affordable. Diagnostics and trajectory
-logging use a separate uncounted meter so instrumentation never changes
-what the algorithm does or spends.
+that filter (the filter needs current f-values). At or below min_particles
+live particles the filter cannot remove one and is not run, but those N
+evaluations are still made and charged, so the arithmetic is the same. An
+iteration starts only when (2d + 1)N evaluations remain: its probes plus N
+more, the filter's evaluations or, on an iteration that does not filter, a
+final pass over the particles, which is then always affordable. The answer
+is the best point the run paid for, probes included, which the run's
+EvalCounter keeps. Diagnostics and trajectory logging use a separate
+uncounted meter so instrumentation never changes what the algorithm does
+or spends.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
 from ..objective import EvalCounter, Objective, evaluate
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import IterationRecord, RunResult, check_number, improve_incumbent
+from .base import IterationRecord, RunResult, check_number
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
@@ -175,8 +176,6 @@ def _run_engine(
     budget: int,
     counter: EvalCounter,
     positions: np.ndarray,
-    best_x: np.ndarray,
-    best_f: float,
     *,
     collect_diagnostics: bool = False,
     track_ksd: bool = False,
@@ -186,11 +185,12 @@ def _run_engine(
     """The particle run loop of every SBS configuration.
 
     It moves the starting positions, whose row count replaces
-    cfg.n_particles, from the incumbent (best_x, best_f); counter already
-    holds what was spent to find them. An iteration runs while its (2d + 1)N
-    evaluations fit and cfg.max_iterations is not reached, so a start that
-    leaves too little budget runs zero iterations. The answer is
-    improve_incumbent over the final particles, from the incumbent.
+    cfg.n_particles; counter already holds what was spent to find them and
+    the best point found. An iteration runs while its (2d + 1)N evaluations
+    fit and cfg.max_iterations is not reached, so a start that leaves too
+    little budget runs zero iterations. Unless the last iteration filtered,
+    a final pass scores the particles if the budget covers it. The answer is
+    counter's incumbent.
     """
     domain = obj.domain
     d = domain.d
@@ -203,7 +203,6 @@ def _run_engine(
     last_f: np.ndarray | None = None
 
     records: list[IterationRecord] | None = [] if collect_diagnostics else None
-    best_so_far = best_f
     instrument = EvalCounter()  # instrumentation only: not the run budget
 
     log: TrajectoryLog | None = None
@@ -275,28 +274,14 @@ def _run_engine(
             seen_f = evaluate(obj, positions, instrument)
         if records is not None:
             min_f = float(np.fmin.reduce(seen_f))
-            best_so_far = min(best_so_far, min_f)
-            records.append(
-                IterationRecord(iteration, min_f, best_so_far, positions.shape[0],
-                                ksd_value)
-            )
+            records.append(IterationRecord(iteration, min_f, min(counter.best_f, min_f),
+                                           positions.shape[0], ksd_value))
         if logged:
             snapshot(iteration, seen_f)
 
-    if last_f is None:
-        if budget - counter.count >= positions.shape[0]:
-            last_f = evaluate(obj, positions, counter)
-        else:
-            last_f = np.full(positions.shape[0], np.inf)
-    best_x, best_f = improve_incumbent(positions, last_f, best_x, best_f)
+    if last_f is None and budget - counter.count >= positions.shape[0]:
+        evaluate(obj, positions, counter)
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
                              f"exceed the budget of {budget}")
-    return RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals_used=counter.count,
-        iterations_done=iteration,
-        diagnostics=records,
-        trajectory=log,
-    )
+    return RunResult.from_counter(counter, iteration, records, log)

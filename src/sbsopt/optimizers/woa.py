@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import RunResult, check_number, fold_block, population_iterations, split_streams
+from .base import RunResult, check_number, log_iteration, population_iterations, split_streams
 
 CHUNK = 64  # iterations planned at once; their draws take 2 kB per agent
 
@@ -126,7 +126,7 @@ def woa_run(
     would take counter past budget.
 
     Costs n_agents evaluations for the initial population and n_agents per
-    iteration.
+    iteration; the moves target counter's incumbent.
     """
     n_agents = params.n_agents
     counter = counter if counter is not None else EvalCounter()
@@ -139,9 +139,8 @@ def woa_run(
 
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(domain, n_agents, rng_init)
-    result = RunResult(best_x=positions[0].copy(), best_f=np.inf, evals_used=0,
-                       iterations_done=0, diagnostics=[] if collect_diagnostics else None)
-    fold_block(result, positions, evaluate(obj, positions, counter))
+    evaluate(obj, positions, counter)
+    records = [] if collect_diagnostics else None
 
     # every iteration costs n_agents evaluations: plan no move the budget
     # cannot pay for, so no draw is made for a move that never runs
@@ -150,8 +149,7 @@ def woa_run(
         stop = min(start + CHUNK, moves + 1)
         a = np.array([2.0 - 2.0 * t / iterations for t in range(start, stop)])
         for move in _plan(a, n_agents, rng_move):
-            positions = project_to_box(domain, _move(positions, result.best_x, move))
-            fold_block(result, positions, evaluate(obj, positions, counter), n_agents)
+            positions = project_to_box(domain, _move(positions, counter.best_x, move))
+            log_iteration(records, evaluate(obj, positions, counter), counter, n_agents)
 
-    result.evals_used = counter.count
-    return result, positions.copy()
+    return RunResult.from_counter(counter, moves, records), positions.copy()

@@ -1,5 +1,6 @@
 """Baseline optimizers: CMA-ES, WOA, CBO, Langevin."""
 
+import dataclasses
 import json
 import math
 
@@ -36,7 +37,7 @@ from sbsopt.optimizers import cmaes as cmaes_module
 from sbsopt.optimizers.cmaes import _sample_offspring
 from sbsopt.objective import evaluate, project_to_box, uniform_sample
 from sbsopt.optimizers import woa as woa_module
-from sbsopt.optimizers.base import improve_incumbent, population_iterations, split_streams
+from sbsopt.optimizers.base import population_iterations, split_streams
 from sbsopt.optimizers.woa import CHUNK, _move, _plan
 
 
@@ -52,6 +53,14 @@ class TestCmaes:
         lam = default_popsize(2)
         result, _ = cmaes_run(obj, CmaesParams(), lam, seed=0)
         assert result.evals_used == lam
+
+    def test_degenerate_start_scores_nothing_and_answers_its_mean(self):
+        # sigma0 below the 1e-250 floor stops the run before its first generation
+        obj = make_benchmark("sphere", 2)
+        result, gauss = cmaes_run(obj, CmaesParams(sigma0=1e-300), 1000, seed=0)
+        assert (result.evals_used, result.iterations_done, result.best_f) == (0, 0, math.inf)
+        mean = uniform_sample(obj.domain, 1, split_streams(0, 2)[0])[0]
+        assert result.best_x.tobytes() == gauss.mean.tobytes() == mean.tobytes()
 
     def test_budget_too_small(self):
         obj = make_benchmark("sphere", 2)
@@ -244,24 +253,23 @@ def reference_move(positions, best_x, a, rng):
 
 def reference_woa(obj, params, budget, seed, counter):
     """woa_run as a loop of one reference_move per iteration, checking the
-    budget before each. Returns (best_x, best_f, iterations done, final
-    population, move generator)."""
+    budget before each, with counter's incumbent as the move target. Returns
+    (best_x, best_f, iterations done, final population, move generator)."""
     n_agents = params.n_agents
     iterations = population_iterations(budget - counter.count, n_agents, params.iterations)
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(obj.domain, n_agents, rng_init)
-    best_x, best_f = improve_incumbent(
-        positions, evaluate(obj, positions, counter), positions[0].copy(), np.inf)
+    evaluate(obj, positions, counter)
     done = 0
     for t in range(1, iterations + 1):
         if counter.count + n_agents > budget:
             break
-        moved, _ = reference_move(positions, best_x, 2.0 - 2.0 * t / iterations, rng_move)
+        moved, _ = reference_move(positions, counter.best_x, 2.0 - 2.0 * t / iterations,
+                                  rng_move)
         positions = project_to_box(obj.domain, moved)
-        best_x, best_f = improve_incumbent(
-            positions, evaluate(obj, positions, counter), best_x, best_f)
+        evaluate(obj, positions, counter)
         done += 1
-    return best_x, best_f, done, positions, rng_move
+    return counter.best_x, counter.best_f, done, positions, rng_move
 
 
 def planned_woa(monkeypatch, obj, params, budget, seed, counter):
@@ -712,7 +720,7 @@ class TestNonFiniteValues:
 
     def test_sbs_final_answer_skips_nan(self):
         # one step carries particles past x_0 = 4.95, where f is NaN, after
-        # their last finite probes; the answer is the best finite particle
+        # their last finite probes; the answer is the best finite point scored
         obj = make_objective("halfnan", [-5.0, -5.0], [5.0, 5.0],
                              lambda p: math.nan if p[0] > 4.95 else -p[0])
         cfg = SbsConfig(n_particles=200, max_iterations=1, step_size=0.1)
@@ -720,23 +728,40 @@ class TestNonFiniteValues:
         assert r.iterations_done == 1
         assert np.isfinite(r.best_f) and r.best_x[0] <= 4.95
         assert r.best_f == -r.best_x[0] and r.best_f < -4.8
-        # the record skips NaN too
-        assert r.diagnostics[-1].min_f == r.diagnostics[-1].best_so_far == r.best_f
+        # the record skips NaN too, and covers the answer: here a probe that
+        # beat every final particle
+        last = r.diagnostics[-1]
+        assert np.isfinite(last.min_f) and last.best_so_far == r.best_f < last.min_f
 
     def test_sbs_answer_when_every_final_value_is_nan(self):
         # one iteration's 2dN = 20 probes are finite, every later value is
-        # NaN: the answer is the incumbent, the first starting particle at inf
-        calls = [0]
+        # NaN: the answer is the best of those probes, the first one on a tie
+        probes = []
 
         def late_nan(x):
-            calls[0] += 1
-            return math.nan if calls[0] > 20 else float(x @ x)
+            if len(probes) == 20:
+                return math.nan
+            probes.append((float(x @ x), x.copy()))
+            return probes[-1][0]
 
         obj = make_objective("late-nan", [-1.0, -1.0], [1.0, 1.0], late_nan)
         r = sbs_run(obj, SbsConfig(n_particles=5, max_iterations=1), 1000, seed=0)
-        assert r.iterations_done == 1 and r.best_f == math.inf
-        first = uniform_sample(obj.domain, 5, split_streams(0, 1)[0])[0]
-        assert r.best_x.tobytes() == first.tobytes()
+        assert r.iterations_done == 1 and r.evals_used == 25
+        best_f, best_x = min(probes, key=lambda probe: probe[0])
+        assert r.best_f == best_f and r.best_x.tobytes() == best_x.tobytes()
+
+    @pytest.mark.parametrize("method", ["cma-es", "woa"])
+    def test_all_nan_answers_the_first_point_scored(self, method):
+        scored = []
+
+        def nan(x):
+            scored.append(x.copy())
+            return math.nan
+
+        obj = make_objective("nan", [-1.0, -1.0], [1.0, 1.0], nan)
+        r = run_method(method, obj, 300, 0)
+        assert r.best_f == math.inf
+        assert r.best_x.tobytes() == scored[0].tobytes()
 
     def test_langevin_raises_at_a_nan_probe(self):
         with pytest.raises(NonFiniteValue):
@@ -949,11 +974,24 @@ class TestBudgetInvariant:
             params["start_iteration"] = 1
         if "hybrid" in method:
             params.update(cmaes_budget=30, woa_iterations=3)
+        obj = make_benchmark("rastrigin", d)
+        lowest = [math.inf]
+
+        def watched(x):
+            f = obj.evaluator(x)
+            lowest[0] = min(lowest[0], float(np.min(f)))
+            return f
+
+        watched.vectorized = obj.evaluator.vectorized
         try:
-            r = run_method(method, make_benchmark("rastrigin", d), budget, seed, params)
+            r = run_method(method, dataclasses.replace(obj, evaluator=watched), budget,
+                           seed, params)
         except BudgetTooSmall:
             return
         assert r.evals_used <= budget
+        # the answer is the best point the run paid for, probes included
+        assert r.best_f == lowest[0]
+        assert float(obj.evaluator(r.best_x)) == r.best_f
 
     @pytest.mark.parametrize("method", ["sbs", "sbs-pf"])
     @settings(max_examples=50, deadline=None, derandomize=True)

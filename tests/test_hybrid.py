@@ -16,11 +16,12 @@ from sbsopt import (
     derive_seed,
     make_benchmark,
     make_objective,
+    project_to_box,
     run_method,
     sbs_run,
     woa_run,
 )
-from sbsopt.optimizers import default_popsize
+from sbsopt.optimizers import default_popsize, sample_gaussian, split_streams
 from sbsopt.optimizers.hybrid import _hybrid_init_full
 
 
@@ -54,8 +55,8 @@ class TestHybridInit:
                                       derive_seed(seed, "hybrid-woa"))
         cma_result, _ = cmaes_run(obj, CmaesParams(), 12, derive_seed(seed, "hybrid-cma"))
         assert not (cma_result.best_f < woa_result.best_f)  # WOA wins this setup
-        pts, *_ = _hybrid_init_full(obj, hybrid(10, HybridConfig(12, 300)), 12 + 10 * 301,
-                                     seed, EvalCounter())
+        pts = _hybrid_init_full(obj, hybrid(10, HybridConfig(12, 300)), 12 + 10 * 301,
+                                seed, EvalCounter())
         np.testing.assert_array_equal(pts, woa_pop[:10])
 
     def test_cma_winner_samples_its_gaussian(self):
@@ -68,8 +69,15 @@ class TestHybridInit:
         woa_result, _ = woa_run(obj, WoaParams(200, 5), 200 * 6,
                                 derive_seed(seed, "hybrid-woa"))
         assert cma_result.best_f < woa_result.best_f
-        pts, *_ = _hybrid_init_full(obj, hybrid(200, HybridConfig(1000, 5)), 1000 + 200 * 6,
-                                     seed, EvalCounter())
+        counter = EvalCounter()
+        pts = _hybrid_init_full(obj, hybrid(200, HybridConfig(1000, 5)), 1000 + 200 * 6,
+                                seed, counter)
+        rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
+        want = project_to_box(obj.domain, sample_gaussian(gauss, 200, rng))
+        assert pts.tobytes() == want.tobytes()
+        # CMA-ES's incumbent joins the counter that WOA scored on
+        assert counter.best_x.tobytes() == cma_result.best_x.tobytes()
+        assert counter.best_f == cma_result.best_f
         assert pts.shape == (200, 2)
         for x in pts:
             assert obj.domain.contains(x)
@@ -90,8 +98,8 @@ class TestHybridInit:
         # WOA needs two agents, so a 1-particle init still runs with 2
         obj = make_benchmark("sphere", 2)
         counter = EvalCounter()
-        pts, *_ = _hybrid_init_full(obj, hybrid(1, HybridConfig(60, 10)), budget=10**6,
-                                     seed=1, counter=counter)
+        pts = _hybrid_init_full(obj, hybrid(1, HybridConfig(60, 10)), budget=10**6,
+                                seed=1, counter=counter)
         assert pts.shape == (1, 2)
         assert counter.count == 60 + 2 * 11
 
@@ -197,12 +205,14 @@ class TestHybridRun:
         # incumbent, which stays the answer under the strict-< rule
         obj = make_objective("flat", [-1.0, -1.0], [1.0, 1.0], lambda x: 2.5)
         cfg = hybrid(6, HybridConfig(cmaes_budget=60, woa_iterations=10))
-        _, incumbent_x, incumbent_f = _hybrid_init_full(obj, cfg, 3000, 2, EvalCounter())
+        counter = EvalCounter()
+        _hybrid_init_full(obj, cfg, 3000, 2, counter)
+        incumbent_x, incumbent_f = counter.best_x, counter.best_f
         r = sbs_run(obj, cfg, 3000, 2, log_every=1)
         assert r.iterations_done > 0
         assert r.best_f == incumbent_f == 2.5
         assert r.best_x.tobytes() == incumbent_x.tobytes()
-        # the first final particle, a plain start's fallback, is another point
+        # the first final particle is another point
         assert r.trajectory.snapshots[-1].positions[0].tobytes() != incumbent_x.tobytes()
 
     def test_deterministic_rerun(self):

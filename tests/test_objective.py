@@ -95,6 +95,19 @@ class TestEvaluate:
         counter.tick()
         assert counter.count == 6
 
+    def test_record_keeps_the_first_strictly_lowest(self):
+        counter = EvalCounter()
+        pts = np.arange(8.0).reshape(4, 2)
+        counter.record(pts[:0], np.array([]))  # an empty block changes nothing
+        assert counter.best_x is None and counter.best_f == np.inf
+        counter.record(pts[:2], np.array([np.nan, np.inf]))  # nothing below inf
+        assert counter.best_x.tobytes() == pts[0].tobytes() and counter.best_f == np.inf
+        counter.record(pts, np.array([np.nan, 2.0, 1.0, 1.0]))  # NaN never wins
+        assert counter.best_x.tobytes() == pts[2].tobytes() and counter.best_f == 1.0
+        counter.record(pts[3:], np.array([1.0]))  # a tie is not an improvement
+        assert counter.best_x.tobytes() == pts[2].tobytes()
+        assert counter.count == 0  # record never ticks
+
     def test_out_of_domain_raises_and_does_not_count(self):
         obj = quad_objective(half_width=1.0)
         counter = EvalCounter()

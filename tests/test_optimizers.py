@@ -199,8 +199,7 @@ class TestBudgetAudit:
         obj = make_benchmark("sphere", 2)
         start = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
         with pytest.raises(BudgetExceeded):
-            sbs_module._run_engine(obj, SbsConfig(n_particles=5), 68, OverCounting(),
-                                   start, start[0], np.inf)
+            sbs_module._run_engine(obj, SbsConfig(n_particles=5), 68, OverCounting(), start)
 
 
 class TestSbsRun:
@@ -257,10 +256,9 @@ class TestSbsRun:
         assert all(rec.best_so_far <= rec.min_f for rec in r.diagnostics)
         assert all(rec.live == 10 for rec in r.diagnostics)
         assert all(rec.ksd is not None and rec.ksd >= -1e-9 for rec in r.diagnostics)
-        # the returned answer is the argmin over the final ensemble; the
-        # instrumented stream may have seen better intermediate states
-        assert r.best_f == r.diagnostics[-1].min_f
-        assert best[-1] <= r.best_f + 1e-12
+        # the answer is the best point the run scored, which the last record
+        # covers; here a finite-difference probe beat every final particle
+        assert r.best_f == best[-1] < r.diagnostics[-1].min_f
 
     def test_constant_objective(self):
         obj = make_objective("flat", [-1.0, -1.0], [1.0, 1.0], lambda x: 2.5)
@@ -277,7 +275,7 @@ class TestSbsRun:
         obj = make_benchmark("sphere", 2)
         init = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
         r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, EvalCounter(),
-                                  init, init[0], np.inf, collect_diagnostics=True)
+                                  init, collect_diagnostics=True)
         # n_particles is taken from the init array, not the argument
         assert r.diagnostics[0].live == 3
 
