@@ -7,12 +7,14 @@ them in :func:`~sbsopt.benchmarks.make_benchmark`.
 Every optimizer in this package spends its budget through :func:`evaluate`
 and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the run's
 ledger, the single source of truth for how many scalar function evaluations
-it consumed and for the best point they scored, which is the run's answer.
+it consumed, the best point they scored (the run's answer), how many
+iterations it ran and, when the run keeps them, its iteration records.
 
 Both take one point or a block of points, one per row, and count one
-evaluation per point either way. An evaluator whose ``vectorized``
-attribute is true (the registry benchmarks) scores a whole block in one
-call; any other callable is called once per row, in row order.
+evaluation per point either way: a point is scored as a one-row block. An
+evaluator whose ``vectorized`` attribute is true (the registry benchmarks)
+scores a whole block in one call; any other callable is called once per
+row, in row order.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class BoxDomain:
 @dataclass
 class EvalCounter:
     """The ledger of a run: count is the scalar objective evaluations it
-    made, one per point scored, and (best_x, best_f) its incumbent.
+    made, one per point scored, (best_x, best_f) its incumbent, and
+    iterations and records (None unless the run keeps them) are what
+    optimizers.base.log_iteration counts and appends.
 
     record keeps the incumbent by one rule: the first row of a block with
     the lowest value replaces it when strictly better, NaN never wins, and
@@ -78,6 +82,8 @@ class EvalCounter:
     count: int = 0
     best_x: np.ndarray | None = None
     best_f: float = math.inf
+    iterations: int = 0
+    records: list | None = None
 
     def tick(self, n: int = 1) -> None:
         self.count += n
@@ -119,27 +125,17 @@ def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarr
     """
     x = np.asarray(x, dtype=float)
     if not obj.domain.contains(x):
-        raise OutOfDomain(f"{obj.name}: point {_first_outside(obj.domain, x)} "
+        row = next((row for row in np.atleast_2d(x) if not obj.domain.contains(row)), x)
+        raise OutOfDomain(f"{obj.name}: point {row} "
                           f"outside {obj.domain.lower}..{obj.domain.upper}")
-    if x.ndim == 1:
-        counter.tick()
-        f = float(obj.evaluator(x))
-        counter.record(x[None], np.array([f]))
-        return f
-    counter.tick(len(x))
+    block = x[None] if x.ndim == 1 else x
+    counter.tick(len(block))
     if getattr(obj.evaluator, "vectorized", False):
-        f = obj.evaluator(x)
+        f = obj.evaluator(block)
     else:
-        f = np.array([float(obj.evaluator(row)) for row in x], dtype=float)
-    counter.record(x, f)
-    return f
-
-
-def _first_outside(domain: BoxDomain, x: np.ndarray) -> np.ndarray:
-    # the offending row of a block, for the error message
-    if x.ndim == 2:
-        return next((row for row in x if not domain.contains(row)), x)
-    return x
+        f = np.array([float(obj.evaluator(row)) for row in block], dtype=float)
+    counter.record(block, f)
+    return float(f[0]) if x.ndim == 1 else f
 
 
 def project_to_box(domain: BoxDomain, x: Point) -> Point:

@@ -53,8 +53,10 @@ __all__ = [
 
 # name -> (parameter dataclasses, name of the run function). The first
 # dataclass is the method's parameter object; the others become its nested
-# parts. Every run function is called as run(obj, params, budget, seed, *,
-# collect_diagnostics); cmaes_run and woa_run also return their final state.
+# parts. Every run function is run(obj, params, budget, seed, *,
+# collect_diagnostics=False), sbs_run with its instrument keywords, and
+# answers from a counter of its own; cmaes_run and woa_run also return
+# their final state.
 _METHODS = {
     "sbs": ((SbsConfig,), "sbs_run"),
     "sbs-pf": ((SbsConfig, FilterConfig), "sbs_run"),

@@ -72,14 +72,18 @@ def population_iterations(budget: int, size: int, iterations: int | None) -> int
     return iterations if iterations is not None else budget // size - 1
 
 
-def log_iteration(records: list[IterationRecord] | None, f: np.ndarray,
-                  counter: EvalCounter, live: int) -> None:
-    """Append, unless records is None, the record of an iteration that
-    scored f on counter over a population of live: numbered after the
-    records before it, with counter's best_f as its best_so_far."""
+def log_iteration(counter: EvalCounter, f: np.ndarray | None, live: int,
+                  ksd: float | None = None) -> None:
+    """End an iteration of counter's run: count it and, when counter keeps
+    records (f may be None when it does not), append its IterationRecord:
+    live, min_f of f, and best_so_far the least of counter's best_f, min_f
+    and the previous best_so_far."""
+    counter.iterations += 1
+    records = counter.records
     if records is not None:
-        records.append(IterationRecord(len(records) + 1, float(np.fmin.reduce(f)),
-                                       counter.best_f, live))
+        min_f = float(np.fmin.reduce(f))
+        best = min(counter.best_f, min_f, records[-1].best_so_far if records else math.inf)
+        records.append(IterationRecord(counter.iterations, min_f, best, live, ksd))
 
 
 @dataclass
@@ -91,8 +95,8 @@ class IterationRecord:
     tracked, is measured on the state entering it: it is ksd_from_parts of
     that iteration's direction, equal to svgd.ksd of the entering state.
     best_so_far is the lowest value the run has scored so far, its start
-    included: the run's EvalCounter.best_f, or min_f when an off-budget pass
-    scored lower.
+    included: the run's EvalCounter.best_f, or the lowest min_f of this or
+    an earlier record when an off-budget pass scored lower. It never rises.
     """
 
     iteration: int
@@ -114,10 +118,10 @@ class RunResult:
     trajectory: TrajectoryLog | None = None
 
     @classmethod
-    def from_counter(cls, counter: EvalCounter, iterations_done: int,
-                     diagnostics: list[IterationRecord] | None = None,
+    def from_counter(cls, counter: EvalCounter,
                      trajectory: TrajectoryLog | None = None) -> RunResult:
-        """The result of a run that scored every point through counter: its
-        incumbent is the answer and its count evals_used."""
-        return cls(counter.best_x, counter.best_f, counter.count, iterations_done,
-                   diagnostics, trajectory)
+        """The result of a run that counter kept: its incumbent is the
+        answer, and its count, iterations and records are evals_used,
+        iterations_done and diagnostics."""
+        return cls(counter.best_x, counter.best_f, counter.count, counter.iterations,
+                   counter.records, trajectory)

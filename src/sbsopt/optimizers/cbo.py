@@ -77,14 +77,13 @@ def cbo_run(
         )
     iterations = min(population_iterations(budget, n_particles, params.iterations),
                      budget // n_particles - 1)
-    counter = EvalCounter()
+    counter = EvalCounter(records=[] if collect_diagnostics else None)
     domain = obj.domain
     d = domain.d
 
     rng_init, rng_noise = split_streams(seed, 2)
     positions = uniform_sample(domain, n_particles, rng_init)
     fitness = evaluate(obj, positions, counter)
-    records = [] if collect_diagnostics else None
 
     sqrt_dt = math.sqrt(params.dt)
     for _ in range(iterations):
@@ -96,6 +95,6 @@ def cbo_run(
                      + params.sigma_noise * scale * sqrt_dt * noise)
         positions = project_to_box(domain, positions)
         fitness = evaluate(obj, positions, counter)
-        log_iteration(records, fitness, counter, n_particles)
+        log_iteration(counter, fitness, n_particles)
 
-    return RunResult.from_counter(counter, iterations, records)
+    return RunResult.from_counter(counter)

@@ -126,7 +126,6 @@ def cmaes_run(
     budget: int,
     seed: int,
     *,
-    counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
 ) -> tuple[RunResult, CmaGaussian]:
     """Run CMA-ES under an evaluation budget.
@@ -134,13 +133,12 @@ def cmaes_run(
     Returns the incumbent plus the final Gaussian so a caller can keep
     sampling from where the search ended. The run can stop before the
     budget is spent (see the module docstring); evals_used says how much
-    of it was.
+    of it was. Its counter counts the generations, g in the path correction.
     """
-    counter = counter if counter is not None else EvalCounter()
     domain = obj.domain
     d = domain.d
     lam = params.popsize if params.popsize is not None else default_popsize(d)
-    if budget - counter.count < lam:
+    if budget < lam:
         raise BudgetTooSmall(f"budget {budget} below one generation ({lam} evaluations)")
 
     # Hansen's default strategy parameters
@@ -169,8 +167,7 @@ def cmaes_run(
     ps = np.zeros(d)
     pc = np.zeros(d)
 
-    records = [] if collect_diagnostics else None
-    generation = 0
+    counter = EvalCounter(records=[] if collect_diagnostics else None)
     # generations in a row, this one included, whose best is last_low; a
     # NaN best (min propagates NaN) equals nothing, so it ends every streak
     last_low = math.nan
@@ -193,8 +190,7 @@ def cmaes_run(
         offspring = _sample_offspring(mean, sigma, basis, scales, lam, domain, rng_sample)
         incumbent = counter.best_f
         fitness = evaluate(obj, offspring, counter)
-        generation += 1
-        log_iteration(records, fitness, counter, lam)
+        log_iteration(counter, fitness, lam)
         stalled = 0 if counter.best_f < incumbent else stalled + 1
 
         order = np.argsort(fitness, kind="stable")[:mu]
@@ -206,7 +202,7 @@ def cmaes_run(
         inv_sqrt = (basis * (1.0 / scales)) @ basis.T
         ps = (1.0 - cs) * ps + ps_gain * (inv_sqrt @ y_w)
         ps_norm = math.sqrt(ps @ ps)  # np.linalg.norm's own formula
-        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * generation))
+        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * counter.iterations))
         hsig = 1.0 if ps_norm / correction < hsig_bound else 0.0
         pc = (1.0 - cc) * pc + hsig * pc_gain * y_w
 
@@ -225,7 +221,7 @@ def cmaes_run(
                 or stalled >= _STALL_WINDOWS * flat_window):
             break
 
-    result = RunResult.from_counter(counter, generation, records)
+    result = RunResult.from_counter(counter)
     if result.best_x is None:  # sigma0 so small that no generation ran
         result.best_x = mean.copy()
     return result, CmaGaussian(mean=mean, sigma=sigma, cov=cov)

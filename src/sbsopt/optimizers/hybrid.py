@@ -7,9 +7,9 @@ schedule, then seeds the particles from whichever did better: N samples
 from CMA-ES's final Gaussian (projected to the box) or WOA's final
 population. The SVGD continuation runs with a tiny fixed bandwidth, which
 decouples the particles into parallel Adam descents with a residual
-repulsion only between near-coincident particles. The init phase's best
-point is on the run's counter, whose incumbent is the answer, so the
-reported best covers the entire run, init phase included.
+repulsion only between near-coincident particles. CMA-ES and WOA run as
+standalone runs, and the run's counter takes their spend and incumbents,
+so the answer covers the init phase while its iterations do not.
 
 CMA-ES stops inside its slice by the same rules as a standalone run,
 including the stops once its values have gone flat or its best value has
@@ -71,10 +71,9 @@ def _hybrid_init_full(
 
     Before any evaluation it raises ConfigError unless cmaes_budget covers
     one CMA-ES generation (HybridConfig.check_dim), and BudgetTooSmall
-    unless budget covers the whole phase. All evaluations are counted on
-    counter. CMA-ES scores its slice on a counter of its own, so the WOA
-    phase and the choice between the two each see only their own points;
-    its incumbent joins counter's only when it wins.
+    unless budget covers the whole phase. CMA-ES scores its slice on a
+    counter of its own, and WOA the rest on another; counter then takes
+    both spends and the better incumbent, WOA's on a tie.
     """
     hybrid, n_particles = cfg.hybrid, cfg.n_particles
     hybrid.check_dim(obj.domain.d)
@@ -87,12 +86,12 @@ def _hybrid_init_full(
         )
     cma_result, gaussian = cmaes_run(obj, CmaesParams(), hybrid.cmaes_budget,
                                      derive_seed(seed, "hybrid-cma"))
-    counter.tick(cma_result.evals_used)
-    woa_result, woa_population = woa_run(
-        obj, woa_params, budget, derive_seed(seed, "hybrid-woa"), counter=counter
-    )
+    woa_result, woa_population = woa_run(obj, woa_params, budget - cma_result.evals_used,
+                                         derive_seed(seed, "hybrid-woa"))
+    counter.tick(cma_result.evals_used + woa_result.evals_used)
+    counter.record(np.array([woa_result.best_x, cma_result.best_x]),
+                   np.array([woa_result.best_f, cma_result.best_f]))
     if cma_result.best_f < woa_result.best_f:
-        counter.record(cma_result.best_x[None], np.array([cma_result.best_f]))
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
         return project_to_box(obj.domain, sample_gaussian(gaussian, n_particles, rng))
     return woa_population[:n_particles]
@@ -126,7 +125,7 @@ def sbs_run(
     over the kernel values it makes. It goes only into the diagnostics
     records, so track_ksd does nothing without collect_diagnostics.
     """
-    counter = EvalCounter()
+    counter = EvalCounter(records=[] if collect_diagnostics else None)
     if cfg.hybrid is not None:
         positions = _hybrid_init_full(obj, cfg, budget, seed, counter)
     else:
@@ -135,6 +134,5 @@ def sbs_run(
             raise BudgetTooSmall(f"budget {budget} cannot cover one iteration "
                                  f"((2 * {d} + 1) * {n} evaluations)")
         positions = uniform_sample(obj.domain, n, split_streams(seed, 1)[0])
-    return _run_engine(obj, cfg, budget, counter, positions,
-                       collect_diagnostics=collect_diagnostics, track_ksd=track_ksd,
+    return _run_engine(obj, cfg, budget, counter, positions, track_ksd=track_ksd,
                        log_every=log_every, benchmark=benchmark)

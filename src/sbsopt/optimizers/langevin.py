@@ -57,12 +57,10 @@ def langevin_run(
     if budget < 2 * d:
         raise BudgetTooSmall(f"budget {budget} below one gradient step ({2 * d} evaluations)")
 
-    counter = EvalCounter()
+    counter = EvalCounter(records=[] if collect_diagnostics else None)
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
     evaluate(obj, chains[:budget], counter)
-    records = [] if collect_diagnostics else None
-    sweeps = 0
 
     noise_scale = math.sqrt(2.0 * eta)
     step_cost = 2 * d + 1
@@ -83,7 +81,6 @@ def langevin_run(
         # a sweep with no finite value ends the run and is not counted
         if not np.isfinite(np.fmin.reduce(f)):
             break
-        sweeps += 1
-        log_iteration(records, f, counter, n_chains)
+        log_iteration(counter, f, n_chains)
 
-    return RunResult.from_counter(counter, sweeps, records)
+    return RunResult.from_counter(counter)

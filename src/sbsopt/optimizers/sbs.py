@@ -28,7 +28,7 @@ from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
 from ..objective import EvalCounter, Objective, evaluate
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import IterationRecord, RunResult, check_number
+from .base import RunResult, check_number, log_iteration
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
@@ -177,7 +177,6 @@ def _run_engine(
     counter: EvalCounter,
     positions: np.ndarray,
     *,
-    collect_diagnostics: bool = False,
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
@@ -186,11 +185,11 @@ def _run_engine(
 
     It moves the starting positions, whose row count replaces
     cfg.n_particles; counter already holds what was spent to find them and
-    the best point found. An iteration runs while its (2d + 1)N evaluations
-    fit and cfg.max_iterations is not reached, so a start that leaves too
-    little budget runs zero iterations. Unless the last iteration filtered,
-    a final pass scores the particles if the budget covers it. The answer is
-    counter's incumbent.
+    the best point found, and no iteration. An iteration runs while its
+    (2d + 1)N evaluations fit and cfg.max_iterations is not reached, so a
+    start that leaves too little budget runs zero iterations. Unless the
+    last iteration filtered, a final pass scores the particles if the budget
+    covers it. The result, records included, is counter's.
     """
     domain = obj.domain
     d = domain.d
@@ -202,7 +201,6 @@ def _run_engine(
     original_ids = np.arange(n_particles)
     last_f: np.ndarray | None = None
 
-    records: list[IterationRecord] | None = [] if collect_diagnostics else None
     instrument = EvalCounter()  # instrumentation only: not the run budget
 
     log: TrajectoryLog | None = None
@@ -233,17 +231,17 @@ def _run_engine(
     if log is not None:
         snapshot(0, evaluate(obj, positions, instrument))
 
-    track_ksd = track_ksd and records is not None  # the KSD only goes into records
+    track_ksd = track_ksd and counter.records is not None  # it goes into records only
 
-    def running() -> bool:
+    def running(done: int) -> bool:
         """The one stop test: another iteration's (2d + 1)N evaluations fit
-        and max_iterations is not reached."""
+        and done iterations have not reached max_iterations."""
         return (counter.count + (2 * d + 1) * positions.shape[0] <= budget
-                and (cfg.max_iterations is None or iteration < cfg.max_iterations))
+                and (cfg.max_iterations is None or done < cfg.max_iterations))
 
-    iteration = 0
-    more = running()
+    more = running(counter.iterations)
     while more:
+        iteration = counter.iterations + 1
         n_live = positions.shape[0]
         sigma = cfg.bandwidth(n_live)
         prev_positions = positions
@@ -251,7 +249,6 @@ def _run_engine(
             positions, target, sigma, cfg.step_size, adam, counter, track_ksd
         )
         ksd_value = ksd_from_parts(*parts) if track_ksd else None
-        iteration += 1
 
         last_f = None
         if cfg.filter is not None and iteration >= cfg.filter.start_iteration:
@@ -265,17 +262,14 @@ def _run_engine(
                     original_ids = original_ids[keep]
                     last_f = last_f[keep]
 
-        more = running()
+        more = running(iteration)
         # one off-budget pass at most, shared by the record and the snapshot;
         # the iteration that ends the run is always logged
         logged = log is not None and (iteration % log_every == 0 or not more)
         seen_f = last_f
-        if seen_f is None and (records is not None or logged):
+        if seen_f is None and (counter.records is not None or logged):
             seen_f = evaluate(obj, positions, instrument)
-        if records is not None:
-            min_f = float(np.fmin.reduce(seen_f))
-            records.append(IterationRecord(iteration, min_f, min(counter.best_f, min_f),
-                                           positions.shape[0], ksd_value))
+        log_iteration(counter, seen_f, positions.shape[0], ksd_value)
         if logged:
             snapshot(iteration, seen_f)
 
@@ -284,4 +278,4 @@ def _run_engine(
     if counter.count > budget:
         raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
                              f"exceed the budget of {budget}")
-    return RunResult.from_counter(counter, iteration, records, log)
+    return RunResult.from_counter(counter, log)

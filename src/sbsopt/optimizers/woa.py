@@ -119,28 +119,26 @@ def woa_run(
     budget: int,
     seed: int,
     *,
-    counter: EvalCounter | None = None,
     collect_diagnostics: bool = False,
 ) -> tuple[RunResult, np.ndarray]:
     """Run WOA for params.iterations iterations, stopping before any that
-    would take counter past budget.
+    would spend past budget.
 
     Costs n_agents evaluations for the initial population and n_agents per
-    iteration; the moves target counter's incumbent.
+    iteration; the moves target the run's incumbent.
     """
     n_agents = params.n_agents
-    counter = counter if counter is not None else EvalCounter()
-    if budget - counter.count < n_agents:
+    if budget < n_agents:
         raise BudgetTooSmall(
             f"budget {budget} below the initial population ({n_agents} evaluations)"
         )
-    iterations = population_iterations(budget - counter.count, n_agents, params.iterations)
+    iterations = population_iterations(budget, n_agents, params.iterations)
+    counter = EvalCounter(records=[] if collect_diagnostics else None)
     domain = obj.domain
 
     rng_init, rng_move = split_streams(seed, 2)
     positions = uniform_sample(domain, n_agents, rng_init)
     evaluate(obj, positions, counter)
-    records = [] if collect_diagnostics else None
 
     # every iteration costs n_agents evaluations: plan no move the budget
     # cannot pay for, so no draw is made for a move that never runs
@@ -150,6 +148,6 @@ def woa_run(
         a = np.array([2.0 - 2.0 * t / iterations for t in range(start, stop)])
         for move in _plan(a, n_agents, rng_move):
             positions = project_to_box(domain, _move(positions, counter.best_x, move))
-            log_iteration(records, evaluate(obj, positions, counter), counter, n_agents)
+            log_iteration(counter, evaluate(obj, positions, counter), n_agents)
 
-    return RunResult.from_counter(counter, moves, records), positions.copy()
+    return RunResult.from_counter(counter), positions.copy()

@@ -185,20 +185,31 @@ POPULATION = {"cma-es": default_popsize(3), "woa": WoaParams().n_agents,
               "cbo": CboParams().n_particles, "langevin": LangevinParams().n_chains}
 
 
-@pytest.mark.parametrize("method", list(POPULATION))
+WARM = {"n_particles": 10, "cmaes_budget": 200, "woa_iterations": 20}
+SBS_PARAMS = {"sbs": {"n_particles": 10}, "sbs-pf": {"n_particles": 10},
+              "sbs-hybrid": WARM, "sbs-pf-hybrid": WARM}
+
+
+@pytest.mark.parametrize("method", [*POPULATION, *SBS_PARAMS])
 @pytest.mark.parametrize("function, budget", [("rastrigin", 20_000), ("rosenbrock", 3_000)])
 def test_baseline_records_follow_the_run(method, function, budget):
-    """One record per iteration, numbered 1..n, over the whole population,
-    with a best_so_far that never rises and ends at the answer."""
-    r = run_method(method, make_benchmark(function, 3), budget, 2, collect_diagnostics=True)
+    """One record per iteration, numbered 1..n, with a best_so_far that
+    never rises. A baseline's records cover its whole population and end at
+    the answer; an sbs run's last record covers the answer, or lies below it
+    when an off-budget pass scored lower."""
+    r = run_method(method, make_benchmark(function, 3), budget, 2, SBS_PARAMS.get(method),
+                   collect_diagnostics=True)
     records = r.diagnostics
     assert r.iterations_done > 0
     assert len(records) == r.iterations_done
     assert [rec.iteration for rec in records] == list(range(1, r.iterations_done + 1))
     best = [rec.best_so_far for rec in records]
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
-    assert best[-1] == r.best_f
-    assert {rec.live for rec in records} == {POPULATION[method]}
+    if method in POPULATION:
+        assert best[-1] == r.best_f
+        assert {rec.live for rec in records} == {POPULATION[method]}
+    else:
+        assert best[-1] <= r.best_f
 
 
 def oracle_offspring(mean, sigma, basis, scales, lam, domain, rng):
@@ -272,7 +283,7 @@ def reference_woa(obj, params, budget, seed, counter):
     return counter.best_x, counter.best_f, done, positions, rng_move
 
 
-def planned_woa(monkeypatch, obj, params, budget, seed, counter):
+def planned_woa(monkeypatch, obj, params, budget, seed):
     """woa_run with its move generator and the length of every plan kept."""
     streams, plans = [], []
 
@@ -286,22 +297,22 @@ def planned_woa(monkeypatch, obj, params, budget, seed, counter):
 
     monkeypatch.setattr(woa_module, "split_streams", keep_streams)
     monkeypatch.setattr(woa_module, "_plan", keep_plans)
-    result, positions = woa_run(obj, params, budget, seed, counter=counter)
+    result, positions = woa_run(obj, params, budget, seed)
     return result, positions, streams[1], plans
 
 
 def assert_same_run(monkeypatch, obj, params, budget, seed, spent=0):
-    """woa_run equals reference_woa from a counter already holding spent
-    evaluations: the answer, its cost, the population and the final state
-    of the move generator. Returns the plan lengths."""
-    counter, loop_counter = EvalCounter(spent), EvalCounter(spent)
-    result, positions, rng, plans = planned_woa(monkeypatch, obj, params, budget, seed,
-                                                counter)
+    """woa_run on budget - spent equals reference_woa from a counter already
+    holding spent evaluations: the answer, its cost, the population and the
+    final state of the move generator. Returns the plan lengths."""
+    loop_counter = EvalCounter(spent)
+    result, positions, rng, plans = planned_woa(monkeypatch, obj, params, budget - spent,
+                                                seed)
     best_x, best_f, done, loop_positions, loop_rng = reference_woa(
         obj, params, budget, seed, loop_counter)
     assert result.best_x.tobytes() == best_x.tobytes()
     assert result.best_f == best_f
-    assert result.evals_used == counter.count == loop_counter.count
+    assert result.evals_used + spent == loop_counter.count
     assert result.iterations_done == done == sum(plans)
     assert positions.tobytes() == loop_positions.tobytes()
     assert rng.bit_generator.state == loop_rng.bit_generator.state

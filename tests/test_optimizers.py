@@ -274,8 +274,8 @@ class TestSbsRun:
     def test_explicit_init_positions(self):
         obj = make_benchmark("sphere", 2)
         init = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
-        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000, EvalCounter(),
-                                  init, collect_diagnostics=True)
+        r = sbs_module._run_engine(obj, SbsConfig(n_particles=99), 1000,
+                                  EvalCounter(records=[]), init)
         # n_particles is taken from the init array, not the argument
         assert r.diagnostics[0].live == 3
 
