@@ -56,7 +56,6 @@ from .optimizers import (
     HybridConfig,
     IterationRecord,
     LangevinParams,
-    RunResult,
     SbsConfig,
     WoaParams,
     available_methods,
@@ -97,7 +96,6 @@ __all__ = [
     "NotTwoDimensional",
     "Objective",
     "OutOfDomain",
-    "RunResult",
     "SbsConfig",
     "SbsError",
     "ShapeMismatch",

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .benchmarks import BenchmarkEntry, distance_to_minimum, lookup, make_benchmark
 from .errors import BudgetExceeded, ConfigError
-from .optimizers import RunResult, derive_seed, method_config, run_method
+from .objective import EvalCounter
+from .optimizers import derive_seed, method_config, run_method
 from .optimizers.base import check_number
 
 ECR_FLOOR = 1e-12
@@ -199,7 +200,7 @@ class RunRecord:
     dim: int
     repetition: int
     seed: int
-    result: RunResult
+    result: EvalCounter
     distance: float
 
 
@@ -269,7 +270,7 @@ def average_rank(
     return avg, final
 
 
-def _run_cell(spec: tuple) -> RunResult:
+def _run_cell(spec: tuple) -> EvalCounter:
     """One cell's run from its plain spec: (method, function, dim, budget,
     seed, params, log_every). Module-level and fed only plain values, so a
     worker process of any start method can run it."""

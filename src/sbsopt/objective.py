@@ -6,9 +6,10 @@ them in :func:`~sbsopt.benchmarks.make_benchmark`.
 
 Every optimizer in this package spends its budget through :func:`evaluate`
 and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the run's
-ledger, the single source of truth for how many scalar function evaluations
-it consumed, the best point they scored (the run's answer), how many
-iterations it ran and, when the run keeps them, its iteration records.
+ledger and, once the run ends, its result: the single source of truth for
+how many scalar function evaluations it consumed, the best point they scored
+(the run's answer), how many iterations it ran and, when the run keeps them,
+its iteration records and trajectory log.
 
 Both take one point or a block of points, one per row, and count one
 evaluation per point either way: a point is scored as a one-row block. An
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteValue, OutOfDomain
+
+if TYPE_CHECKING:
+    from .trajectory import TrajectoryLog
 
 Point = np.ndarray
 Evaluator = Callable[[np.ndarray], float]
@@ -68,10 +72,12 @@ class BoxDomain:
 
 @dataclass
 class EvalCounter:
-    """The ledger of a run: count is the scalar objective evaluations it
-    made, one per point scored, (best_x, best_f) its incumbent, and
-    iterations and records (None unless the run keeps them) are what
-    optimizers.base.log_iteration counts and appends.
+    """The ledger of a run, and its result: evals_used is the scalar
+    objective evaluations it made, one per point scored, (best_x, best_f)
+    its incumbent and answer, iterations_done and diagnostics (None unless
+    the run keeps records) what optimizers.base.log_iteration counts and
+    appends, and trajectory the log of an SBS run that keeps one.
+    EvalCounter() is an empty meter, such as an off-budget one.
 
     record keeps the incumbent by one rule: the first row of a block with
     the lowest value replaces it when strictly better, NaN never wins, and
@@ -79,14 +85,15 @@ class EvalCounter:
     the first point recorded (None before any) and best_f is inf.
     """
 
-    count: int = 0
+    evals_used: int = 0
     best_x: np.ndarray | None = None
     best_f: float = math.inf
-    iterations: int = 0
-    records: list | None = None
+    iterations_done: int = 0
+    diagnostics: list | None = None
+    trajectory: TrajectoryLog | None = None
 
     def tick(self, n: int = 1) -> None:
-        self.count += n
+        self.evals_used += n
 
     def record(self, points: np.ndarray, f: np.ndarray) -> None:
         """Offer the rows of points (M, d), scored f (M,), to the incumbent."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import fields
 
 from ..errors import ConfigError
-from ..objective import Objective
-from .base import IterationRecord, RunResult, derive_seed, split_streams
+from ..objective import EvalCounter, Objective
+from .base import IterationRecord, derive_seed, split_streams
 from .cbo import CboParams, cbo_run, consensus_point
 from .cmaes import CmaesParams, CmaGaussian, cmaes_run, default_popsize, sample_gaussian
 from .hybrid import HybridConfig, sbs_run
@@ -30,7 +30,6 @@ __all__ = [
     "HybridConfig",
     "IterationRecord",
     "LangevinParams",
-    "RunResult",
     "SbsConfig",
     "WoaParams",
     "available_methods",
@@ -55,8 +54,8 @@ __all__ = [
 # dataclass is the method's parameter object; the others become its nested
 # parts. Every run function is run(obj, params, budget, seed, *,
 # collect_diagnostics=False), sbs_run with its instrument keywords, and
-# answers from a counter of its own; cmaes_run and woa_run also return
-# their final state.
+# returns the EvalCounter it ran on as its result; cmaes_run and woa_run
+# also return their final state.
 _METHODS = {
     "sbs": ((SbsConfig,), "sbs_run"),
     "sbs-pf": ((SbsConfig, FilterConfig), "sbs_run"),
@@ -119,8 +118,9 @@ def run_method(
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
-) -> RunResult:
-    """Run one optimizer by name under an evaluation budget.
+) -> EvalCounter:
+    """Run one optimizer by name under an evaluation budget; the result is
+    the run's EvalCounter.
 
     track_ksd, log_every and benchmark only affect the sbs names; track_ksd
     adds a KSD to each diagnostics record, so it needs collect_diagnostics.

@@ -1,4 +1,4 @@
-"""Shared optimizer plumbing: run results, seeding, and diagnostics records."""
+"""Shared optimizer plumbing: seeding, parameter checks, and diagnostics records."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..objective import EvalCounter
-from ..trajectory import TrajectoryLog
 
 _SEED_BITS = 64
 
@@ -75,15 +74,12 @@ def population_iterations(budget: int, size: int, iterations: int | None) -> int
 def log_iteration(counter: EvalCounter, f: np.ndarray | None, live: int,
                   ksd: float | None = None) -> None:
     """End an iteration of counter's run: count it and, when counter keeps
-    records (f may be None when it does not), append its IterationRecord:
-    live, min_f of f, and best_so_far the least of counter's best_f, min_f
-    and the previous best_so_far."""
-    counter.iterations += 1
-    records = counter.records
-    if records is not None:
-        min_f = float(np.fmin.reduce(f))
-        best = min(counter.best_f, min_f, records[-1].best_so_far if records else math.inf)
-        records.append(IterationRecord(counter.iterations, min_f, best, live, ksd))
+    diagnostics (f may be None when it does not), append its
+    IterationRecord: live, min_f of f, and best_so_far counter's best_f."""
+    counter.iterations_done += 1
+    if counter.diagnostics is not None:
+        counter.diagnostics.append(IterationRecord(
+            counter.iterations_done, float(np.fmin.reduce(f)), counter.best_f, live, ksd))
 
 
 @dataclass
@@ -94,9 +90,10 @@ class IterationRecord:
     min_f skips NaN values (it is NaN only when every value is); ksd, when
     tracked, is measured on the state entering it: it is ksd_from_parts of
     that iteration's direction, equal to svgd.ksd of the entering state.
-    best_so_far is the lowest value the run has scored so far, its start
-    included: the run's EvalCounter.best_f, or the lowest min_f of this or
-    an earlier record when an off-budget pass scored lower. It never rises.
+    best_so_far is the run's EvalCounter.best_f at the end of the
+    iteration: the lowest value the run has paid for so far, its start
+    included. It never rises, and the last record's is the run's answer.
+    min_f may lie below it when an off-budget pass scored lower.
     """
 
     iteration: int
@@ -104,24 +101,3 @@ class IterationRecord:
     best_so_far: float
     live: int
     ksd: float | None = None
-
-
-@dataclass
-class RunResult:
-    """Outcome of one optimizer run under an evaluation budget."""
-
-    best_x: np.ndarray
-    best_f: float
-    evals_used: int
-    iterations_done: int
-    diagnostics: list[IterationRecord] | None = None
-    trajectory: TrajectoryLog | None = None
-
-    @classmethod
-    def from_counter(cls, counter: EvalCounter,
-                     trajectory: TrajectoryLog | None = None) -> RunResult:
-        """The result of a run that counter kept: its incumbent is the
-        answer, and its count, iterations and records are evals_used,
-        iterations_done and diagnostics."""
-        return cls(counter.best_x, counter.best_f, counter.count, counter.iterations,
-                   counter.records, trajectory)

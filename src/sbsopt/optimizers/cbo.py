@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, NonFiniteValue
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import RunResult, check_number, log_iteration, population_iterations, split_streams
+from .base import check_number, log_iteration, population_iterations, split_streams
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,13 @@ def cbo_run(
     seed: int,
     *,
     collect_diagnostics: bool = False,
-) -> RunResult:
+) -> EvalCounter:
     """Euler-Maruyama consensus dynamics for params.iterations iterations,
     stopping before any that would spend past budget.
 
     x_i <- x_i - lam_drift (x_i - v) dt + sigma_noise ||x_i - v|| sqrt(dt) xi_i,
-    clamped to the box; best evaluated point is returned.
+    clamped to the box. Returns the run's EvalCounter: its incumbent, the
+    best evaluated point, is the answer.
     """
     n_particles = params.n_particles
     if budget < n_particles:
@@ -77,7 +78,7 @@ def cbo_run(
         )
     iterations = min(population_iterations(budget, n_particles, params.iterations),
                      budget // n_particles - 1)
-    counter = EvalCounter(records=[] if collect_diagnostics else None)
+    counter = EvalCounter(diagnostics=[] if collect_diagnostics else None)
     domain = obj.domain
     d = domain.d
 
@@ -97,4 +98,4 @@ def cbo_run(
         fitness = evaluate(obj, positions, counter)
         log_iteration(counter, fitness, n_particles)
 
-    return RunResult.from_counter(counter)
+    return counter

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import BoxDomain, EvalCounter, Objective, evaluate, uniform_sample
-from .base import RunResult, check_number, log_iteration, split_streams
+from .base import check_number, log_iteration, split_streams
 
 _RESAMPLE_TRIES = 100
 # the flat-value window is 10 + ceil(30 d / lambda) generations (Hansen, B.3)
@@ -127,13 +127,14 @@ def cmaes_run(
     seed: int,
     *,
     collect_diagnostics: bool = False,
-) -> tuple[RunResult, CmaGaussian]:
+) -> tuple[EvalCounter, CmaGaussian]:
     """Run CMA-ES under an evaluation budget.
 
-    Returns the incumbent plus the final Gaussian so a caller can keep
-    sampling from where the search ended. The run can stop before the
+    Returns the run's EvalCounter plus the final Gaussian so a caller can
+    keep sampling from where the search ended. The run can stop before the
     budget is spent (see the module docstring); evals_used says how much
-    of it was. Its counter counts the generations, g in the path correction.
+    of it was. Its iterations_done counts the generations, g in the path
+    correction. A run in which no generation ran answers the initial mean.
     """
     domain = obj.domain
     d = domain.d
@@ -167,14 +168,14 @@ def cmaes_run(
     ps = np.zeros(d)
     pc = np.zeros(d)
 
-    counter = EvalCounter(records=[] if collect_diagnostics else None)
+    counter = EvalCounter(diagnostics=[] if collect_diagnostics else None)
     # generations in a row, this one included, whose best is last_low; a
     # NaN best (min propagates NaN) equals nothing, so it ends every streak
     last_low = math.nan
     flat = 0
     stalled = 0  # generations in a row that did not lower counter.best_f
 
-    while counter.count + lam <= budget:
+    while counter.evals_used + lam <= budget:
         cov = (cov + cov.T) / 2.0
         eigvals, basis = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-30)
@@ -202,7 +203,7 @@ def cmaes_run(
         inv_sqrt = (basis * (1.0 / scales)) @ basis.T
         ps = (1.0 - cs) * ps + ps_gain * (inv_sqrt @ y_w)
         ps_norm = math.sqrt(ps @ ps)  # np.linalg.norm's own formula
-        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * counter.iterations))
+        correction = math.sqrt(1.0 - (1.0 - cs) ** (2 * counter.iterations_done))
         hsig = 1.0 if ps_norm / correction < hsig_bound else 0.0
         pc = (1.0 - cc) * pc + hsig * pc_gain * y_w
 
@@ -221,7 +222,6 @@ def cmaes_run(
                 or stalled >= _STALL_WINDOWS * flat_window):
             break
 
-    result = RunResult.from_counter(counter)
-    if result.best_x is None:  # sigma0 so small that no generation ran
-        result.best_x = mean.copy()
-    return result, CmaGaussian(mean=mean, sigma=sigma, cov=cov)
+    if counter.best_x is None:  # sigma0 so small that no generation ran
+        counter.best_x = mean.copy()
+    return counter, CmaGaussian(mean=mean, sigma=sigma, cov=cov)

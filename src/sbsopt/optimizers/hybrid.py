@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall, ConfigError
 from ..objective import EvalCounter, Objective, project_to_box, uniform_sample
-from .base import RunResult, check_number, derive_seed, split_streams
+from .base import check_number, derive_seed, split_streams
 from .cmaes import CmaesParams, cmaes_run, default_popsize, sample_gaussian
 from .sbs import SbsConfig, _run_engine
 from .woa import WoaParams, woa_run
@@ -84,14 +84,13 @@ def _hybrid_init_full(
         raise BudgetTooSmall(
             f"budget {budget} cannot cover the init phase ({init_cost} evaluations)"
         )
-    cma_result, gaussian = cmaes_run(obj, CmaesParams(), hybrid.cmaes_budget,
-                                     derive_seed(seed, "hybrid-cma"))
-    woa_result, woa_population = woa_run(obj, woa_params, budget - cma_result.evals_used,
-                                         derive_seed(seed, "hybrid-woa"))
-    counter.tick(cma_result.evals_used + woa_result.evals_used)
-    counter.record(np.array([woa_result.best_x, cma_result.best_x]),
-                   np.array([woa_result.best_f, cma_result.best_f]))
-    if cma_result.best_f < woa_result.best_f:
+    cma, gaussian = cmaes_run(obj, CmaesParams(), hybrid.cmaes_budget,
+                              derive_seed(seed, "hybrid-cma"))
+    woa, woa_population = woa_run(obj, woa_params, budget - cma.evals_used,
+                                  derive_seed(seed, "hybrid-woa"))
+    counter.tick(cma.evals_used + woa.evals_used)
+    counter.record(np.array([woa.best_x, cma.best_x]), np.array([woa.best_f, cma.best_f]))
+    if cma.best_f < woa.best_f:
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]
         return project_to_box(obj.domain, sample_gaussian(gaussian, n_particles, rng))
     return woa_population[:n_particles]
@@ -107,8 +106,9 @@ def sbs_run(
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
-) -> RunResult:
-    """Run SBS as cfg configures it, under an evaluation budget.
+) -> EvalCounter:
+    """Run SBS as cfg configures it, under an evaluation budget, and return
+    the run's EvalCounter.
 
     The particles descend the Boltzmann flow until the budget can no longer
     cover the next iteration; the answer is the best point the run scored,
@@ -123,9 +123,10 @@ def sbs_run(
     off-budget instrumentation. The KSD costs no evaluation: each iteration
     assembles it from the parts of its own direction, with one more sum
     over the kernel values it makes. It goes only into the diagnostics
-    records, so track_ksd does nothing without collect_diagnostics.
+    records, so track_ksd does nothing without collect_diagnostics. The
+    last record's best_so_far is the answer.
     """
-    counter = EvalCounter(records=[] if collect_diagnostics else None)
+    counter = EvalCounter(diagnostics=[] if collect_diagnostics else None)
     if cfg.hybrid is not None:
         positions = _hybrid_init_full(obj, cfg, budget, seed, counter)
     else:

@@ -27,7 +27,7 @@ from ..objective import (
     project_to_box,
     uniform_sample,
 )
-from .base import RunResult, check_number, log_iteration, split_streams
+from .base import check_number, log_iteration, split_streams
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,16 @@ def langevin_run(
     seed: int,
     *,
     collect_diagnostics: bool = False,
-) -> RunResult:
-    """Run parallel Langevin chains until the budget is exhausted."""
+) -> EvalCounter:
+    """Run parallel Langevin chains until the budget is exhausted; returns
+    the run's EvalCounter."""
     n_chains, kappa, eta = params.n_chains, params.kappa, params.eta
     domain = obj.domain
     d = domain.d
     if budget < 2 * d:
         raise BudgetTooSmall(f"budget {budget} below one gradient step ({2 * d} evaluations)")
 
-    counter = EvalCounter(records=[] if collect_diagnostics else None)
+    counter = EvalCounter(diagnostics=[] if collect_diagnostics else None)
     rng_init, rng_noise = split_streams(seed, 2)
     chains = uniform_sample(domain, n_chains, rng_init)
     evaluate(obj, chains[:budget], counter)
@@ -67,7 +68,7 @@ def langevin_run(
     exhausted = False
     while not exhausted:
         # the chains the budget can still step this sweep, as one block
-        k = min(n_chains, (budget - counter.count) // step_cost)
+        k = min(n_chains, (budget - counter.evals_used) // step_cost)
         exhausted = k < n_chains
         if k == 0:
             break
@@ -83,4 +84,4 @@ def langevin_run(
             break
         log_iteration(counter, f, n_chains)
 
-    return RunResult.from_counter(counter)
+    return counter

@@ -8,12 +8,13 @@ that filter (the filter needs current f-values). At or below min_particles
 live particles the filter cannot remove one and is not run, but those N
 evaluations are still made and charged, so the arithmetic is the same. An
 iteration starts only when (2d + 1)N evaluations remain: its probes plus N
-more, the filter's evaluations or, on an iteration that does not filter, a
-final pass over the particles, which is then always affordable. The answer
-is the best point the run paid for, probes included, which the run's
-EvalCounter keeps. Diagnostics and trajectory logging use a separate
-uncounted meter so instrumentation never changes what the algorithm does
-or spends.
+more, the filter's evaluations or, on the last iteration when it does not
+filter, a final pass over the particles, which is then always affordable.
+The answer is the best point the run paid for, probes included, which the
+run's EvalCounter keeps and returns. Diagnostics and trajectory logging
+score the particles of other iterations on a separate uncounted meter, so
+instrumentation never changes what the algorithm does or spends; the last
+iteration's record and snapshot reuse its paid values.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
 from ..objective import EvalCounter, Objective, evaluate
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
-from .base import RunResult, check_number, log_iteration
+from .base import check_number, log_iteration
 
 if TYPE_CHECKING:
     from .hybrid import HybridConfig
@@ -180,16 +181,18 @@ def _run_engine(
     track_ksd: bool = False,
     log_every: int = 0,
     benchmark: str | None = None,
-) -> RunResult:
-    """The particle run loop of every SBS configuration.
+) -> EvalCounter:
+    """The particle run loop of every SBS configuration; returns counter.
 
     It moves the starting positions, whose row count replaces
     cfg.n_particles; counter already holds what was spent to find them and
     the best point found, and no iteration. An iteration runs while its
     (2d + 1)N evaluations fit and cfg.max_iterations is not reached, so a
     start that leaves too little budget runs zero iterations. Unless the
-    last iteration filtered, a final pass scores the particles if the budget
-    covers it. The result, records included, is counter's.
+    last iteration filtered, it ends with a final pass over the particles
+    before its record, so the last record's best_so_far is the answer; a
+    run of zero iterations makes that pass if the budget covers it. The log
+    goes into counter.trajectory.
     """
     domain = obj.domain
     d = domain.d
@@ -203,22 +206,9 @@ def _run_engine(
 
     instrument = EvalCounter()  # instrumentation only: not the run budget
 
-    log: TrajectoryLog | None = None
-    if log_every > 0:
-        log = TrajectoryLog(
-            method=cfg.method,
-            objective_name=obj.name,
-            dim=d,
-            lower=[float(v) for v in domain.lower],
-            upper=[float(v) for v in domain.upper],
-            kappa=cfg.kappa,
-            benchmark=benchmark,
-            fd_step=cfg.fd_step,
-        )
-
     def snapshot(iteration: int, f_vals: np.ndarray) -> None:
         # sigma is the bandwidth the next iteration uses on these particles
-        log.append(
+        counter.trajectory.append(
             TrajectorySnapshot(
                 iteration=iteration,
                 sigma=cfg.bandwidth(positions.shape[0]),
@@ -228,20 +218,30 @@ def _run_engine(
             )
         )
 
-    if log is not None:
+    if log_every > 0:
+        counter.trajectory = TrajectoryLog(
+            method=cfg.method,
+            objective_name=obj.name,
+            dim=d,
+            lower=[float(v) for v in domain.lower],
+            upper=[float(v) for v in domain.upper],
+            kappa=cfg.kappa,
+            benchmark=benchmark,
+            fd_step=cfg.fd_step,
+        )
         snapshot(0, evaluate(obj, positions, instrument))
 
-    track_ksd = track_ksd and counter.records is not None  # it goes into records only
+    track_ksd = track_ksd and counter.diagnostics is not None  # it goes into records only
 
     def running(done: int) -> bool:
         """The one stop test: another iteration's (2d + 1)N evaluations fit
         and done iterations have not reached max_iterations."""
-        return (counter.count + (2 * d + 1) * positions.shape[0] <= budget
+        return (counter.evals_used + (2 * d + 1) * positions.shape[0] <= budget
                 and (cfg.max_iterations is None or done < cfg.max_iterations))
 
-    more = running(counter.iterations)
+    more = running(counter.iterations_done)
     while more:
-        iteration = counter.iterations + 1
+        iteration = counter.iterations_done + 1
         n_live = positions.shape[0]
         sigma = cfg.bandwidth(n_live)
         prev_positions = positions
@@ -263,19 +263,21 @@ def _run_engine(
                     last_f = last_f[keep]
 
         more = running(iteration)
+        if last_f is None and not more:  # the final pass, on budget
+            last_f = evaluate(obj, positions, counter)
         # one off-budget pass at most, shared by the record and the snapshot;
         # the iteration that ends the run is always logged
-        logged = log is not None and (iteration % log_every == 0 or not more)
+        logged = log_every > 0 and (iteration % log_every == 0 or not more)
         seen_f = last_f
-        if seen_f is None and (counter.records is not None or logged):
+        if seen_f is None and (counter.diagnostics is not None or logged):
             seen_f = evaluate(obj, positions, instrument)
         log_iteration(counter, seen_f, positions.shape[0], ksd_value)
         if logged:
             snapshot(iteration, seen_f)
 
-    if last_f is None and budget - counter.count >= positions.shape[0]:
+    if last_f is None and budget - counter.evals_used >= positions.shape[0]:
         evaluate(obj, positions, counter)
-    if counter.count > budget:
-        raise BudgetExceeded(f"internal accounting error: {counter.count} evaluations "
+    if counter.evals_used > budget:
+        raise BudgetExceeded(f"internal accounting error: {counter.evals_used} evaluations "
                              f"exceed the budget of {budget}")
-    return RunResult.from_counter(counter, log)
+    return counter

@@ -19,8 +19,8 @@ target best_x, or the partner's row for an explorer. These are the same
 draws and, bit for bit, the same moves as planning one iteration at a time.
 A chunk stops at the last iteration the budget pays for, so the stream
 ends where the iteration-by-iteration loop leaves it.
-The final population is returned alongside the incumbent because hybrid
-initialization consumes it.
+The final population is returned alongside the run's EvalCounter because
+hybrid initialization consumes it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import BudgetTooSmall
 from ..objective import EvalCounter, Objective, evaluate, project_to_box, uniform_sample
-from .base import RunResult, check_number, log_iteration, population_iterations, split_streams
+from .base import check_number, log_iteration, population_iterations, split_streams
 
 CHUNK = 64  # iterations planned at once; their draws take 2 kB per agent
 
@@ -120,12 +120,13 @@ def woa_run(
     seed: int,
     *,
     collect_diagnostics: bool = False,
-) -> tuple[RunResult, np.ndarray]:
+) -> tuple[EvalCounter, np.ndarray]:
     """Run WOA for params.iterations iterations, stopping before any that
     would spend past budget.
 
     Costs n_agents evaluations for the initial population and n_agents per
-    iteration; the moves target the run's incumbent.
+    iteration; the moves target the run's incumbent. Returns the run's
+    EvalCounter and the final population.
     """
     n_agents = params.n_agents
     if budget < n_agents:
@@ -133,7 +134,7 @@ def woa_run(
             f"budget {budget} below the initial population ({n_agents} evaluations)"
         )
     iterations = population_iterations(budget, n_agents, params.iterations)
-    counter = EvalCounter(records=[] if collect_diagnostics else None)
+    counter = EvalCounter(diagnostics=[] if collect_diagnostics else None)
     domain = obj.domain
 
     rng_init, rng_move = split_streams(seed, 2)
@@ -142,7 +143,7 @@ def woa_run(
 
     # every iteration costs n_agents evaluations: plan no move the budget
     # cannot pay for, so no draw is made for a move that never runs
-    moves = min(iterations, (budget - counter.count) // n_agents)
+    moves = min(iterations, (budget - counter.evals_used) // n_agents)
     for start in range(1, moves + 1, CHUNK):
         stop = min(start + CHUNK, moves + 1)
         a = np.array([2.0 - 2.0 * t / iterations for t in range(start, stop)])
@@ -150,4 +151,4 @@ def woa_run(
             positions = project_to_box(domain, _move(positions, counter.best_x, move))
             log_iteration(counter, evaluate(obj, positions, counter), n_agents)
 
-    return RunResult.from_counter(counter), positions.copy()
+    return counter, positions.copy()

@@ -36,7 +36,7 @@ class TestScore:
         target = BoltzmannTarget(objective=obj, kappa=1.0)
         counter = EvalCounter()
         score(target, np.zeros(4), counter)
-        assert counter.count == 8
+        assert counter.evals_used == 8
 
     def test_kappa_scales_linearly(self):
         obj = make_benchmark("rastrigin", 2)
@@ -228,11 +228,11 @@ class TestKsd:
         counter = EvalCounter()
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             ksd(np.zeros((3, 2)), target, sigma, counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
 
     def test_counts_2d_per_particle(self):
         obj = make_benchmark("sphere", 2)
         target = BoltzmannTarget(obj, kappa=1.0)
         counter = EvalCounter()
         ksd(np.zeros((5, 2)), target, 1.0, counter)
-        assert counter.count == 5 * 4
+        assert counter.evals_used == 5 * 4

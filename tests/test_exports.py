@@ -8,7 +8,7 @@ EXPORTS = [
     "DEFAULT_STEP_SIZE", "EvalCounter", "ExperimentConfig", "ExperimentTable",
     "FilterConfig", "FunctionSpec", "HybridConfig", "IterationRecord",
     "LangevinParams", "MethodSpec", "NonFiniteValue", "NotTwoDimensional",
-    "Objective", "OutOfDomain", "RunResult", "SbsConfig", "SbsError",
+    "Objective", "OutOfDomain", "SbsConfig", "SbsError",
     "ShapeMismatch", "TrajectoryLog", "TrajectorySnapshot", "UnsupportedDimension",
     "WoaParams", "__version__", "available_methods",
     "average_rank", "cbo_run", "cmaes_run", "derive_seed", "distance_to_minimum",
@@ -21,7 +21,7 @@ EXPORTS = [
 
 def test_all_is_pinned():
     assert sbsopt.__all__ == EXPORTS
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 57
 
 
 def test_every_export_resolves():

@@ -92,7 +92,7 @@ class TestHybridInit:
         counter = EvalCounter()
         _hybrid_init_full(obj, hybrid(5, HybridConfig(60, 20)), budget=10**6, seed=0,
                           counter=counter)
-        assert counter.count == 60 + max(2, 5) * (20 + 1)
+        assert counter.evals_used == 60 + max(2, 5) * (20 + 1)
 
     def test_single_particle_request_is_valid(self):
         # WOA needs two agents, so a 1-particle init still runs with 2
@@ -101,7 +101,7 @@ class TestHybridInit:
         pts = _hybrid_init_full(obj, hybrid(1, HybridConfig(60, 10)), budget=10**6,
                                 seed=1, counter=counter)
         assert pts.shape == (1, 2)
-        assert counter.count == 60 + 2 * 11
+        assert counter.evals_used == 60 + 2 * 11
 
     def test_checks_come_before_any_evaluation(self):
         obj = make_benchmark("rastrigin", 10)
@@ -114,7 +114,7 @@ class TestHybridInit:
             counter = EvalCounter()
             with pytest.raises(error):
                 _hybrid_init_full(obj, hybrid(n, cfg), budget, 0, counter)
-            assert counter.count == 0
+            assert counter.evals_used == 0
 
 
 class TestHybridRun:
@@ -182,7 +182,7 @@ class TestHybridRun:
         init_spent = cma_result.evals_used + n * (20 + 1)
         counter = EvalCounter()
         _hybrid_init_full(obj, hybrid(n, cfg), budget, seed, counter)
-        assert counter.count == init_spent
+        assert counter.evals_used == init_spent
 
         r = sbs_run(obj, hybrid(n, cfg), budget, seed)
         # each iteration pays 2 d n probes, and the answer n final values

@@ -187,7 +187,7 @@ class TestSigmaDomain:
         counter = EvalCounter()
         with pytest.raises(ValueError, match="sigma"):
             ksd(np.zeros((3, 2)), target, sigma, counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
         with pytest.raises(ValueError, match="sigma"):
             TrajectorySnapshot(iteration=0, sigma=sigma, ids=[0], positions=[[0.0, 0.0]],
                                f_values=[0.0])
@@ -640,7 +640,7 @@ class TestIdentityBlock:
         counter = EvalCounter()
         with pytest.raises(ValueError, match="sigma"):
             ksd(isolated(), target, sigma, counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
         with pytest.raises(ConfigError, match="sigma"):
             SbsConfig(sigma=sigma)
         assert np.array_equal(pairwise_kernel(SIGMA_MIN, isolated())[0], np.eye(100))

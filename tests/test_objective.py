@@ -87,13 +87,13 @@ class TestEvaluate:
         counter = EvalCounter()
         for i in range(7):
             evaluate(obj, np.zeros(3), counter)
-        assert counter.count == 7
+        assert counter.evals_used == 7
 
     def test_tick_batch(self):
         counter = EvalCounter()
         counter.tick(5)
         counter.tick()
-        assert counter.count == 6
+        assert counter.evals_used == 6
 
     def test_record_keeps_the_first_strictly_lowest(self):
         counter = EvalCounter()
@@ -106,14 +106,14 @@ class TestEvaluate:
         assert counter.best_x.tobytes() == pts[2].tobytes() and counter.best_f == 1.0
         counter.record(pts[3:], np.array([1.0]))  # a tie is not an improvement
         assert counter.best_x.tobytes() == pts[2].tobytes()
-        assert counter.count == 0  # record never ticks
+        assert counter.evals_used == 0  # record never ticks
 
     def test_out_of_domain_raises_and_does_not_count(self):
         obj = quad_objective(half_width=1.0)
         counter = EvalCounter()
         with pytest.raises(OutOfDomain):
             evaluate(obj, np.array([2.0, 0.0, 0.0]), counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
 
 
 class TestBlockEvaluate:
@@ -123,9 +123,9 @@ class TestBlockEvaluate:
         block = uniform_sample(obj.domain, 9, np.random.default_rng(0))
         values = evaluate(obj, block, counter)
         assert values.shape == (9,)
-        assert counter.count == 9
+        assert counter.evals_used == 9
         assert evaluate(obj, block[:0], counter).shape == (0,)
-        assert counter.count == 9
+        assert counter.evals_used == 9
 
     def test_out_of_box_row_raises_before_counting(self):
         obj = make_benchmark("sphere", 3)
@@ -134,7 +134,7 @@ class TestBlockEvaluate:
         counter = EvalCounter()
         with pytest.raises(OutOfDomain, match=r"5\.2"):
             evaluate(obj, block, counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
 
     def test_a_nan_row_raises_before_counting(self):
         obj = make_benchmark("sphere", 3)
@@ -145,7 +145,7 @@ class TestBlockEvaluate:
             evaluate(obj, block, counter)
         with pytest.raises(OutOfDomain, match="nan"):
             evaluate(obj, block[2], counter)
-        assert counter.count == 0
+        assert counter.evals_used == 0
 
     def test_wrong_width_raises(self):
         obj = make_benchmark("sphere", 3)
@@ -174,7 +174,7 @@ class TestBlockEvaluate:
         block = uniform_sample(obj.domain, 6, np.random.default_rng(2))
         counter = EvalCounter()
         values = evaluate(obj, block, counter)
-        assert counter.count == 6
+        assert counter.evals_used == 6
         assert [c.shape for c in calls] == [(2,)] * 6
         np.testing.assert_array_equal(np.array(calls), block)
         np.testing.assert_array_equal(values, [float(x @ x) for x in block])
@@ -207,7 +207,7 @@ class TestBlockFdGradient:
         block = fd_gradient(obj, points, block_counter, h=h)
         loop = np.array([fd_gradient_loop(obj, x, loop_counter, h=h) for x in points])
         assert block.tobytes() == loop.tobytes()
-        assert block_counter.count == loop_counter.count == 2 * d * n
+        assert block_counter.evals_used == loop_counter.evals_used == 2 * d * n
         one = np.array([fd_gradient(obj, x, EvalCounter(), h=h) for x in points])
         assert one.tobytes() == loop.tobytes()
 
@@ -237,7 +237,7 @@ class TestBlockFdGradient:
         counter = EvalCounter()
         with pytest.raises(NonFiniteValue, match=r"0\.9"):
             fd_gradient(obj, np.array([[-0.5], [0.9], [0.1]]), counter)
-        assert counter.count == 6
+        assert counter.evals_used == 6
 
 
 class TestProjection:
@@ -283,7 +283,7 @@ class TestFdGradient:
         obj = quad_objective(d=5)
         counter = EvalCounter()
         fd_gradient(obj, np.ones(5), counter)
-        assert counter.count == 10
+        assert counter.evals_used == 10
 
     def test_boundary_probes_stay_inside(self):
         # evaluator asserts feasibility, so a clamping bug would raise

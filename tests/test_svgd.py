@@ -46,7 +46,7 @@ class TestParticleArrays:
     def test_coerces_1d_to_single_row(self):
         # a 1-d starting ensemble is one particle
         obj = make_benchmark("sphere", 3)
-        r = _run_engine(obj, SbsConfig(max_iterations=2), 1000, EvalCounter(records=[]),
+        r = _run_engine(obj, SbsConfig(max_iterations=2), 1000, EvalCounter(diagnostics=[]),
                         np.zeros(3), log_every=1)
         assert r.trajectory.snapshots[0].positions.shape == (1, 3)
         assert [rec.live for rec in r.diagnostics] == [1, 1]
@@ -222,7 +222,7 @@ class TestSvgdIterate:
         counter = EvalCounter()
         adam = AdamState.fresh(5, 2)
         _iterate_with_parts(pts, target, 1.0, 0.03, adam, counter)
-        assert counter.count == 2 * 2 * 5
+        assert counter.evals_used == 2 * 2 * 5
 
     def test_result_stays_in_domain(self):
         obj = make_benchmark("camel", 2)
