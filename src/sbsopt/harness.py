@@ -8,6 +8,9 @@ the same results as one after another. Outputs are a CSV of aggregate
 distances, a JSON summary with the comparison metrics, and optional per-run
 trajectory logs.
 
+A config is read from JSON by one rule: each object holds exactly the
+fields of its dataclass, so a misspelled key is a ConfigError.
+
 The config checks itself when it is built: FunctionSpec resolves its
 benchmark and dimension, MethodSpec builds its method's parameter object,
 and ExperimentConfig checks its counts and rejects empty sections and
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +75,17 @@ class MethodSpec:
 class FunctionSpec:
     """One benchmark row: registry name and an integer dimension, which the
     named benchmark must support. The name, as spelled, enters cell seeds,
-    results.csv and trajectory files, so it may not start or end with
-    whitespace."""
+    results.csv and trajectory files, so it is a string that may not start
+    or end with whitespace."""
 
     name: str
     dim: int
 
     def __post_init__(self):
         check_number(self, "dim", int)
-        if self.name != self.name.strip():
-            raise ConfigError(f"function name {self.name!r} starts or ends with whitespace",
-                              field="function")
+        if not isinstance(self.name, str) or self.name != self.name.strip():
+            raise ConfigError(f"function name {self.name!r} is not a string without "
+                              "leading or trailing whitespace", field="function")
         try:
             entry = lookup(self.name)
         except KeyError as exc:
@@ -131,29 +134,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(ExperimentConfig)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}", field=key)
-        for name, f in known.items():
-            if f.default is MISSING and name not in data:
-                raise ConfigError(f"missing field {name!r}", field=name)
-        values = {name: data.get(name, f.default) for name, f in known.items()}
-        try:
-            values["functions"] = [
-                FunctionSpec(name=str(f["name"]), dim=f["dim"])
-                for f in values["functions"]
-            ]
-            values["methods"] = [
-                MethodSpec(name=str(m["name"]), params=m.get("params", {}),
-                           label=m.get("label"))
-                for m in values["methods"]
-            ]
-        except KeyError as exc:
-            raise ConfigError(f"missing field {exc.args[0]!r}", field=str(exc.args[0]))
-        except TypeError:
-            raise ConfigError("functions and methods must be lists of objects",
-                              field="functions")
+        """The config a JSON object describes: it and each function and
+        method entry hold exactly their dataclass's fields (_fields_of)."""
+        values = _fields_of(ExperimentConfig, data, "config")
+        for section, spec in (("functions", FunctionSpec), ("methods", MethodSpec)):
+            entries = values[section]
+            if not isinstance(entries, list):
+                raise ConfigError(f"{section} must be a list of objects, got {entries!r}",
+                                  field=section)
+            values[section] = [spec(**_fields_of(spec, e, section[:-1])) for e in entries]
         return ExperimentConfig(**values)
 
     @staticmethod
@@ -165,18 +154,27 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "functions": [{"name": f.name, "dim": f.dim} for f in self.functions],
-            "methods": [
-                {"name": m.name, "params": m.params, "label": m.key}
-                for m in self.methods
-            ],
-            "budget": self.budget,
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "output_dir": self.output_dir,
-            "log_every": self.log_every,
-        }
+        """Every field, as from_dict reads it back; each method's label is its key."""
+        data = asdict(self)
+        for entry, m in zip(data["methods"], self.methods):
+            entry["label"] = m.key
+        return data
+
+
+def _fields_of(cls, data, what: str) -> dict:
+    """A copy of `data`, checked to be a JSON object that holds exactly the
+    fields of dataclass `cls`: no other key, and every field without a
+    default; `what` names the object in errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be an object, got {data!r}", field=what)
+    known = {f.name: f for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown {what} key {key!r}", field=key)
+    for name, f in known.items():
+        if f.default is MISSING and f.default_factory is MISSING and name not in data:
+            raise ConfigError(f"missing {what} field {name!r}", field=name)
+    return dict(data)
 
 
 def validate_config(cfg: ExperimentConfig) -> dict[str, BenchmarkEntry]:
@@ -218,7 +216,6 @@ class ExperimentTable:
     avg_rank: dict[str, float]
     final_rank: dict[str, int]
     runs: list[RunRecord]
-    config: ExperimentConfig
 
 
 def ecr(mean_distances: dict[str, dict[str, float]]) -> dict[str, float]:
@@ -381,7 +378,6 @@ def _tabulate(cfg: ExperimentConfig, entries: dict[str, BenchmarkEntry],
         avg_rank=avg,
         final_rank=final,
         runs=records,
-        config=cfg,
     )
 
 

@@ -708,6 +708,17 @@ class TestLangevin:
         with pytest.raises(ConfigError):
             LangevinParams(n_chains=2, kappa=1.0, eta=-1e-5)
 
+    def test_a_sweep_with_no_finite_value_ends_the_run(self):
+        # the drift throws both chains past the cliff at x_0 = -0.5, where f
+        # is NaN: 2 initial values, 8 probes and 2 NaN values, no iteration
+        obj = make_objective("cliff", [-1.0, -1.0], [1.0, 1.0],
+                             lambda x: x[0] if x[0] > -0.5 else math.nan)
+        for seed in range(5):
+            r = langevin_run(obj, LangevinParams(n_chains=2, kappa=1e8), 1000, seed,
+                             collect_diagnostics=True)
+            assert (r.evals_used, r.iterations_done, r.diagnostics) == (12, 0, [])
+            assert r.best_f == r.best_x[0] > -0.5
+
 
 def half_nan_objective():
     """NaN for x_0 > 0, ||x||^2 elsewhere on [-1, 1]^2."""

@@ -45,6 +45,11 @@ class TestScore:
         s7 = score(BoltzmannTarget(obj, kappa=7.0), x, EvalCounter())
         np.testing.assert_allclose(s7, 7.0 * s1, rtol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.inf, np.nan])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            BoltzmannTarget(line_objective(), kappa=kappa)
+
 
 class TestGridDensity:
     def test_normalizes_to_one(self):

@@ -139,6 +139,26 @@ class TestConfig:
             })
         assert err.value.field == "paralellism"
 
+    @pytest.mark.parametrize("section, value, field", [
+        ("functions", [{"name": "Sphere", "dim": 2, "shift": 1.7}], "shift"),
+        ("methods", [{"name": "sbs", "param": {"sigma": 1e-150}, "label": "sbs-iso"}],
+         "param"),
+        ("methods", 5, "methods"),
+        ("functions", {"name": "Sphere", "dim": 2}, "functions"),
+        ("functions", [{"name": "Sphere"}], "dim"),
+        ("methods", ["sbs"], "method"),
+        ("functions", [{"name": 5, "dim": 2}], "function"),
+    ], ids=["function-key", "method-key", "methods-number", "functions-object",
+            "function-without-dim", "method-string", "function-name-number"])
+    def test_from_dict_holds_each_object_to_its_fields(self, section, value, field):
+        # an unknown key was dropped: "param" ran default sbs as "sbs-iso"
+        data = {"functions": [{"name": "Sphere", "dim": 2}],
+                "methods": [{"name": "sbs"}], "budget": 100}
+        data[section] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data)
+        assert err.value.field == field
+
     def test_from_dict_defaults_are_the_dataclass_defaults(self):
         cfg = ExperimentConfig.from_dict({
             "functions": [{"name": "Sphere", "dim": 2}],
@@ -645,6 +665,46 @@ class TestCli:
         assert "label" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, entry, key", [
+        ("functions", {"name": "Ackley", "dim": 2, "shift": 1.7}, "shift"),
+        ("methods", {"name": "sbs", "param": {"sigma": 1e-150}, "label": "sbs-iso"},
+         "param"),
+    ], ids=["function-key", "method-key"])
+    def test_misspelled_key_exits_2_and_writes_nothing(self, section, entry, key,
+                                                        capsys, tmp_path):
+        data = {"functions": [{"name": "Ackley", "dim": 2}],
+                "methods": [{"name": "sbs", "params": {"n_particles": 5}}],
+                "budget": 500, "repetitions": 1, "output_dir": str(tmp_path / "out")}
+        data[section] = [entry]
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"unknown {section[:-1]} key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_runtime_error_exits_1(self, capsys):
+        # one plain iteration of 5 particles in 2-d costs 25 evaluations
+        assert main(["single", "--method", "sbs", "--function", "sphere",
+                     "--budget", "24", "--param", "n_particles=5"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("pair", ["n_particles", "n_particles=abc"])
+    def test_malformed_param_exits_2(self, pair, capsys):
+        # without '=' it is no pair; a value that is not JSON stays a string
+        assert main(["single", "--method", "sbs", "--function", "sphere",
+                     "--budget", "500", "--param", pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_particles" in err
+
+    def test_diag_ksd_of_a_log_without_benchmark_exits_1(self, capsys, tmp_path):
+        log_path = tmp_path / "run.json"
+        result = run_method("sbs", make_benchmark("sphere", 2), 500, 0,
+                            {"n_particles": 5}, log_every=2)
+        assert result.trajectory.benchmark is None
+        result.trajectory.save(log_path)
+        assert main(["diag", "ksd", str(log_path)]) == 1
+        assert "names no benchmark" in capsys.readouterr().err
 
     def test_unknown_method_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

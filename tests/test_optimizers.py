@@ -11,6 +11,7 @@ from sbsopt import (
     ConfigError,
     FilterConfig,
     SbsConfig,
+    ShapeMismatch,
     make_benchmark,
     make_objective,
     pf_filter,
@@ -64,6 +65,12 @@ class TestPfFilter:
                            start_iteration=0, min_particles=1)
         keep = pf_filter(pos, prev, f, cfg)
         np.testing.assert_array_equal(keep, [0, 1, 2])
+
+    @pytest.mark.parametrize("prev_rows, f_rows", [(3, 4), (4, 3)])
+    def test_misaligned_arrays_raise(self, prev_rows, f_rows):
+        cfg = FilterConfig(start_iteration=0, min_particles=1)
+        with pytest.raises(ShapeMismatch):
+            pf_filter(np.zeros((4, 2)), np.zeros((prev_rows, 2)), np.zeros(f_rows), cfg)
 
     def test_identical_population_survives(self):
         # with all values and moves equal, nothing is strictly above/below
