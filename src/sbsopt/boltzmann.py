@@ -170,8 +170,8 @@ def ksd_from_parts(
     repulsion: np.ndarray,
     trace: float,
 ) -> float:
-    """The KSD V-statistic of the RBF Stein kernel, from the parts of the
-    SVGD direction that svgd._forces returns.
+    """The KSD V-statistic of the RBF Stein kernel, from the scores and the
+    parts of the SVGD direction that svgd._forces returns.
 
     V = (1/N^2) sum_ij [ s_i.s_j k_ij + s_i.(x_i-x_j) k_ij / sigma^2
                          + s_j.(x_j-x_i) k_ij / sigma^2

@@ -15,7 +15,10 @@ Both take one point or a block of points, one per row, and count one
 evaluation per point either way: a point is scored as a one-row block. An
 evaluator whose ``vectorized`` attribute is true (the registry benchmarks)
 scores a whole block in one call; any other callable is called once per
-row, in row order.
+row, in row order. The SBS loop also scores a block with
+:func:`block_values` and charges its rows on the counter in two parts
+(EvalCounter.tick and record), at the points where evaluate and
+fd_gradient would charge them.
 """
 
 from __future__ import annotations
@@ -131,18 +134,26 @@ def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarr
     violates the (closed) bounds; callers are expected to project first.
     """
     x = np.asarray(x, dtype=float)
-    if not obj.domain.contains(x):
-        row = next((row for row in np.atleast_2d(x) if not obj.domain.contains(row)), x)
-        raise OutOfDomain(f"{obj.name}: point {row} "
-                          f"outside {obj.domain.lower}..{obj.domain.upper}")
     block = x[None] if x.ndim == 1 else x
+    f = block_values(obj, block)
     counter.tick(len(block))
-    if getattr(obj.evaluator, "vectorized", False):
-        f = obj.evaluator(block)
-    else:
-        f = np.array([float(obj.evaluator(row)) for row in block], dtype=float)
     counter.record(block, f)
     return float(f[0]) if x.ndim == 1 else f
+
+
+def block_values(obj: Objective, block: np.ndarray) -> np.ndarray:
+    """f at each row of a block (M, d), neither counted nor recorded: what
+    evaluate scores, for a caller that charges the rows itself
+    (EvalCounter.tick and record). OutOfDomain as in evaluate."""
+    lower, upper = obj.domain.lower, obj.domain.upper
+    if not (block.ndim == 2 and block.shape[1] == lower.size
+            and ((block >= lower) & (block <= upper)).all()):
+        row = next((row for row in np.atleast_2d(block) if not obj.domain.contains(row)),
+                   block)
+        raise OutOfDomain(f"{obj.name}: point {row} outside {lower}..{upper}")
+    if getattr(obj.evaluator, "vectorized", False):
+        return obj.evaluator(block)
+    return np.array([float(obj.evaluator(row)) for row in block], dtype=float)
 
 
 def project_to_box(domain: BoxDomain, x: Point) -> Point:
@@ -159,31 +170,50 @@ def fd_gradient(
     """Central-difference gradient estimate, 2d evaluations per point.
 
     x is one point (d,) or N points (N, d); the gradient has the same shape.
-    All 2dN probes go to :func:`evaluate` as one block, ordered by point,
-    then coordinate, then + before -.
+    All 2dN probes (fd_probes) go to :func:`evaluate` as one block, and
+    fd_difference turns their values into the gradient.
+    """
+    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(x)
+    probes, gaps = fd_probes(obj.domain, points, h)
+    grad = fd_difference(obj, points, evaluate(obj, probes, counter), gaps)
+    return grad.reshape(x.shape)
+
+
+def fd_probes(domain: BoxDomain, points: np.ndarray,
+              h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The 2dN probes of fd_gradient at the points (N, d), ordered by point,
+    then coordinate, then + before -, and the separations (N, d) of each
+    coordinate's two probes.
 
     With h=None the step is 1e-6 * max(1, |x_i|) per coordinate. Probe points
     are clamped to the box; the difference is divided by the actual probe
     separation, so the estimate is one-sided (bias O(h)) only on the boundary.
     """
-    x = np.asarray(x, dtype=float)
-    points = np.atleast_2d(x)
     n, d = points.shape
     step = h if h is not None else 1e-6 * np.maximum(1.0, np.abs(points))
-    up = np.minimum(points + step, obj.domain.upper)
-    down = np.maximum(points - step, obj.domain.lower)
+    up = np.minimum(points + step, domain.upper)
+    down = np.maximum(points - step, domain.lower)
     # rows 2dk + 2i and 2dk + 2i + 1 are point k with coordinate i moved up
     # and down: in the (n, 2d^2) view, entries i(2d + 1) and d + i(2d + 1)
     probes = points.repeat(2 * d, axis=0)
     flat = probes.reshape(n, 2 * d * d)
     flat[:, ::2 * d + 1] = up
     flat[:, d::2 * d + 1] = down
-    f = evaluate(obj, probes, counter).reshape(n, d, 2)
+    return probes, up - down
+
+
+def fd_difference(obj: Objective, points: np.ndarray, f: np.ndarray,
+                  gaps: np.ndarray) -> np.ndarray:
+    """The central differences (N, d) at the points (N, d) from the values f
+    of their fd_probes and its separations; NonFiniteValue names the first
+    point with a non-finite probe value."""
+    n, d = points.shape
+    f = f.reshape(n, d, 2)
     if not np.isfinite(f).all():
         k = np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0]
         raise NonFiniteValue(f"{obj.name}: non-finite probe near {points[k]}")
-    grad = (f[:, :, 0] - f[:, :, 1]) / (up - down)
-    return grad.reshape(x.shape)
+    return (f[:, :, 0] - f[:, :, 1]) / gaps
 
 
 def uniform_sample(domain: BoxDomain, n: int, rng: np.random.Generator) -> np.ndarray:

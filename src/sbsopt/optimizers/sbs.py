@@ -10,6 +10,10 @@ evaluations are still made and charged, so the arithmetic is the same. An
 iteration starts only when (2d + 1)N evaluations remain: its probes plus N
 more, the filter's evaluations or, on the last iteration when it does not
 filter, a final pass over the particles, which is then always affordable.
+A pass at the floor leaves the particles as they are, so when the next
+iteration is sure to run, the pass and that iteration's probes are scored
+in one evaluator call. The evaluations charged, and when, are unchanged:
+the pass before this iteration's record, the probes when the next starts.
 The answer is the best point the run paid for, probes included, which the
 run's EvalCounter keeps and returns. Diagnostics and trajectory logging
 score the particles of other iterations on a separate uncounted meter, so
@@ -24,9 +28,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..boltzmann import DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, BoltzmannTarget, ksd_from_parts
+from ..boltzmann import (DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, BoltzmannTarget, ksd_from_parts,
+                         score)
 from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
-from ..objective import EvalCounter, Objective, evaluate
+from ..objective import (EvalCounter, Objective, block_values, evaluate, fd_difference,
+                         fd_probes)
 from ..svgd import DEFAULT_STEP_SIZE, AdamState, _iterate_with_parts
 from ..trajectory import TrajectoryLog, TrajectorySnapshot
 from .base import check_number, log_iteration
@@ -46,7 +52,9 @@ class FilterConfig:
     min_particles is None, SbsConfig resolves it to max(5, N // 20). At or
     below min_particles live particles the rule cannot remove one (the floor
     keeps the best min_particles, which is all of them), so the run does not
-    apply it; its N evaluations per iteration are still made and charged.
+    apply it; its N evaluations per iteration are still made and charged,
+    in one evaluator call with the next iteration's probes when that
+    iteration is sure to run (the probes are charged when it starts).
 
     The default percentiles are calibrated on Ackley-2d so that stuck
     particles are removed fast enough to cut the evaluation bill well below
@@ -233,26 +241,47 @@ def _run_engine(
 
     track_ksd = track_ksd and counter.diagnostics is not None  # it goes into records only
 
-    def running(done: int) -> bool:
+    def running(done: int, pending: int = 0) -> bool:
         """The one stop test: another iteration's (2d + 1)N evaluations fit
-        and done iterations have not reached max_iterations."""
-        return (counter.evals_used + (2 * d + 1) * positions.shape[0] <= budget
+        beside pending ones not yet charged, and done iterations have not
+        reached max_iterations."""
+        return (counter.evals_used + pending + (2 * d + 1) * positions.shape[0] <= budget
                 and (cfg.max_iterations is None or done < cfg.max_iterations))
 
+    ahead = None  # the next iteration's probes, scored with a floor pass
     more = running(counter.iterations_done)
     while more:
         iteration = counter.iterations_done + 1
         n_live = positions.shape[0]
         sigma = cfg.bandwidth(n_live)
+        if ahead is None:
+            scores = score(target, positions, counter)
+        else:  # charged here, where fd_gradient charges the probes it scores
+            probes, gaps, f = ahead
+            ahead = None
+            counter.tick(len(probes))
+            counter.record(probes, f)
+            scores = -cfg.kappa * fd_difference(obj, positions, f, gaps)
         prev_positions = positions
         positions, parts = _iterate_with_parts(
-            positions, target, sigma, cfg.step_size, adam, counter, track_ksd
+            positions, scores, sigma, cfg.step_size, adam, domain, track_ksd
         )
-        ksd_value = ksd_from_parts(*parts) if track_ksd else None
+        ksd_value = ksd_from_parts(scores, *parts) if track_ksd else None
 
         last_f = None
         if cfg.filter is not None and iteration >= cfg.filter.start_iteration:
-            last_f = evaluate(obj, positions, counter)
+            if n_live <= cfg.filter.min_particles and running(iteration, n_live):
+                # at its floor the positions stay as they are until the next
+                # iteration, which is sure to run: its probes are scored with
+                # this pass in one evaluator call, and charged when it starts
+                probes, gaps = fd_probes(domain, positions, cfg.fd_step)
+                f = block_values(obj, np.concatenate((positions, probes)))
+                last_f = f[:n_live]
+                counter.tick(n_live)
+                counter.record(positions, last_f)
+                ahead = probes, gaps, f[n_live:]
+            else:
+                last_f = evaluate(obj, positions, counter)
             # at or below its floor the filter keeps every particle, so it is not run
             if n_live > cfg.filter.min_particles:
                 keep = pf_filter(positions, prev_positions, last_f, cfg.filter)

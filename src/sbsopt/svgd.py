@@ -11,7 +11,7 @@ import numpy as np
 from .boltzmann import (PROOF_MIN, BoltzmannTarget, check_sigma, kernel_tiles,
                         ksd_from_parts, near_pairs, pairwise_kernel, score)
 from .errors import NonFiniteValue, ShapeMismatch
-from .objective import EvalCounter, project_to_box
+from .objective import BoxDomain, EvalCounter, project_to_box
 
 DEFAULT_STEP_SIZE = 0.03
 ADAM_BETA1 = 0.9
@@ -39,13 +39,13 @@ class AdamState:
 
 def _forces(
     positions: np.ndarray,
-    target: BoltzmannTarget,
+    scores: np.ndarray,
     sigma: float,
-    counter: EvalCounter,
     trace: bool = False,
 ):
-    """The parts of the SVGD direction: (scores, attraction, repulsion,
-    trace), with trace None unless asked for.
+    """The parts of the SVGD direction at the positions (N, d), whose scores
+    s(x_i) are the rows of scores: (attraction, repulsion, trace), with
+    trace None unless asked for.
 
     attraction_i = (1/N) sum_j s(x_j) k(x_i, x_j)
     repulsion_i  = (1/N) sum_j k(x_i, x_j) (x_i - x_j) / sigma^2
@@ -56,12 +56,14 @@ def _forces(
     summed over the nonzero kernel values only: the one part of the KSD
     that the direction does not hold (see ksd_from_parts).
 
-    The direction starts as the identity kernel gives it: attraction
-    s(x_i) / N and repulsion +0.0 in every row, and T sigma^2 = N d from
-    the diagonal. A particle in no tile of kernel_tiles keeps those rows,
-    since its kernel row is e_i. Each tile that builds a block then
-    overwrites its own rows and adds its off-diagonal Stein terms to T, and
-    each pair of tiles adds its block into both of its sides.
+    Fewer than PROOF_MIN particles are one tile, too small to try a proof:
+    their one dense block gives both parts directly. Otherwise the
+    direction starts as the identity kernel gives it: attraction s(x_i) / N
+    and repulsion +0.0 in every row, and T sigma^2 = N d from the diagonal.
+    A particle in no tile of kernel_tiles keeps those rows, since its
+    kernel row is e_i. Each tile that builds a block then overwrites its
+    own rows and adds its off-diagonal Stein terms to T, and each pair of
+    tiles adds its block into both of its sides.
 
     Each tile's path is fixed before any block is built, with sigma a width
     check_sigma accepts. A tile of at least PROOF_MIN particles first asks
@@ -84,9 +86,6 @@ def _forces(
     row-major order, so T has the same bits whichever path a tile takes.
     """
     n, d = positions.shape
-    scores = score(target, positions, counter)
-    tiles, pairs = kernel_tiles(sigma, positions)
-    attraction, repulsion = scores / n, np.zeros_like(scores)
     total = n * d  # T sigma^2
 
     def stein_sum(kvals, sqdist) -> float:
@@ -97,6 +96,14 @@ def _forces(
         live = kvals != 0
         return np.sum(kvals[live] * (d - sqdist[live] / sigma**2))
 
+    if n < PROOF_MIN:
+        kmat, diff, sqdist = pairwise_kernel(sigma, positions)
+        pull = np.einsum("ij,ijd->id", kmat, diff)
+        total += stein_sum(kmat - np.eye(n) if trace else None, sqdist)
+        return kmat @ scores / n, pull / sigma**2 / n, float(total) / sigma**2 if trace else None
+
+    tiles, pairs = kernel_tiles(sigma, positions)
+    attraction, repulsion = scores / n, np.zeros_like(scores)
     for tile in tiles:
         points = positions[tile]
         m = len(points)
@@ -128,7 +135,7 @@ def _forces(
         repulsion[rows] += np.einsum("ij,ijd->id", kmat, diff) / sigma**2 / n
         repulsion[cols] -= np.einsum("ij,ijd->jd", kmat, diff) / sigma**2 / n
         total += 2.0 * stein_sum(kmat, sqdist)
-    return scores, attraction, repulsion, float(total) / sigma**2 if trace else None
+    return attraction, repulsion, float(total) / sigma**2 if trace else None
 
 
 def ksd(
@@ -147,7 +154,8 @@ def ksd(
     """
     check_sigma(sigma)
     positions = np.atleast_2d(np.asarray(particles, dtype=float))
-    return ksd_from_parts(*_forces(positions, target, sigma, counter, trace=True))
+    scores = score(target, positions, counter)
+    return ksd_from_parts(scores, *_forces(positions, scores, sigma, trace=True))
 
 
 def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
@@ -172,23 +180,23 @@ def adam_step(state: AdamState, direction: np.ndarray, lr: float) -> np.ndarray:
 
 def _iterate_with_parts(
     positions: np.ndarray,
-    target: BoltzmannTarget,
+    scores: np.ndarray,
     sigma: float,
     step_size: float,
     adam: AdamState,
-    counter: EvalCounter,
+    domain: BoxDomain,
     trace: bool = False,
 ):
-    """One SVGD iteration of the (N, d) positions: move along the
-    Adam-preconditioned phi*, then project to the box. Returns the moved
-    positions and the parts of _forces (with the KSD's trace when asked
-    for), which the run loop reuses for the KSD of the entering state
-    instead of recomputing them.
+    """One SVGD iteration of the (N, d) positions, whose scores are given:
+    move along the Adam-preconditioned phi*, then project to the box.
+    Returns the moved positions and the parts of _forces (with the KSD's
+    trace when asked for), which the run loop reuses for the KSD of the
+    entering state instead of recomputing them.
     """
-    parts = _forces(positions, target, sigma, counter, trace)
-    phi = parts[1] + parts[2]  # attraction + repulsion
+    parts = _forces(positions, scores, sigma, trace)
+    phi = parts[0] + parts[1]  # attraction + repulsion
     if not np.isfinite(phi).all():
         raise NonFiniteValue("the SVGD direction phi* has non-finite entries")
     displacement = adam_step(adam, phi, step_size)
-    moved = project_to_box(target.objective.domain, positions + displacement)
+    moved = project_to_box(domain, positions + displacement)
     return moved, parts

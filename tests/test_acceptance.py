@@ -121,10 +121,11 @@ class TestForceDecomposition:
             n = int(rng.integers(1, 12))
             pts = rng.uniform(-5, 5, size=(n, 2))
             sigma = float(rng.uniform(0.05, 2.0))
-            _, att, rep, _ = _forces(pts, target, sigma, EvalCounter())
+            scores = score(target, pts, EvalCounter())
+            att, rep, _ = _forces(pts, scores, sigma)
             # the iteration steps along exactly attraction + repulsion
-            moved, _ = _iterate_with_parts(pts, target, sigma, 0.03,
-                                           AdamState.fresh(n, 2), EvalCounter())
+            moved, _ = _iterate_with_parts(pts, scores, sigma, 0.03,
+                                           AdamState.fresh(n, 2), obj.domain)
             step = adam_step(AdamState.fresh(n, 2), att + rep, 0.03)
             want = project_to_box(obj.domain, pts + step)
             assert moved.tobytes() == want.tobytes()
@@ -136,7 +137,7 @@ class TestForceDecomposition:
         for _ in range(100):
             pts = rng.uniform(-9, 9, size=(2, 2))
             sigma = float(rng.uniform(0.1, 3.0))
-            _, _, rep, _ = _forces(pts, target, sigma, EvalCounter())
+            _, rep, _ = _forces(pts, score(target, pts, EvalCounter()), sigma)
             np.testing.assert_allclose(rep[0], -rep[1], rtol=0, atol=1e-14)
 
 

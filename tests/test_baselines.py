@@ -1012,6 +1012,41 @@ class TestBudgetInvariant:
         assert r.best_f == lowest[0]
         assert float(obj.evaluator(r.best_x)) == r.best_f
 
+    @pytest.mark.parametrize("method", list(SIZE_KEY))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_scored_row_is_paid_for(self, method, data, d, n, seed):
+        # the rows the evaluator scores are the evaluations the run charges,
+        # so nothing is scored ahead for an iteration that never runs. A
+        # filtering iteration at the floor of 5 costs (2d + 1)N; budgets next
+        # to its multiples end the run on either side of one
+        params = {SIZE_KEY[method]: n}
+        if method.startswith("sbs"):
+            params["max_iterations"] = data.draw(st.none() | st.integers(0, 80))
+        if "-pf" in method:
+            params["start_iteration"] = data.draw(st.integers(0, 12))
+        if "hybrid" in method:
+            params.update(cmaes_budget=30, woa_iterations=3)
+        cost = (2 * d + 1) * data.draw(st.sampled_from([n, min(n, 5)]))
+        budget = data.draw(st.integers(1, 4000) | st.builds(
+            lambda k, off: k * cost + off, st.integers(1, 60), st.integers(-2, 2)))
+        obj = make_benchmark("ackley", d)
+        rows = [0]
+
+        def counted(x):
+            rows[0] += len(np.atleast_2d(x))
+            return obj.evaluator(x)
+
+        counted.vectorized = True
+        try:
+            r = run_method(method, dataclasses.replace(obj, evaluator=counted), budget,
+                           seed, params)
+        except BudgetTooSmall:
+            assert rows[0] == 0
+            return
+        assert rows[0] == r.evals_used <= budget
+
     @pytest.mark.parametrize("method", ["sbs", "sbs-pf"])
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(budget=st.integers(1, 4000), d=st.integers(1, 4), n=st.integers(2, 25),

@@ -42,7 +42,8 @@ def grad_second_arg(sigma, x, y):
     repulsion on x from the pair {x, y} is half of it."""
     flat = make_objective("flat", [-10.0] * len(x), [10.0] * len(x), lambda p: 0.0)
     target = BoltzmannTarget(flat, kappa=1.0)
-    _, _, repulsion, _ = _forces(np.stack([x, y]), target, sigma, EvalCounter())
+    pts = np.stack([x, y])
+    _, repulsion, _ = _forces(pts, score(target, pts, EvalCounter()), sigma)
     return 2.0 * repulsion[0]
 
 
@@ -291,8 +292,8 @@ def outside_the_tiles(sigma, pts):
 def tiled_and_dense(sigma, pts, objective=None):
     obj = objective or make_benchmark("ackley", pts.shape[1])
     target = BoltzmannTarget(obj, kappa=10.0)
-    _, attraction, repulsion, _ = _forces(pts, target, sigma, EvalCounter())
     scores = score(target, pts, EvalCounter())
+    attraction, repulsion, _ = _forces(pts, scores, sigma)
     stein = ksd(pts, target, sigma, EvalCounter())
     return (attraction, repulsion, stein), dense_parts(sigma, pts, scores)
 
@@ -391,8 +392,8 @@ class TestTiledKernel:
         assert kernel_tiles(sigma, pts) == ([], [])
         assert in_no_tile(sigma, pts).size == n
         target = BoltzmannTarget(make_benchmark("ackley", 2), kappa=10.0)
-        _, attraction, repulsion, _ = _forces(pts, target, sigma, EvalCounter())
         scores = score(target, pts, EvalCounter())
+        attraction, repulsion, _ = _forces(pts, scores, sigma)
         assert attraction.tobytes() == (scores / n).tobytes()
         assert repulsion.tobytes() == np.zeros((n, 2)).tobytes()  # +0.0
         assert ksd(pts, target, sigma, EvalCounter()) == pytest.approx(
@@ -614,7 +615,7 @@ class TestIdentityBlock:
             pts = sbs_run(obj, cfg, 10_000, 0, log_every=1).trajectory.snapshots[0].positions
             kappa = cfg.kappa
         target = BoltzmannTarget(obj, kappa=kappa)
-        _, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        a, r, _ = _forces(pts, score(target, pts, EvalCounter()), sigma)
         assert hashlib.sha256(a.tobytes() + r.tobytes()).hexdigest() == want
 
     @pytest.mark.parametrize("near", [False, True])
@@ -625,10 +626,11 @@ class TestIdentityBlock:
         pts = isolated(near)
         assert np.array_equal(pairwise_kernel(1e-4, pts)[0], np.eye(100)) != near
         with np.errstate(over="ignore", invalid="ignore"):  # -inf, and 0 * -inf
-            assert np.isneginf(score(target, pts, EvalCounter())[:, 0]).all()
+            scores = score(target, pts, EvalCounter())
+            assert np.isneginf(scores[:, 0]).all()
             with pytest.raises(NonFiniteValue):
-                _iterate_with_parts(pts, target, 1e-4, 0.03, AdamState.fresh(100, 10),
-                                    EvalCounter())
+                _iterate_with_parts(pts, scores, 1e-4, 0.03, AdamState.fresh(100, 10),
+                                    steep.domain)
 
     def test_an_underflowing_sigma_squared_is_refused(self):
         # sigma**2 rounds to 0, where the diagonal would be exp(-0 / 0) = NaN:
@@ -644,7 +646,8 @@ class TestIdentityBlock:
         with pytest.raises(ConfigError, match="sigma"):
             SbsConfig(sigma=sigma)
         assert np.array_equal(pairwise_kernel(SIGMA_MIN, isolated())[0], np.eye(100))
-        scores, a, r, _ = _forces(isolated(), target, SIGMA_MIN, EvalCounter())
+        scores = score(target, isolated(), EvalCounter())
+        a, r, _ = _forces(isolated(), scores, SIGMA_MIN)
         np.testing.assert_array_equal(a, scores / 100)
         assert np.all(r == 0.0)
 
@@ -657,7 +660,8 @@ class TestIdentityBlock:
         assert pts.shape[0] < PROOF_MIN
         assert np.array_equal(pairwise_kernel(sigma, pts)[0], np.eye(20))
         target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
-        scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        scores = score(target, pts, EvalCounter())
+        a, r, _ = _forces(pts, scores, sigma)
         stein = ksd(pts, target, sigma, EvalCounter())
         assert blocks_made == [20, 20]
         assert (a + r).tobytes() == (scores / 20 + 0.0).tobytes()
@@ -764,7 +768,8 @@ class TestProvenApart:
         near = near_pairs(sigma, pts)
         assert near[0].size
         target = BoltzmannTarget(make_benchmark("ackley", 10), kappa=10.0)
-        scores, a, r, _ = _forces(pts, target, sigma, EvalCounter())
+        scores = score(target, pts, EvalCounter())
+        a, r, _ = _forces(pts, scores, sigma)
         stein = ksd(pts, target, sigma, EvalCounter())
         assert blocks_made == []
         np.testing.assert_array_equal(a, scores / 100)
@@ -833,8 +838,9 @@ def forces_and_dense(sigma, pts):
     target = BoltzmannTarget(make_benchmark("ackley", pts.shape[1]), kappa=10.0)
     # NaN - x, and the square of a 1e200 coordinate
     with np.errstate(over="ignore", invalid="ignore"):
-        forces = _forces(pts, target, sigma, EvalCounter())[1:3]
-        dense = dense_parts(sigma, pts, svgd.score(target, pts, EvalCounter()))[:2]
+        scores = svgd.score(target, pts, EvalCounter())
+        forces = _forces(pts, scores, sigma)[:2]
+        dense = dense_parts(sigma, pts, scores)[:2]
     return forces, dense
 
 

@@ -1,5 +1,8 @@
 """Particle runs: budget accounting, filtering, and determinism."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from sbsopt import (
     BudgetTooSmall,
     ConfigError,
     FilterConfig,
+    NonFiniteValue,
     SbsConfig,
     ShapeMismatch,
     make_benchmark,
@@ -469,3 +473,137 @@ class TestSbsPfRun:
         r = sbs_run(obj, SbsConfig(n_particles=30, filter=cfg), 40_000, 11,
                     collect_diagnostics=True)
         assert all(rec.live >= 12 for rec in r.diagnostics)
+
+
+def run_digest(r) -> str:
+    """sha256 of a run's records (KSD included), snapshots and answer."""
+    h = hashlib.sha256()
+    for rec in r.diagnostics:
+        h.update(repr((rec.iteration, rec.min_f, rec.best_so_far, rec.live, rec.ksd)).encode())
+    for s in r.trajectory.snapshots:
+        h.update(repr((s.iteration, s.sigma, s.ids)).encode())
+        h.update(s.positions.tobytes() + s.f_values.tobytes())
+    h.update(r.best_x.tobytes())
+    h.update(repr((r.best_f, r.evals_used, r.iterations_done)).encode())
+    return h.hexdigest()
+
+
+FLOOR_RUNS = {
+    "sbs-pf ackley-2d 20k": ("sbs-pf", "ackley", 2, 20_000, {}),
+    "sbs-pf rastrigin-3d 7777": ("sbs-pf", "rastrigin", 3, 7_777, {"n_particles": 12}),
+    "sbs-pf-hybrid ackley-2d 20k": ("sbs-pf-hybrid", "ackley", 2, 20_000,
+                                    {"cmaes_budget": 200, "woa_iterations": 20}),
+    "sbs-pf sphere-2d max 77": ("sbs-pf", "sphere", 2, 20_000,
+                                {"n_particles": 5, "max_iterations": 77}),
+}
+
+
+class TestFloorPass:
+    """A filtering iteration at the floor scores its pass and the next
+    iteration's probes in one evaluator call, and charges each as before."""
+
+    # taken from runs that scored each pass and each probe block in a call
+    # of its own: records, KSD, snapshots and answers keep their bits. Like
+    # the golden rows, they pin OpenBLAS's summation lanes as well as the
+    # algebra
+    @pytest.mark.parametrize("case, seed, want", [
+        ("sbs-pf ackley-2d 20k", 0,
+         "61b5f032e5ceb9fc486202c685a8b39e8eb125c00eb86f2e9225a26c1ff48104"),
+        ("sbs-pf ackley-2d 20k", 1,
+         "8be2699f702dda854733d2bf14332d89aba5c0d6fa1b3c1fe5341a5670a15841"),
+        ("sbs-pf ackley-2d 20k", 2,
+         "7faa2df2c0ba3c15fcc82d2d6acb016b4f940e21577808d4bbe04822a3e957d1"),
+        ("sbs-pf rastrigin-3d 7777", 0,
+         "a65936648aa4586072a74297ae6d78395c1d3e27ecae732abd35ee77c90d95b2"),
+        ("sbs-pf rastrigin-3d 7777", 1,
+         "f3cf11d612024db8dd9deeb9a646013f7e030160fc4f19d394ab9e6f3dcf7e01"),
+        ("sbs-pf rastrigin-3d 7777", 2,
+         "dd389ab56e742f99d4bc35fb37326862979b48e882f8145b18294d7cd2d985ea"),
+        ("sbs-pf-hybrid ackley-2d 20k", 0,
+         "92e2d224af7aaa3e131fddea277ce6e8343149d2880e5486db73dc8bfbad4b6e"),
+        ("sbs-pf-hybrid ackley-2d 20k", 1,
+         "b17b982904c729947962025d892e24194766e6e6f2f6c08d9f7d36d4a772180b"),
+        ("sbs-pf-hybrid ackley-2d 20k", 2,
+         "f49305aa3704f80cfd8b6eac9b8d9c21713980a2f1a70d9a53cefb739478e828"),
+        ("sbs-pf sphere-2d max 77", 0,
+         "c7479f62e1a2ed0b7a0f067d2b735a094e3d25e3294765ab723842910414eb16"),
+        ("sbs-pf sphere-2d max 77", 1,
+         "85d9c3b2f5424286a09c5040ed5df2bdead30fb572d34df8393f26f5a248f85d"),
+        ("sbs-pf sphere-2d max 77", 2,
+         "ac8665864241eb26ede7d0864446031d1dfeedac9269901796e20c04612b6a53"),
+    ])
+    def test_runs_keep_their_bits(self, case, seed, want):
+        method, function, d, budget, params = FLOOR_RUNS[case]
+        r = run_method(method, make_benchmark(function, d), budget, seed, params,
+                       collect_diagnostics=True, track_ksd=True, log_every=1)
+        assert run_digest(r) == want
+
+    @staticmethod
+    def spied_run(monkeypatch, evaluator, budget, seen, max_iterations=None):
+        """An sbs-pf run of 5 particles on Ackley-2d, whose floor of 5 holds
+        from the filter's start at iteration 10; seen gets
+        (iterations_done, evals_used, best_f) at each record."""
+        obj = make_benchmark("ackley", 2)
+        log = sbs_module.log_iteration
+
+        def ending(counter, *args):
+            log(counter, *args)
+            seen.append((counter.iterations_done, counter.evals_used, counter.best_f))
+
+        monkeypatch.setattr(sbs_module, "log_iteration", ending)
+        cfg = SbsConfig(n_particles=5, max_iterations=max_iterations, filter=FilterConfig())
+        try:
+            return sbs_run(dataclasses.replace(obj, evaluator=evaluator), cfg, budget, 0)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("budget, max_iterations, iterations", [
+        (1005, None, 42), (1004, None, 41), (10_000, 30, 30),
+    ])
+    def test_one_evaluator_call_per_floor_iteration(self, monkeypatch, budget,
+                                                    max_iterations, iterations):
+        # iterations 1-9 score their 20 probes. From 10 on, each iteration
+        # but the last scores its pass of 5 with the next one's 20 probes,
+        # and the last scores its pass alone; nothing is scored after it
+        ackley = make_benchmark("ackley", 2).evaluator
+        seen, calls = [], []
+
+        def spy(x):
+            calls.append((len(seen) + 1, len(x)))  # (iteration, rows)
+            return ackley(x)
+
+        spy.vectorized = True
+        r = self.spied_run(monkeypatch, spy, budget, seen, max_iterations)
+        assert r.iterations_done == len(seen) == iterations
+        want = [[20]] * 9 + [[20, 25]] + [[25]] * (iterations - 11) + [[5]]
+        assert calls == [(i, n) for i, rows in enumerate(want, 1) for n in rows]
+        # each record sees the evaluations charged so far: 20 probes per
+        # iteration, plus its pass of 5 from iteration 10 on
+        assert [used for _, used, _ in seen] == [
+            20 * i + 5 * max(0, i - 9) for i in range(1, iterations + 1)]
+        assert r.evals_used == sum(n for _, n in calls)
+
+    @pytest.mark.parametrize("iteration", [5, 10, 20])
+    def test_a_non_finite_probe_raises_after_the_last_record(self, monkeypatch, iteration):
+        # a NaN at one probe of particle 2 entering the iteration: its probes
+        # were scored alone (5, 10) or with the previous floor pass (20)
+        obj = make_benchmark("ackley", 2)
+        clean = sbs_run(obj, SbsConfig(n_particles=5, filter=FilterConfig()), 2000, 0,
+                        log_every=1)
+        point = clean.trajectory.snapshots[iteration - 1].positions[2]
+        probe = point.copy()
+        probe[0] = min(probe[0] + 1e-6 * max(1.0, abs(probe[0])), obj.domain.upper[0])
+
+        def holed(x):
+            f = obj.evaluator(x)
+            f[(x == probe).all(axis=1)] = np.nan
+            return f
+
+        holed.vectorized = True
+        seen_clean, seen = [], []
+        self.spied_run(monkeypatch, obj.evaluator, 2000, seen_clean)
+        with pytest.raises(NonFiniteValue) as err:
+            self.spied_run(monkeypatch, holed, 2000, seen)
+        assert str(err.value) == f"{obj.name}: non-finite probe near {point}"
+        # every record before the iteration is appended, as the clean run's
+        assert seen == seen_clean[:iteration - 1]
