@@ -4,21 +4,21 @@ An :class:`Objective` is a name, a box and an evaluator, nothing more: the
 known minima of the registry benchmarks live in the registry, which checks
 them in :func:`~sbsopt.benchmarks.make_benchmark`.
 
-Every optimizer in this package spends its budget through :func:`evaluate`
-and :func:`fd_gradient`; the :class:`EvalCounter` passed along is the run's
-ledger and, once the run ends, its result: the single source of truth for
-how many scalar function evaluations it consumed, the best point they scored
-(the run's answer), how many iterations it ran and, when the run keeps them,
+Every optimizer in this package pays for its evaluations through
+EvalCounter.charge, one per row of a scored block, offered to the
+incumbent; the :class:`EvalCounter` passed along is the run's ledger and,
+once the run ends, its result: the single source of truth for how many
+scalar function evaluations it consumed, the best point they scored (the
+run's answer), how many iterations it ran and, when the run keeps them,
 its iteration records and trajectory log.
 
-Both take one point or a block of points, one per row, and count one
-evaluation per point either way: a point is scored as a one-row block. An
-evaluator whose ``vectorized`` attribute is true (the registry benchmarks)
-scores a whole block in one call; any other callable is called once per
-row, in row order. The SBS loop also scores a block with
-:func:`block_values` and charges its rows on the counter in two parts
-(EvalCounter.tick and record), at the points where evaluate and
-fd_gradient would charge them.
+:func:`block_values` scores a block, one point per row, and pays for
+nothing: off-budget values come from it. :func:`evaluate` is block_values
+then charge; :func:`fd_gradient` evaluates its :func:`fd_probes` and takes
+their :func:`fd_difference`. Both count one evaluation per point, of one
+point or a block. An evaluator whose ``vectorized`` attribute is true (the
+registry benchmarks) scores a whole block in one call; any other callable
+is called once per row, in row order.
 """
 
 from __future__ import annotations
@@ -80,12 +80,12 @@ class EvalCounter:
     its incumbent and answer, iterations_done and diagnostics (None unless
     the run keeps records) what optimizers.base.log_iteration counts and
     appends, and trajectory the log of an SBS run that keeps one.
-    EvalCounter() is an empty meter, such as an off-budget one.
 
-    record keeps the incumbent by one rule: the first row of a block with
-    the lowest value replaces it when strictly better, NaN never wins, and
-    an empty block changes nothing. While no value is below inf, best_x is
-    the first point recorded (None before any) and best_f is inf.
+    charge pays for a scored block and records it. record keeps the
+    incumbent by one rule: the first row of a block with the lowest value
+    replaces it when strictly better, NaN never wins, and an empty block
+    changes nothing. While no value is below inf, best_x is the first point
+    recorded (None before any) and best_f is inf.
     """
 
     evals_used: int = 0
@@ -95,8 +95,10 @@ class EvalCounter:
     diagnostics: list | None = None
     trajectory: TrajectoryLog | None = None
 
-    def tick(self, n: int = 1) -> None:
-        self.evals_used += n
+    def charge(self, points: np.ndarray, f: np.ndarray) -> None:
+        """Pay one evaluation per row of points (M, d), scored f (M,); record them."""
+        self.evals_used += len(points)
+        self.record(points, f)
 
     def record(self, points: np.ndarray, f: np.ndarray) -> None:
         """Offer the rows of points (M, d), scored f (M,), to the incumbent."""
@@ -136,15 +138,15 @@ def evaluate(obj: Objective, x: Point, counter: EvalCounter) -> float | np.ndarr
     x = np.asarray(x, dtype=float)
     block = x[None] if x.ndim == 1 else x
     f = block_values(obj, block)
-    counter.tick(len(block))
-    counter.record(block, f)
+    counter.charge(block, f)
     return float(f[0]) if x.ndim == 1 else f
 
 
 def block_values(obj: Objective, block: np.ndarray) -> np.ndarray:
     """f at each row of a block (M, d), neither counted nor recorded: what
     evaluate scores, for a caller that charges the rows itself
-    (EvalCounter.tick and record). OutOfDomain as in evaluate."""
+    (EvalCounter.charge) or scores them off budget. OutOfDomain as in
+    evaluate."""
     lower, upper = obj.domain.lower, obj.domain.upper
     if not (block.ndim == 2 and block.shape[1] == lower.size
             and ((block >= lower) & (block <= upper)).all()):

@@ -88,7 +88,7 @@ def _hybrid_init_full(
                               derive_seed(seed, "hybrid-cma"))
     woa, woa_population = woa_run(obj, woa_params, budget - cma.evals_used,
                                   derive_seed(seed, "hybrid-woa"))
-    counter.tick(cma.evals_used + woa.evals_used)
+    counter.evals_used += cma.evals_used + woa.evals_used  # their own charges paid these
     counter.record(np.array([woa.best_x, cma.best_x]), np.array([woa.best_f, cma.best_f]))
     if cma.best_f < woa.best_f:
         rng = split_streams(derive_seed(seed, "hybrid-sample"), 1)[0]

@@ -10,14 +10,15 @@ evaluations are still made and charged, so the arithmetic is the same. An
 iteration starts only when (2d + 1)N evaluations remain: its probes plus N
 more, the filter's evaluations or, on the last iteration when it does not
 filter, a final pass over the particles, which is then always affordable.
-A pass at the floor leaves the particles as they are, so when the next
-iteration is sure to run, the pass and that iteration's probes are scored
-in one evaluator call. The evaluations charged, and when, are unchanged:
-the pass before this iteration's record, the probes when the next starts.
+Each iteration scores its probes by one path: fd_probes, their values,
+EvalCounter.charge, then -kappa times their fd_difference. A floor pass
+leaves the particles as they are, so when the next iteration is sure to
+run, the pass and its probes are scored in one evaluator call; the pass is
+charged before this iteration's record, the probes when the next starts.
 The answer is the best point the run paid for, probes included, which the
 run's EvalCounter keeps and returns. Diagnostics and trajectory logging
-score the particles of other iterations on a separate uncounted meter, so
-instrumentation never changes what the algorithm does or spends; the last
+score other iterations' particles off budget (block_values), so
+instrumentation never changes what the run does or spends; the last
 iteration's record and snapshot reuse its paid values.
 """
 
@@ -28,8 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..boltzmann import (DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, BoltzmannTarget, ksd_from_parts,
-                         score)
+from ..boltzmann import DEFAULT_KAPPA, SIGMA_MAX, SIGMA_MIN, ksd_from_parts
 from ..errors import BudgetExceeded, ConfigError, ShapeMismatch
 from ..objective import (EvalCounter, Objective, block_values, evaluate, fd_difference,
                          fd_probes)
@@ -207,12 +207,9 @@ def _run_engine(
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_particles = positions.shape[0]
 
-    target = BoltzmannTarget(objective=obj, kappa=cfg.kappa, fd_step=cfg.fd_step)
     adam = AdamState.fresh(n_particles, d)
     original_ids = np.arange(n_particles)
     last_f: np.ndarray | None = None
-
-    instrument = EvalCounter()  # instrumentation only: not the run budget
 
     def snapshot(iteration: int, f_vals: np.ndarray) -> None:
         # sigma is the bandwidth the next iteration uses on these particles
@@ -237,7 +234,7 @@ def _run_engine(
             benchmark=benchmark,
             fd_step=cfg.fd_step,
         )
-        snapshot(0, evaluate(obj, positions, instrument))
+        snapshot(0, block_values(obj, positions))
 
     track_ksd = track_ksd and counter.diagnostics is not None  # it goes into records only
 
@@ -255,13 +252,13 @@ def _run_engine(
         n_live = positions.shape[0]
         sigma = cfg.bandwidth(n_live)
         if ahead is None:
-            scores = score(target, positions, counter)
-        else:  # charged here, where fd_gradient charges the probes it scores
+            probes, gaps = fd_probes(domain, positions, cfg.fd_step)
+            f = block_values(obj, probes)
+        else:
             probes, gaps, f = ahead
             ahead = None
-            counter.tick(len(probes))
-            counter.record(probes, f)
-            scores = -cfg.kappa * fd_difference(obj, positions, f, gaps)
+        counter.charge(probes, f)
+        scores = -cfg.kappa * fd_difference(obj, positions, f, gaps)
         prev_positions = positions
         positions, parts = _iterate_with_parts(
             positions, scores, sigma, cfg.step_size, adam, domain, track_ksd
@@ -277,8 +274,7 @@ def _run_engine(
                 probes, gaps = fd_probes(domain, positions, cfg.fd_step)
                 f = block_values(obj, np.concatenate((positions, probes)))
                 last_f = f[:n_live]
-                counter.tick(n_live)
-                counter.record(positions, last_f)
+                counter.charge(positions, last_f)
                 ahead = probes, gaps, f[n_live:]
             else:
                 last_f = evaluate(obj, positions, counter)
@@ -299,7 +295,7 @@ def _run_engine(
         logged = log_every > 0 and (iteration % log_every == 0 or not more)
         seen_f = last_f
         if seen_f is None and (counter.diagnostics is not None or logged):
-            seen_f = evaluate(obj, positions, instrument)
+            seen_f = block_values(obj, positions)
         log_iteration(counter, seen_f, positions.shape[0], ksd_value)
         if logged:
             snapshot(iteration, seen_f)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boltzmann import check_sigma
 from .errors import NotTwoDimensional
-from .objective import EvalCounter, Objective, evaluate
+from .objective import Objective, block_values
 
 LOG_FORMAT = "sbsopt-trajectory-1"
 
@@ -160,7 +160,7 @@ def _heat_rects(log: TrajectoryLog, objective: Objective) -> list[str]:
     centers1 = lo[1] + (np.arange(HEAT_CELLS) + 0.5) / HEAT_CELLS * (hi[1] - lo[1])
     # cell (i, j) is row i * HEAT_CELLS + j, scored in one off-budget block
     grid = np.stack(np.meshgrid(centers0, centers1, indexing="ij"), axis=-1)
-    values = evaluate(objective, grid.reshape(-1, 2), EvalCounter())
+    values = block_values(objective, grid.reshape(-1, 2))
     values = values.reshape(HEAT_CELLS, HEAT_CELLS)
     vmin, vmax = values.min(), values.max()
     span = vmax - vmin if vmax > vmin else 1.0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1046,6 +1047,49 @@ class TestBudgetInvariant:
             assert rows[0] == 0
             return
         assert rows[0] == r.evals_used <= budget
+
+    @pytest.mark.parametrize("method", list(SIZE_KEY))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_instrumented_runs_pay_only_by_charge(self, method, data, d, n, seed):
+        # every evaluation a run pays for goes through EvalCounter.charge,
+        # the hybrid's CMA-ES and WOA runs on counters of their own whose
+        # spend it hands over; diagnostics, KSD and trajectory snapshots
+        # are scored off budget and change nothing the run spends or answers
+        params = {SIZE_KEY[method]: n}
+        if method.startswith("sbs"):
+            params["max_iterations"] = data.draw(st.none() | st.integers(0, 80))
+        if "-pf" in method:
+            params["start_iteration"] = data.draw(st.integers(0, 12))
+        if "hybrid" in method:
+            params.update(cmaes_budget=30, woa_iterations=3)
+        instruments = dict(collect_diagnostics=data.draw(st.booleans()),
+                           track_ksd=data.draw(st.booleans()),
+                           log_every=data.draw(st.sampled_from([0, 1, 3])))
+        budget = data.draw(st.integers(1, 3000))
+        obj = make_benchmark("ackley", d)
+        charges = []
+        charge = EvalCounter.charge
+
+        def spy(counter, points, f):
+            charges.append((counter, len(points)))
+            charge(counter, points, f)
+
+        try:
+            plain = run_method(method, obj, budget, seed, params)
+        except BudgetTooSmall:
+            return
+        with mock.patch.object(EvalCounter, "charge", spy):
+            r = run_method(method, obj, budget, seed, params, **instruments)
+        own = sum(rows for counter, rows in charges if counter is r)
+        others = {id(counter): counter for counter, _ in charges if counter is not r}
+        handed = sum(counter.evals_used for counter in others.values())
+        assert own + handed == r.evals_used
+        assert sum(rows for _, rows in charges) == r.evals_used
+        assert len(others) == (2 if "hybrid" in method else 0)
+        assert (r.evals_used, r.best_f) == (plain.evals_used, plain.best_f)
+        assert r.best_x.tobytes() == plain.best_x.tobytes()
 
     @pytest.mark.parametrize("method", ["sbs", "sbs-pf"])
     @settings(max_examples=50, deadline=None, derandomize=True)

@@ -89,11 +89,17 @@ class TestEvaluate:
             evaluate(obj, np.zeros(3), counter)
         assert counter.evals_used == 7
 
-    def test_tick_batch(self):
+    def test_charge_counts_rows_and_records_them(self):
         counter = EvalCounter()
-        counter.tick(5)
-        counter.tick()
+        pts = np.arange(10.0).reshape(5, 2)
+        counter.charge(pts, np.array([3.0, 1.0, 2.0, 1.0, 4.0]))
+        assert counter.evals_used == 5
+        assert counter.best_x.tobytes() == pts[1].tobytes() and counter.best_f == 1.0
+        counter.charge(pts[:0], np.array([]))  # an empty block costs nothing
+        assert counter.evals_used == 5 and counter.best_f == 1.0
+        counter.charge(pts[4:], np.array([0.5]))
         assert counter.evals_used == 6
+        assert counter.best_x.tobytes() == pts[4].tobytes() and counter.best_f == 0.5
 
     def test_record_keeps_the_first_strictly_lowest(self):
         counter = EvalCounter()

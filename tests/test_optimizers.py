@@ -203,8 +203,9 @@ class TestFilterPercentile:
 class TestBudgetAudit:
     def test_engine_raises_typed_error(self):
         class OverCounting(EvalCounter):
-            def tick(self, n=1):
-                super().tick(n + 1)
+            def charge(self, points, f):
+                self.evals_used += 1
+                super().charge(points, f)
 
         # d=2, N=5: three iterations reach 63 counted, the final argmin 69 > 68
         obj = make_benchmark("sphere", 2)
